@@ -43,6 +43,10 @@ class InputCapExceeded(CgmError):
     """A circuit has more Boolean inputs than the configured cap allows."""
 
 
+class InvalidDrawCount(CgmError):
+    """A sampler was asked for a negative number of draws."""
+
+
 class ParseError(CgmError):
     """Syntax error in circuit text; carries a span and the expected tokens."""
 

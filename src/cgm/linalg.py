@@ -183,14 +183,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return vstack(top, bottom)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
 @dataclass(frozen=True)
 class CovFactor:
     """Covariance ``Sigma = L L^T`` held as its factor L (n x k, k may be 0)."""

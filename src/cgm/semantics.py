@@ -23,7 +23,8 @@ import numpy as np
 from .diagram import (Colour, Gen, GenKind, Generator, Id, Seq, Swap,
                       Term, TypeWord, has_float_literal, to_exact_params,
                       to_float_params)
-from .errors import DimensionMismatch, InputCapExceeded, TypeMismatch
+from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
+                     TypeMismatch)
 from .linalg import (CovFactor, Matrix, Scalar, block_diag, cov_block,
                      cov_compose, matrix_to_json, quantize_key,
                      scalar_to_json, vstack)
@@ -398,37 +399,48 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     return Moments(tuple(sorted(marg.items())), mean, cov)
 
 
+def _floats(entries) -> list:
+    # x.numerator / x.denominator rounds like float(x) and is faster.
+    return [x.numerator / x.denominator if type(x) is Fraction else x
+            for x in entries]
+
+
 def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
-    """`count` seeded draws; returns (list of Boolean outputs, (count, n) array)."""
+    """`count` seeded draws; returns (list of Boolean outputs, (count, n) array).
+
+    A draw picks a component by weight and returns ``A x + mu + F z`` with
+    ``F F^T = Sigma``.  Factors wider than n are replaced by the n x n
+    ``R^T`` of a QR decomposition of ``F^T``, so every draw takes at most n
+    standard normals.  The draws are a deterministic function of the seed.
+    """
     x = xs if isinstance(xs, Matrix) else Matrix.column(xs)
     if x.rows != mix.m:
         raise DimensionMismatch(f"input has {x.rows} reals, kernel wants {mix.m}")
     if len(bits) != mix.p:
         raise DimensionMismatch(f"input has {len(bits)} bits, kernel wants {mix.p}")
+    if count < 0:
+        raise InvalidDrawCount(f"cannot draw {count} samples: the count is negative")
     comps = mix.row(tuple(bits))
+    n, m, size = mix.n, mix.m, len(comps)
     rng = np.random.default_rng(seed)
-    weights = np.array([float(c.weight) for c in comps])
-    weights = weights / weights.sum()
-    idx = rng.choice(len(comps), size=count, p=weights)
-    reals_out = np.zeros((count, mix.n))
-    bools_out = [None] * count
-    xf = np.array([float(v) for v in x.entries])
+    weights = np.array(_floats(c.weight for c in comps))
+    idx = rng.choice(size, size=count, p=weights / weights.sum())
+    lin = np.array([_floats(c.lin.entries) for c in comps]).reshape(size, n, m)
+    mu = np.array([_floats(c.mean.entries) for c in comps]).reshape(size, n)
+    width = max(c.cov.width for c in comps)
+    fac = np.zeros((size, n, width))
     for ci, c in enumerate(comps):
-        where = np.nonzero(idx == ci)[0]
         k = c.cov.width
-        z = rng.standard_normal((len(where), k))
-        lin = np.array([[float(v) for v in c.lin.row(i)] for i in range(c.lin.rows)]) \
-            if c.lin.rows else np.zeros((0, c.lin.cols))
-        fac = np.array([[float(v) for v in c.cov.factor.row(i)]
-                        for i in range(c.cov.factor.rows)]) \
-            if c.cov.factor.rows else np.zeros((0, k))
-        mu = np.array([float(v) for v in c.mean.entries])
-        base = lin @ xf + mu if c.lin.cols else mu
-        vals = base[None, :] + (z @ fac.T if k else np.zeros((len(where), mix.n)))
-        reals_out[where] = vals
-        for w in where:
-            bools_out[w] = c.bool_out
-    return bools_out, reals_out
+        fac[ci, :, :k] = np.array(_floats(c.cov.factor.entries)).reshape(n, k)
+    if width > n:
+        fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+    centres = lin @ np.array(_floats(x.entries)) + mu
+    z = rng.standard_normal((count, fac.shape[2]))
+    reals_out = centres[idx]
+    for i in range(n):
+        reals_out[:, i] += np.einsum("dk,dk->d", fac[idx, i, :], z)
+    outs = [c.bool_out for c in comps]
+    return [outs[i] for i in idx.tolist()], reals_out
 
 
 def sample(mix: CGMixture, bits: BitVec, xs, seed: int):

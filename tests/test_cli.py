@@ -131,6 +131,11 @@ class TestSample:
         assert code == EXIT_PARSE
         assert "wants 1 bits and 2 reals" in err
 
+    def test_negative_count(self, mixture_file, capsys):
+        code, out, err = run(capsys, "sample", mixture_file, "-n", "-1")
+        assert code == EXIT_PARSE and out == ""
+        assert "cannot draw -1 samples" in err
+
     def test_with_inputs(self, tmp_path, capsys):
         path = tmp_path / "gate.cgm"
         path.write_text("ite")

@@ -1,13 +1,16 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cgm.diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
                          TypeWord, bools, identity, mk_generator, par,
                          par_all, reals, seq)
-from cgm.errors import InputCapExceeded, TypeMismatch
+from cgm.dsl import parse
+from cgm.errors import InputCapExceeded, InvalidDrawCount, TypeMismatch
 from cgm.gadgets import (convex_mix, discard_all, gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
 from cgm.linalg import CovFactor, Matrix
@@ -296,3 +299,70 @@ class TestMomentsAndSampling:
         want = float(stats.mean.entries[0])
         se = (float(stats.cov.entries[0]) / 20000) ** 0.5
         assert abs(xs.mean() - want) < 5 * se
+
+    def test_negative_count_is_typed(self):
+        with pytest.raises(InvalidDrawCount, match="-1"):
+            sample_many(self._example(), (), (), -1, 0)
+
+    def test_zero_count(self):
+        bools_out, reals_out = sample_many(self._example(), (), (), 0, 0)
+        assert bools_out == [] and reals_out.shape == (0, 1)
+
+    def test_discarded_noise_leaves_no_reals(self):
+        m = evaluate(parse("stdnormal ; delR"))
+        (c,) = m.row(())
+        assert (c.cov.dim, c.cov.width) == (0, 1)
+        bools_out, reals_out = sample_many(m, (), (), 7, 0)
+        assert bools_out == [()] * 7 and reals_out.shape == (7, 0)
+
+    def test_discarded_noise_beside_flip(self):
+        m = evaluate(parse("(stdnormal ; delR) * flip(1/3)"))
+        n_draws = 30000
+        bools_out, reals_out = sample_many(m, (), (), n_draws, 4)
+        assert reals_out.shape == (n_draws, 0)
+        p_hat = bools_out.count((1,)) / n_draws
+        se = (1 / 3 * 2 / 3 / n_draws) ** 0.5
+        assert abs(p_hat - 1 / 3) < 5 * se
+
+    def test_factor_wider_than_dimension(self):
+        m = evaluate(parse("(stdnormal * stdnormal) ; add"))
+        (c,) = m.row(())
+        assert (c.cov.dim, c.cov.width) == (1, 2)
+        n_draws = 30000
+        _, reals_out = sample_many(m, (), (), n_draws, 5)
+        # The sample variance of N(0, 2) has standard error sqrt(2 * 2^2 / N).
+        assert abs(reals_out.var() - 2) < 5 * (8 / n_draws) ** 0.5
+
+    def _beside_wide(self, narrow):
+        """Half `narrow`, half a 2-dimensional Gaussian of factor width 3;
+        the mixture pads both factors wider than 2, so both are QR-reduced."""
+        wide = gaussian_circuit([1, -2], Matrix.from_rows([[1, 2, 0], [0, 1, 3]]))
+        m = evaluate(convex_mix(Fraction(1, 2), narrow, wide))
+        assert all(c.cov.width > m.n for c in m.row(()))
+        n_draws = 20000
+        _, reals_out = sample_many(m, (), (), n_draws, 6)
+        return reals_out, 2.5 * n_draws ** 0.5
+
+    def test_copied_noise_beside_wider_component(self):
+        reals_out, five_se = self._beside_wide(parse("stdnormal ; copyR"))
+        agree = np.abs(reals_out[:, 0] - reals_out[:, 1]) <= 1e-12
+        assert abs(agree.sum() - len(reals_out) / 2) < five_se
+
+    def test_dirac_draws_are_its_centre(self):
+        dirac = gaussian_circuit([Fraction(5, 2), -1], Matrix.zeros(2, 0))
+        reals_out, five_se = self._beside_wide(dirac)
+        at_centre = (reals_out == [2.5, -1.0]).all(axis=1)
+        assert abs(at_centre.sum() - len(reals_out) / 2) < five_se
+
+    def test_draw_stream_is_pinned(self):
+        """A change to the draws a seed gives must be deliberate."""
+        m = evaluate(parse(
+            "let n31 = (stdnormal * one) ; (id(R) * scal(3)) ; add in "
+            "let n04 = stdnormal ; scal(2) in "
+            "flip(1/4) * (flip(3/10) * (n31 * n04) ; ite ; copyR "
+            "; id(R) * ((stdnormal * id(R)) ; add))"))
+        bools_out, reals_out = sample_many(m, (), (), 1000, 2026)
+        digest = hashlib.sha256(repr(bools_out).encode())
+        digest.update((np.round(reals_out, 10) + 0.0).tobytes())
+        assert digest.hexdigest() == (
+            "c15697814d409ede44112170a9d02767536afb4795dd3dae33a4da8d16c4c810")
