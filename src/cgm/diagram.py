@@ -257,13 +257,14 @@ def scal(k) -> Term:
 
 def subterms(t: Term):
     """Depth-first iterator over all subterms, root first."""
-    yield t
-    if isinstance(t, Seq):
-        yield from subterms(t.early)
-        yield from subterms(t.late)
-    elif isinstance(t, Par):
-        yield from subterms(t.top)
-        yield from subterms(t.bottom)
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        if isinstance(s, Seq):
+            todo.extend((s.late, s.early))
+        elif isinstance(s, Par):
+            todo.extend((s.bottom, s.top))
 
 
 def generator_count(t: Term) -> int:
@@ -276,17 +277,33 @@ def has_float_literal(t: Term) -> bool:
 
 
 def map_params(t: Term, f) -> Term:
-    """Rebuild a term with every generator parameter passed through `f`."""
-    if isinstance(t, Gen):
-        g = t.generator
-        if g.param is None:
-            return t
-        return Gen(Generator(g.kind, f(g.param)))
-    if isinstance(t, Seq):
-        return Seq(map_params(t.early, f), map_params(t.late, f))
-    if isinstance(t, Par):
-        return Par(map_params(t.top, f), map_params(t.bottom, f))
-    return t
+    """Rebuild a term with every generator parameter passed through `f`.
+
+    Shared subterms stay shared, and a subterm in which no parameter
+    changes (in value or type) is returned as it is.
+    """
+    memo = {}
+    todo = [(t, False)]
+    while todo:
+        s, expanded = todo.pop()
+        if id(s) in memo:
+            continue
+        if isinstance(s, (Seq, Par)):
+            a, b = (s.early, s.late) if isinstance(s, Seq) else (s.top, s.bottom)
+            if not expanded:
+                todo += ((s, True), (b, False), (a, False))
+                continue
+            new_a, new_b = memo[id(a)], memo[id(b)]
+            out = s if new_a is a and new_b is b else type(s)(new_a, new_b)
+        elif isinstance(s, Gen) and s.generator.param is not None:
+            old = s.generator.param
+            new = f(old)
+            out = s if type(new) is type(old) and new == old \
+                else Gen(Generator(s.generator.kind, new))
+        else:
+            out = s
+        memo[id(s)] = out
+    return memo[id(t)]
 
 
 def to_float_params(t: Term) -> Term:

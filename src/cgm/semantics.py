@@ -11,6 +11,11 @@ Composition and monoidal product follow the closed forms for affine maps
 (mean ``CAx + Cb + d``, covariance ``C Sigma C^T + Theta``, block diagonals
 for the product) with weights multiplying through.  Everything is exact
 when every literal is rational.
+
+Identities, swaps, copies and discards only move wires.  `evaluate` keeps
+them, and any Seq/Par of them, as a `Wiring` (two index maps) and applies
+one to a kernel by gathering or scattering indices instead of composing
+with a 0/1 kernel; the result is the same canonical kernel.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 import numpy as np
 
-from .diagram import (Colour, Gen, GenKind, Generator, Id, Seq, Swap,
+from .diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
                       Term, TypeWord, has_float_literal, to_exact_params,
                       to_float_params)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
@@ -106,8 +112,71 @@ def _dirac(bool_out, lin: Matrix) -> GaussComponent:
                       CovFactor.zero(n))
 
 
+@dataclass(frozen=True)
+class Wiring:
+    """A deterministic map that only moves wires.
+
+    Output bit j is input bit ``bits[j]`` and output real j is input real
+    ``reals[j]``: a repeated index copies a wire, a missing one discards it.
+    """
+
+    dom: TypeWord
+    cod: TypeWord
+    bits: tuple
+    reals: tuple
+
+    @staticmethod
+    def identity(word: TypeWord) -> "Wiring":
+        return Wiring(word, word, tuple(range(word.n_bool)),
+                      tuple(range(word.n_real)))
+
+    @staticmethod
+    def swap(first: Colour, second: Colour) -> "Wiring":
+        dom = TypeWord((first, second))
+        cod = TypeWord((second, first))
+        if first is not second:
+            # Bits and reals are stored apart: a mixed crossing moves no index.
+            return Wiring(dom, cod, (0,), (0,))
+        if first is Colour.B:
+            return Wiring(dom, cod, (1, 0), ())
+        return Wiring(dom, cod, (), (1, 0))
+
+    def then(self, late: "Wiring") -> "Wiring":
+        return Wiring(self.dom, late.cod,
+                      tuple(self.bits[i] for i in late.bits),
+                      tuple(self.reals[i] for i in late.reals))
+
+    def beside(self, bottom: "Wiring") -> "Wiring":
+        p, m = self.dom.n_bool, self.dom.n_real
+        return Wiring(self.dom + bottom.dom, self.cod + bottom.cod,
+                      self.bits + tuple(p + i for i in bottom.bits),
+                      self.reals + tuple(m + i for i in bottom.reals))
+
+
+GENERATOR_WIRINGS = {
+    GenKind.BOOL_DISCARD: Wiring(TypeWord.of("B"), TypeWord(), (), ()),
+    GenKind.BOOL_COPY: Wiring(TypeWord.of("B"), TypeWord.of("BB"), (0, 0), ()),
+    GenKind.REAL_DISCARD: Wiring(TypeWord.of("R"), TypeWord(), (), ()),
+    GenKind.REAL_COPY: Wiring(TypeWord.of("R"), TypeWord.of("RR"), (), (0, 0)),
+}
+
+
+@lru_cache(maxsize=4096)
+def wiring_kernel(w: Wiring) -> CGMixture:
+    """The kernel of a wiring: one weight-1 Dirac per input row."""
+    m = w.dom.n_real
+    one, zero = Fraction(1), Fraction(0)
+    lin = Matrix(len(w.reals), m, tuple(one if j == src else zero
+                                        for src in w.reals for j in range(m)))
+    rows = {bits: (_dirac(tuple(bits[i] for i in w.bits), lin),)
+            for bits in all_bitvecs(w.dom.n_bool)}
+    return CGMixture(w.dom, w.cod, _mk_table(rows))
+
+
 def interp_generator(gen: Generator) -> CGMixture:
     kind, param = gen.kind, gen.param
+    if kind in GENERATOR_WIRINGS:
+        return wiring_kernel(GENERATOR_WIRINGS[kind])
     dom, cod = gen.dom, gen.cod
     rows = {}
     if kind is GenKind.FLIP:
@@ -115,12 +184,6 @@ def interp_generator(gen: Generator) -> CGMixture:
                                Matrix.zeros(0, 1), CovFactor.zero(0)),
                     _component(1 - param, (0,), Matrix.zeros(0, 0),
                                Matrix.zeros(0, 1), CovFactor.zero(0)))
-    elif kind is GenKind.BOOL_DISCARD:
-        for b in (0, 1):
-            rows[(b,)] = (_dirac((), Matrix.zeros(0, 0)),)
-    elif kind is GenKind.BOOL_COPY:
-        for b in (0, 1):
-            rows[(b,)] = (_dirac((b, b), Matrix.zeros(0, 0)),)
     elif kind is GenKind.AND:
         for b1, b2 in all_bitvecs(2):
             rows[(b1, b2)] = (_dirac((b1 & b2,), Matrix.zeros(0, 0)),)
@@ -130,10 +193,6 @@ def interp_generator(gen: Generator) -> CGMixture:
     elif kind is GenKind.STD_NORMAL:
         rows[()] = (_component(Fraction(1), (), Matrix.zeros(1, 0),
                                Matrix.zeros(1, 1), CovFactor.of(Matrix.identity(1))),)
-    elif kind is GenKind.REAL_DISCARD:
-        rows[()] = (_dirac((), Matrix.zeros(0, 1)),)
-    elif kind is GenKind.REAL_COPY:
-        rows[()] = (_dirac((), Matrix.from_rows([[1], [1]])),)
     elif kind is GenKind.ZERO:
         rows[()] = (_dirac((), Matrix.zeros(1, 0)),)
     elif kind is GenKind.ADD:
@@ -152,25 +211,11 @@ def interp_generator(gen: Generator) -> CGMixture:
 
 
 def identity_kernel(word: TypeWord) -> CGMixture:
-    m = word.n_real
-    rows = {bits: (_dirac(bits, Matrix.identity(m)),)
-            for bits in all_bitvecs(word.n_bool)}
-    return CGMixture(word, word, _mk_table(rows))
+    return wiring_kernel(Wiring.identity(word))
 
 
 def swap_kernel(first: Colour, second: Colour) -> CGMixture:
-    dom = TypeWord((first, second))
-    cod = TypeWord((second, first))
-    rows = {}
-    if (first, second) == (Colour.B, Colour.B):
-        for bits in all_bitvecs(2):
-            rows[bits] = (_dirac((bits[1], bits[0]), Matrix.zeros(0, 0)),)
-    elif (first, second) == (Colour.R, Colour.R):
-        rows[()] = (_dirac((), Matrix.from_rows([[0, 1], [1, 0]])),)
-    else:
-        for b in (0, 1):
-            rows[(b,)] = (_dirac((b,), Matrix.identity(1)),)
-    return CGMixture(dom, cod, _mk_table(rows))
+    return wiring_kernel(Wiring.swap(first, second))
 
 
 def mixture_is_exact(mix: CGMixture) -> bool:
@@ -277,6 +322,82 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
     return canonicalize(raw, tol)
 
 
+@lru_cache(maxsize=4096)
+def _generator_kernel(gen: Generator, param_type: type, tol: float) -> CGMixture:
+    # `param_type` is part of the key: Fraction(1, 2) == 0.5 and both hash
+    # alike, but a float flip(0.5) must not get the exact kernel.
+    return canonicalize(interp_generator(gen), tol)
+
+
+def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
+    cols = mat.cols
+    return Matrix(len(picks), cols, tuple(
+        x for i in picks for x in mat.entries[i * cols:(i + 1) * cols]))
+
+
+def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
+    """``f ; w``: each component's outputs gathered through the wiring."""
+    n = len(w.reals)
+    table = tuple(
+        (bits, tuple(GaussComponent(
+            c.weight, tuple(c.bool_out[i] for i in w.bits),
+            _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
+            CovFactor(n, _rows_of(c.cov.factor, w.reals))) for c in comps))
+        for bits, comps in f.table)
+    # A discard can make two components equal, so merge again.
+    return canonicalize(CGMixture(f.dom_word, w.cod, table), tol)
+
+
+def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
+    """``w ; g``: the row at the wired bits, ``A`` columns summed by ``reals``."""
+    m = w.dom.n_real
+    rows = {}
+    for bits in all_bitvecs(w.dom.n_bool):
+        out = []
+        for c in g.row(tuple(bits[i] for i in w.bits)):
+            lin = c.lin
+            acc = [Fraction(0)] * (lin.rows * m)
+            for i in range(lin.rows):
+                base = i * lin.cols
+                for j, src in enumerate(w.reals):
+                    x = lin.entries[base + j]
+                    if x != 0:
+                        acc[i * m + src] += x
+            out.append(replace(c, lin=Matrix(lin.rows, m, tuple(acc))))
+        rows[bits] = tuple(out)
+    return canonicalize(CGMixture(w.dom, g.cod_word, _mk_table(rows)), tol)
+
+
+def _as_kernel(k) -> CGMixture:
+    return wiring_kernel(k) if isinstance(k, Wiring) else k
+
+
+def _leaf(t: Term, tol):
+    if isinstance(t, Id):
+        return Wiring.identity(t.word)
+    if isinstance(t, Swap):
+        return Wiring.swap(t.first, t.second)
+    gen = t.generator
+    wiring = GENERATOR_WIRINGS.get(gen.kind)
+    if wiring is not None:
+        return wiring
+    return _generator_kernel(gen, type(gen.param), tol)
+
+
+def _seq(f, g, tol):
+    if isinstance(f, Wiring):
+        return f.then(g) if isinstance(g, Wiring) else _wiring_then_kernel(f, g, tol)
+    if isinstance(g, Wiring):
+        return _kernel_then_wiring(f, g, tol)
+    return compose(f, g, tol)
+
+
+def _par(f, g, tol):
+    if isinstance(f, Wiring) and isinstance(g, Wiring):
+        return f.beside(g)
+    return tensor(_as_kernel(f), _as_kernel(g), tol)
+
+
 def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
              tol: float = DEFAULT_TOLERANCE, backend: str = "auto") -> CGMixture:
     """Denotation of a term, canonical.
@@ -297,26 +418,24 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
     if term.dom.n_bool > cap:
         raise InputCapExceeded(
             f"{term.dom.n_bool} Boolean inputs exceed the cap of {cap}")
+    # Post-order walk with an explicit stack, so deep terms do not recurse;
+    # shared subterms are evaluated once.
     memo = {}
-
-    def ev(t: Term) -> CGMixture:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit
-        if isinstance(t, Gen):
-            out = canonicalize(interp_generator(t.generator), tol)
-        elif isinstance(t, Id):
-            out = identity_kernel(t.word)
-        elif isinstance(t, Swap):
-            out = swap_kernel(t.first, t.second)
-        elif isinstance(t, Seq):
-            out = compose(ev(t.early), ev(t.late), tol)
+    todo = [(term, False)]
+    while todo:
+        t, expanded = todo.pop()
+        if id(t) in memo:
+            continue
+        if isinstance(t, (Seq, Par)):
+            a, b = (t.early, t.late) if isinstance(t, Seq) else (t.top, t.bottom)
+            if not expanded:
+                todo += ((t, True), (b, False), (a, False))
+                continue
+            combine = _seq if isinstance(t, Seq) else _par
+            memo[id(t)] = combine(memo[id(a)], memo[id(b)], tol)
         else:
-            out = tensor(ev(t.top), ev(t.bottom), tol)
-        memo[id(t)] = out
-        return out
-
-    return ev(term)
+            memo[id(t)] = _leaf(t, tol)
+    return _as_kernel(memo[id(term)])
 
 
 def mixtures_equal(m1: CGMixture, m2: CGMixture,

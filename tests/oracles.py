@@ -1,15 +1,19 @@
 """Independent reference implementations used to cross-check evaluation.
 
-These deliberately avoid the CGMixture machinery: the Boolean oracle
-enumerates stochastic tables directly, the affine oracle propagates
-(A, b, Sigma) with plain matrix algebra, and both recurse over the raw
-term structure.
+The Boolean oracle enumerates stochastic tables directly and the affine
+oracle propagates (A, b, Sigma) with plain matrix algebra, both avoiding
+the CGMixture machinery; the reference fold uses the kernel algebra but
+none of `evaluate`'s shortcuts.  All three recurse over the raw term
+structure.
 """
 
 import itertools
 
 from cgm.diagram import Gen, GenKind, Id, Par, Seq, Swap
 from cgm.linalg import Matrix, block_diag, vstack
+from cgm.semantics import (DEFAULT_TOLERANCE, canonicalize, compose,
+                           identity_kernel, interp_generator, swap_kernel,
+                           tensor)
 
 
 def bool_table_oracle(t):
@@ -87,3 +91,28 @@ def affine_oracle(t):
     a1, b1, s1 = affine_oracle(t.top)
     a2, b2, s2 = affine_oracle(t.bottom)
     return (block_diag(a1, a2), vstack(b1, b2), block_diag(s1, s2))
+
+
+def reference_evaluate(t, tol=DEFAULT_TOLERANCE):
+    """Kernel of a term by the plain fold: every leaf becomes a kernel and
+    every node a general `compose` or `tensor`, with no wiring shortcuts and
+    no caches.  Parameters are used as they are (no backend cast)."""
+    memo = {}
+
+    def fold(s):
+        if id(s) in memo:
+            return memo[id(s)]
+        if isinstance(s, Gen):
+            out = canonicalize(interp_generator(s.generator), tol)
+        elif isinstance(s, Id):
+            out = identity_kernel(s.word)
+        elif isinstance(s, Swap):
+            out = swap_kernel(s.first, s.second)
+        elif isinstance(s, Seq):
+            out = compose(fold(s.early), fold(s.late), tol)
+        else:
+            out = tensor(fold(s.top), fold(s.bottom), tol)
+        memo[id(s)] = out
+        return out
+
+    return fold(t)

@@ -5,7 +5,8 @@ import pytest
 
 from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
                          TypeWord, bools, identity, mk_generator, par, reals,
-                         seq, subterms, swap, type_of)
+                         seq, seq_all, subterms, swap, to_exact_params,
+                         to_float_params, type_of)
 from cgm.errors import (BiasOutOfRange, MissingParam, TypeMismatch,
                         UnexpectedParam)
 from cgm.gadgets import (matrix_circuit, nary_copy, permute_term, thick_ite)
@@ -65,6 +66,33 @@ class TestComposition:
     def test_swap_words(self):
         assert type_of(swap(Colour.B, Colour.R)) == \
             (TypeWord.of("BR"), TypeWord.of("RB"))
+
+
+class TestParamCasts:
+    def test_casts_keep_shared_subterms_shared(self):
+        shared = seq(mk_generator(GenKind.FLIP, 0.5), mk_generator(GenKind.NOT))
+        exact = to_exact_params(par(shared, shared))
+        assert exact.top is exact.bottom
+        assert exact.top.early.generator.param == Fraction(1, 2)
+        assert to_float_params(exact).top.early.generator.param == 0.5
+
+    def test_cast_without_change_returns_the_term(self):
+        t = par(seq(mk_generator(GenKind.FLIP, Fraction(1, 3)),
+                    mk_generator(GenKind.NOT)), identity("R"))
+        assert to_exact_params(t) is t
+        floated = to_float_params(t)
+        assert to_float_params(floated) is floated
+        assert floated.bottom is t.bottom
+
+    def test_deep_chain(self):
+        chain = seq_all(mk_generator(GenKind.FLIP, Fraction(1, 3)),
+                        *[mk_generator(GenKind.NOT)] * 3000)
+        assert sum(1 for _ in subterms(chain)) == 2 * 3001 - 1
+        floated = to_float_params(chain)
+        assert floated.late is chain.late
+        flips = [s.generator.param for s in subterms(floated)
+                 if isinstance(s, Gen) and s.generator.kind is GenKind.FLIP]
+        assert flips == [1 / 3]
 
 
 class TestGadgetShapes:

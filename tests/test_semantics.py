@@ -1,24 +1,48 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cgm.axioms import (CATALOG, _trial_seed, get_axiom, instantiate,
+                        sample_binding)
 from cgm.diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
-                         TypeWord, bools, identity, mk_generator, par,
-                         par_all, reals, seq)
+                         TypeWord, bools, flip, identity, mk_generator, par,
+                         par_all, reals, seq, seq_all, to_float_params)
 from cgm.dsl import parse
 from cgm.errors import InputCapExceeded, InvalidDrawCount, TypeMismatch
 from cgm.gadgets import (convex_mix, discard_all, gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
 from cgm.linalg import CovFactor, Matrix
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
-from cgm.semantics import (CGMixture, canonicalize, compose, evaluate,
-                           interp_generator, max_deviation, mixture_is_exact,
+from cgm.semantics import (CGMixture, GaussComponent, canonicalize, compose,
+                           evaluate, identity_kernel, interp_generator,
+                           max_deviation, mixture_is_exact, mixture_to_json,
                            is_trivial_kernel, mixtures_equal, moments, sample,
-                           sample_many, tensor, with_sorted_words)
+                           sample_many, swap_kernel, tensor, with_sorted_words)
+from oracles import reference_evaluate
+
+# SHA-256 of the rational kernels of `exactness_corpus()`; any change to an
+# exact kernel or to its JSON form changes it.
+EXACTNESS_CORPUS_DIGEST = (
+    "1251144389945277d07f87289511fbd9d3f5fa5fec1328011822b60f8889cf50")
+
+
+def exactness_corpus() -> list:
+    """Both sides of trials 0-4 of every axiom schema at seed 2026, then 100
+    random closed terms."""
+    terms = []
+    for name in CATALOG:
+        schema = get_axiom(name)
+        for index in range(5):
+            rng = random.Random(_trial_seed(2026, name, index))
+            terms.extend(instantiate(schema, sample_binding(schema, rng)))
+    sampler = TermSampler(random.Random(2027))
+    terms.extend(sampler.closed_term() for _ in range(100))
+    return terms
 
 
 def gauss_map(a_rows, b_entries, factor_rows, m=None):
@@ -180,6 +204,117 @@ class TestEvaluate:
             t = sampler.closed_term()
             assert evaluate(sort_boundary(t)).table == \
                 with_sorted_words(evaluate(t)).table
+
+
+def dirac_kernel(dom: str, cod: str, rows: dict, lin_rows) -> CGMixture:
+    """Weight-1 Dirac kernel: input bits -> output bits, one fixed A."""
+    n = len(lin_rows)
+    lin = Matrix.from_rows(lin_rows, cols=TypeWord.of(dom).n_real)
+    table = tuple(sorted(
+        (bits, (GaussComponent(Fraction(1), out, lin, Matrix.zeros(n, 1),
+                               CovFactor.zero(n)),))
+        for bits, out in rows.items()))
+    return CGMixture(TypeWord.of(dom), TypeWord.of(cod), table)
+
+
+class TestWiringFastPaths:
+    WIRING_LEAVES = [
+        (Id(TypeWord.of("BRB")), dirac_kernel(
+            "BRB", "BRB", {b: b for b in itertools.product((0, 1), repeat=2)},
+            [[1]])),
+        (Swap(Colour.B, Colour.B), dirac_kernel(
+            "BB", "BB", {(a, b): (b, a) for a in (0, 1) for b in (0, 1)}, [])),
+        (Swap(Colour.R, Colour.R), dirac_kernel(
+            "RR", "RR", {(): ()}, [[0, 1], [1, 0]])),
+        (Swap(Colour.B, Colour.R), dirac_kernel(
+            "BR", "RB", {(0,): (0,), (1,): (1,)}, [[1]])),
+        (Swap(Colour.R, Colour.B), dirac_kernel(
+            "RB", "BR", {(0,): (0,), (1,): (1,)}, [[1]])),
+        (mk_generator(GenKind.BOOL_COPY), dirac_kernel(
+            "B", "BB", {(0,): (0, 0), (1,): (1, 1)}, [])),
+        (mk_generator(GenKind.BOOL_DISCARD), dirac_kernel(
+            "B", "", {(0,): (), (1,): ()}, [])),
+        (mk_generator(GenKind.REAL_COPY), dirac_kernel(
+            "R", "RR", {(): ()}, [[1], [1]])),
+        (mk_generator(GenKind.REAL_DISCARD), dirac_kernel(
+            "R", "", {(): ()}, [])),
+    ]
+
+    @pytest.mark.parametrize("leaf,want", WIRING_LEAVES)
+    def test_wiring_leaf(self, leaf, want):
+        assert evaluate(leaf).table == want.table
+        assert reference_evaluate(leaf).table == want.table
+
+    def test_pure_wiring_roots(self):
+        br, rr = TypeWord.of("BR"), TypeWord.of("RR")
+        cross = seq(Swap(Colour.B, Colour.R), Swap(Colour.R, Colour.B))
+        assert evaluate(cross).table == identity_kernel(br).table
+        assert evaluate(seq(Id(rr), Swap(Colour.R, Colour.R))).table == \
+            swap_kernel(Colour.R, Colour.R).table
+        copy_then_drop = seq(mk_generator(GenKind.REAL_COPY),
+                             par(mk_generator(GenKind.REAL_DISCARD), Id(reals(1))))
+        assert evaluate(copy_then_drop).table == identity_kernel(reals(1)).table
+        assert evaluate(Swap(Colour.B, Colour.B)).table == \
+            swap_kernel(Colour.B, Colour.B).table
+
+    def test_copy_then_kernel(self):
+        double = seq(mk_generator(GenKind.REAL_COPY), mk_generator(GenKind.ADD))
+        (c,) = evaluate(double).row(())
+        assert c.lin == Matrix.from_rows([[2]])
+        # Both branches of the guarded choice read the same copied input,
+        # so its two components become one.
+        either = seq(par(flip(Fraction(1, 2)), Id(reals(2))),
+                     mk_generator(GenKind.ITE))
+        assert len(evaluate(either).row(())) == 2
+        merged = evaluate(seq(mk_generator(GenKind.REAL_COPY), either))
+        assert merged.table == identity_kernel(reals(1)).table
+
+    def test_discard_after_two_components(self):
+        two = seq(par_all(flip(Fraction(1, 3)), mk_generator(GenKind.ONE),
+                          mk_generator(GenKind.ZERO)), mk_generator(GenKind.ITE))
+        assert len(evaluate(two).row(())) == 2
+        dropped = evaluate(seq(two, mk_generator(GenKind.REAL_DISCARD)))
+        assert is_trivial_kernel(dropped)
+        assert dropped.table == reference_evaluate(
+            seq(two, mk_generator(GenKind.REAL_DISCARD))).table
+
+    def test_exact_and_float_flips_keep_their_own_kernels(self):
+        exact = evaluate(flip(Fraction(1, 2)))
+        floating = evaluate(flip(0.5))
+        exact_again = evaluate(flip(Fraction(1, 2)))
+        for mix, kind in ((exact, Fraction), (floating, float),
+                          (exact_again, Fraction)):
+            assert {type(c.weight) for c in mix.row(())} == {kind}
+
+    def test_deep_chain_on_every_backend(self):
+        chain = seq_all(flip(Fraction(1, 3)), *[mk_generator(GenKind.NOT)] * 3000)
+        for backend in ("auto", "float", "rational"):
+            want = evaluate(flip(Fraction(1, 3)), backend=backend)
+            assert evaluate(chain, backend=backend).table == want.table
+
+
+def random_mixed_terms() -> list:
+    sampler = TermSampler(random.Random(404))
+    return [sampler.closed_term() for _ in range(300)]
+
+
+class TestExactness:
+    def test_rational_kernels_are_pinned(self):
+        digest = hashlib.sha256()
+        for t in exactness_corpus():
+            text = json.dumps(mixture_to_json(evaluate(t)), sort_keys=True)
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == EXACTNESS_CORPUS_DIGEST
+
+    def test_rational_tables_equal_the_reference_fold(self):
+        for t in random_mixed_terms() + exactness_corpus():
+            assert evaluate(t, backend="rational").table == \
+                reference_evaluate(t).table
+
+    def test_float_kernels_match_the_reference_fold(self):
+        for t in random_mixed_terms() + exactness_corpus():
+            assert mixtures_equal(evaluate(t, backend="float"),
+                                  reference_evaluate(to_float_params(t)), 1e-9)
 
 
 class TestBooleanOracle:
