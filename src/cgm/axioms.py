@@ -552,10 +552,9 @@ def check_soundness(schema: AxiomSchema, trials: int, seed: int,
         lhs, rhs = make(binding)
         left = evaluate(lhs, cap=cap, tol=tol, backend=backend)
         right = evaluate(rhs, cap=cap, tol=tol, backend=backend)
-        if left.dom_word != right.dom_word or left.cod_word != right.cod_word \
-                or not mixtures_equal(left, right, tol):
-            same_words = (left.dom_word, left.cod_word) == \
-                (right.dom_word, right.cod_word)
+        same_words = (left.dom_word, left.cod_word) == \
+            (right.dom_word, right.cod_word)
+        if not same_words or not mixtures_equal(left, right, tol):
             report.failures.append(
                 Failure(_dump_binding(binding),
                         max_deviation(left, right, tol)

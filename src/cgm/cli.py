@@ -40,7 +40,6 @@ EXIT_NO_MATCH = 5
 class Config:
     tolerance: float = 1e-9
     bool_input_cap: int = 12
-    seed: int = 0
     output_format: str = "text"
     backend: str = "auto"
 
@@ -67,7 +66,6 @@ def _config(args) -> Config:
     if tol is None:
         tol = float(os.environ.get("CGM_TOLERANCE", 1e-9))
     return Config(tolerance=tol, bool_input_cap=args.cap,
-                  seed=getattr(args, "seed", 0),
                   output_format=args.output_format, backend=args.backend)
 
 

@@ -245,16 +245,32 @@ _SEQ_LEVEL, _PAR_LEVEL, _ATOM_LEVEL = 0, 1, 2
 
 def print_term(t: Term) -> str:
     """Concrete syntax such that parse(print_term(t)) == t structurally."""
-    return _pp(t, _SEQ_LEVEL)
+    # An explicit stack of (term, level) pairs and pending text, so deep
+    # terms do not recurse.
+    out = []
+    todo = [(t, _SEQ_LEVEL)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        if isinstance(node, Seq):
+            own = _SEQ_LEVEL
+            parts = [(node.early, _SEQ_LEVEL), " ; ", (node.late, _PAR_LEVEL)]
+        elif isinstance(node, Par):
+            own = _PAR_LEVEL
+            parts = [(node.top, _PAR_LEVEL), " * ", (node.bottom, _ATOM_LEVEL)]
+        else:
+            out.append(_atom_text(node))
+            continue
+        if level > own:
+            parts = ["(", *parts, ")"]
+        todo += reversed(parts)
+    return "".join(out)
 
 
-def _pp(t: Term, level: int) -> str:
-    if isinstance(t, Seq):
-        body = f"{_pp(t.early, _SEQ_LEVEL)} ; {_pp(t.late, _PAR_LEVEL)}"
-        return f"({body})" if level > _SEQ_LEVEL else body
-    if isinstance(t, Par):
-        body = f"{_pp(t.top, _PAR_LEVEL)} * {_pp(t.bottom, _ATOM_LEVEL)}"
-        return f"({body})" if level > _PAR_LEVEL else body
+def _atom_text(t: Term) -> str:
     if isinstance(t, Id):
         return f"id({t.word})"
     if isinstance(t, Swap):

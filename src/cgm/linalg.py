@@ -34,15 +34,6 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
-
-def to_exact(x: Scalar) -> Fraction:
-    """Exact value of a scalar; floats map to their exact binary value."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def format_scalar(x: Scalar) -> str:
     """Render ``2/3`` style rationals, plain ints, or round-trippable floats."""
     if isinstance(x, Fraction):
@@ -116,9 +107,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(self.at(i, j) for j in range(self.cols)
@@ -127,9 +115,6 @@ class Matrix:
     def scale(self, k) -> "Matrix":
         k = as_scalar(k)
         return Matrix(self.rows, self.cols, tuple(k * x for x in self.entries))
-
-    def map(self, f) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(f(x) for x in self.entries))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

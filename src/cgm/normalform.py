@@ -29,7 +29,8 @@ from .gadgets import (convex_mix, copy_bundle, discard_all, gauss_map_circuit,
 from .linalg import (Matrix, Scalar, hstack, ldlt, matrix_to_json,
                      scalar_to_json, sum_square_scales)
 from .semantics import (CGMixture, DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE,
-                        all_bitvecs, bits_to_str, canonicalize, evaluate)
+                        _component_blocks, _differences, all_bitvecs,
+                        bits_to_str, canonicalize, evaluate)
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,6 @@ class CellComponent:
 @dataclass(frozen=True)
 class CNFCell:
     components: tuple
-
-    @property
-    def singleton(self) -> bool:
-        return len(self.components) == 1
 
 
 def zero_cell(n: int, m: int) -> CNFCell:
@@ -262,45 +259,33 @@ def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
     return seq_all(step1, step2, step3, step4)
 
 
-def _scalars_of_tree(tree: NFTree):
-    for _, row in tree.bool_marginal.rows:
-        for _, w in row:
-            yield w
-    for _, cell in tree.leaves:
-        for c in cell.components:
-            yield c.weight
-            yield from c.lin.entries
-            yield from c.mean.entries
-            yield from c.cov.entries
+def _tree_blocks(tree: NFTree):
+    """The shape, each marginal row, then each leaf and its components."""
+    yield ("shape",), (tree.p, tree.m, tree.q, tree.n), ()
+    for bits_in, row in tree.bool_marginal.rows:
+        outs = tuple(out for out, _ in row)
+        yield (("marginal", bits_in, outs), (bits_in, outs),
+               tuple(w for _, w in row))
+    for key, cell in tree.leaves:
+        yield ("leaf", key), (key, len(cell.components)), ()
+        for idx, c in enumerate(cell.components):
+            yield from _component_blocks(("leaf", key, idx), c.weight, c.lin,
+                                         c.mean, c.cov)
 
 
 def tree_is_exact(tree: NFTree) -> bool:
-    return all(isinstance(x, Fraction) for x in _scalars_of_tree(tree))
+    return all(isinstance(x, Fraction)
+               for _, _, xs in _tree_blocks(tree) for x in xs)
+
+
+def _tree_differences(a: NFTree, b: NFTree, tol):
+    eps = 0 if tree_is_exact(a) and tree_is_exact(b) else tol
+    return _differences(_tree_blocks(a), _tree_blocks(b), eps)
 
 
 def nftree_equal(a: NFTree, b: NFTree, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Structural certificate equality, exact unless floats are involved."""
-    if (a.p, a.m, a.q, a.n) != (b.p, b.m, b.q, b.n):
-        return False
-    eps = 0 if tree_is_exact(a) and tree_is_exact(b) else tol
-    for (bits_a, row_a), (bits_b, row_b) in zip(a.bool_marginal.rows,
-                                                b.bool_marginal.rows):
-        if bits_a != bits_b or len(row_a) != len(row_b):
-            return False
-        for (out_a, w_a), (out_b, w_b) in zip(row_a, row_b):
-            if out_a != out_b or abs(w_a - w_b) > eps:
-                return False
-    for (key_a, cell_a), (key_b, cell_b) in zip(a.leaves, b.leaves):
-        if key_a != key_b or len(cell_a.components) != len(cell_b.components):
-            return False
-        for ca, cb in zip(cell_a.components, cell_b.components):
-            if abs(ca.weight - cb.weight) > eps:
-                return False
-            for ma, mb in ((ca.lin, cb.lin), (ca.mean, cb.mean),
-                           (ca.cov, cb.cov)):
-                if any(abs(x - y) > eps for x, y in zip(ma.entries, mb.entries)):
-                    return False
-    return True
+    return not any(_tree_differences(a, b, tol))
 
 
 def reordered_shape(term: Term):
@@ -329,33 +314,28 @@ def decide_equiv(c1: Term, c2: Term, tol: float = DEFAULT_TOLERANCE,
 def first_certificate_difference(a: NFTree, b: NFTree,
                                  tol: float = DEFAULT_TOLERANCE):
     """Human-readable location of the first differing certificate entry."""
-    if (a.p, a.m, a.q, a.n) != (b.p, b.m, b.q, b.n):
-        return f"shape {(a.p, a.m, a.q, a.n)} vs {(b.p, b.m, b.q, b.n)}"
-    eps = 0 if tree_is_exact(a) and tree_is_exact(b) else tol
-    for (bits_a, row_a), (_, row_b) in zip(a.bool_marginal.rows,
-                                           b.bool_marginal.rows):
-        if row_a != row_b:
-            da, db = dict(row_a), dict(row_b)
-            for out in sorted(set(da) | set(db)):
-                wa, wb = da.get(out, Fraction(0)), db.get(out, Fraction(0))
-                if abs(wa - wb) > eps:
-                    return (f"marginal({bits_to_str(out)}|{bits_to_str(bits_a)}): "
-                            f"{wa} vs {wb}")
-    for (key, cell_a), (_, cell_b) in zip(a.leaves, b.leaves):
-        label = f"leaf(a'={bits_to_str(key[0])}, a={bits_to_str(key[1])})"
-        if len(cell_a.components) != len(cell_b.components):
-            return (f"{label}: {len(cell_a.components)} vs "
-                    f"{len(cell_b.components)} components")
-        for idx, (ca, cb) in enumerate(zip(cell_a.components, cell_b.components)):
-            if abs(ca.weight - cb.weight) > eps:
-                return f"{label} component {idx}: weight {ca.weight} vs {cb.weight}"
-            for field_name, ma, mb in (("A", ca.lin, cb.lin),
-                                       ("mu", ca.mean, cb.mean),
-                                       ("cov", ca.cov, cb.cov)):
-                if any(abs(x - y) > eps
-                       for x, y in zip(ma.entries, mb.entries)):
-                    return f"{label} component {idx}: {field_name} differs"
-    return None
+    hit = next(_tree_differences(a, b, tol), None)
+    if hit is None:
+        return None
+    (kind, *where), x, y = hit
+    if kind == "shape":
+        return f"shape {x} vs {y}"
+    if kind == "marginal":
+        bits_in, outs, *entry = where
+        given = bits_to_str(bits_in)
+        if entry:
+            return f"marginal({bits_to_str(outs[entry[0]])}|{given}): {x} vs {y}"
+        x, y = ("{" + ", ".join(map(bits_to_str, key[1])) + "}" for key in (x, y))
+        return f"marginal(*|{given}): outputs {x} vs {y}"
+    (a_out, a_in), *where = where
+    label = f"leaf(a'={bits_to_str(a_out)}, a={bits_to_str(a_in)})"
+    if not where:
+        return f"{label}: {x[1]} vs {y[1]} components"
+    idx, field, *entry = where
+    if entry and field != "weight":
+        cols = {"A": a.m, "mu": 1, "cov": a.n}[field]
+        field += "[%d,%d]" % divmod(entry[0], cols)
+    return f"{label} component {idx}: {field} {x} vs {y}"
 
 
 def certificate_json(tree: NFTree) -> dict:

@@ -238,14 +238,53 @@ def _comp_key(c: GaussComponent, gram: Matrix, exact: bool):
             tuple(quantize_key(x) for x in gram.entries))
 
 
+_ENDED = ((), ("ended",), ())
+
+
+def _differences(left, right, eps):
+    """(where, x, y) for each place where two flattened objects differ.
+
+    A flattened object is a sequence of ``(where, key, scalars)`` blocks;
+    keys are tuples, scalars are numbers.  Unequal keys are a structural
+    mismatch (a side that ends first has the key ``("ended",)``), yielded
+    as ``(where, key, key)``; it ends the walk.  Otherwise each pair of
+    scalars more than `eps` apart is yielded with its index appended to
+    `where`.
+    """
+    for (wx, kx, xs), (wy, ky, ys) in itertools.zip_longest(
+            left, right, fillvalue=_ENDED):
+        if kx != ky:
+            yield wx or wy, kx, ky
+            return
+        if xs != ys:
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                if abs(x - y) > eps:
+                    yield wx + (i,), x, y
+
+
+def _component_blocks(where, weight, lin, mean, cov) -> tuple:
+    """The blocks of one component: weight, A, mu and the Gram matrix cov."""
+    return ((where + ("weight",), (), (weight,)),
+            (where + ("A",), (lin.rows, lin.cols), lin.entries),
+            (where + ("mu",), (mean.rows, mean.cols), mean.entries),
+            (where + ("cov",), (cov.rows, cov.cols), cov.entries))
+
+
+def _mixture_blocks(mix: CGMixture):
+    """Each row's Boolean outputs, then its components."""
+    for bits, comps in mix.table:
+        yield (bits,), (bits, tuple(c.bool_out for c in comps)), ()
+        for idx, c in enumerate(comps):
+            yield from _component_blocks((bits, idx), c.weight, c.lin,
+                                         c.mean, c.gram())
+
+
 def _params_close(a: GaussComponent, ga: Matrix, b: GaussComponent,
                   gb: Matrix, tol) -> bool:
-    if a.bool_out != b.bool_out:
-        return False
-    for ma, mb in ((a.lin, b.lin), (a.mean, b.mean), (ga, gb)):
-        if any(abs(x - y) > tol for x, y in zip(ma.entries, mb.entries)):
-            return False
-    return True
+    # Everything but the weight, which merging adds up.
+    return a.bool_out == b.bool_out and not any(_differences(
+        _component_blocks((), 0, a.lin, a.mean, ga),
+        _component_blocks((), 0, b.lin, b.mean, gb), tol))
 
 
 def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -438,47 +477,33 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
     return _as_kernel(memo[id(term)])
 
 
-def mixtures_equal(m1: CGMixture, m2: CGMixture,
-                   tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Equality of denotations via canonical forms."""
+def _mixture_differences(m1: CGMixture, m2: CGMixture, tol, eps=None):
     if m1.dom_word != m2.dom_word or m1.cod_word != m2.cod_word:
         raise TypeMismatch("mixtures on different boundary words",
                            expected=(m1.dom_word, m1.cod_word),
                            actual=(m2.dom_word, m2.cod_word))
     c1 = canonicalize(m1, tol)
     c2 = canonicalize(m2, tol)
-    exact = mixture_is_exact(c1) and mixture_is_exact(c2)
-    eps = 0 if exact else tol
-    for (b1, comps1), (b2, comps2) in zip(c1.table, c2.table):
-        if b1 != b2 or len(comps1) != len(comps2):
-            return False
-        for a, b in zip(comps1, comps2):
-            if a.bool_out != b.bool_out or abs(a.weight - b.weight) > eps:
-                return False
-            for ma, mb in ((a.lin, b.lin), (a.mean, b.mean),
-                           (a.gram(), b.gram())):
-                if any(abs(x - y) > eps for x, y in zip(ma.entries, mb.entries)):
-                    return False
-    return True
+    if eps is None:
+        eps = 0 if mixture_is_exact(c1) and mixture_is_exact(c2) else tol
+    return _differences(_mixture_blocks(c1), _mixture_blocks(c2), eps)
+
+
+def mixtures_equal(m1: CGMixture, m2: CGMixture,
+                   tol: float = DEFAULT_TOLERANCE) -> bool:
+    """Equality of denotations via canonical forms."""
+    return not any(_mixture_differences(m1, m2, tol))
 
 
 def max_deviation(m1: CGMixture, m2: CGMixture,
                   tol: float = DEFAULT_TOLERANCE) -> float:
-    """Largest parameter gap between the canonical forms; inf on shape mismatch."""
-    c1 = canonicalize(m1, tol)
-    c2 = canonicalize(m2, tol)
+    """Largest parameter gap between the canonical forms; inf when their
+    structure differs, TypeMismatch when their boundary words do."""
     worst = 0.0
-    for (b1, comps1), (b2, comps2) in zip(c1.table, c2.table):
-        if b1 != b2 or len(comps1) != len(comps2):
+    for _, x, y in _mixture_differences(m1, m2, tol, eps=0):
+        if isinstance(x, tuple):
             return float("inf")
-        for a, b in zip(comps1, comps2):
-            if a.bool_out != b.bool_out:
-                return float("inf")
-            worst = max(worst, abs(float(a.weight) - float(b.weight)))
-            for ma, mb in ((a.lin, b.lin), (a.mean, b.mean),
-                           (a.gram(), b.gram())):
-                for x, y in zip(ma.entries, mb.entries):
-                    worst = max(worst, abs(float(x) - float(y)))
+        worst = max(worst, abs(float(x) - float(y)))
     return worst
 
 
@@ -487,12 +512,6 @@ class Moments:
     bool_marginal: tuple   # sorted ((bits, weight), ...)
     mean: Matrix           # n x 1
     cov: Matrix            # n x n
-
-    def marginal_of(self, bits: BitVec) -> Scalar:
-        for b, w in self.bool_marginal:
-            if b == tuple(bits):
-                return w
-        return Fraction(0)
 
 
 def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:

@@ -4,15 +4,21 @@ The Boolean oracle enumerates stochastic tables directly and the affine
 oracle propagates (A, b, Sigma) with plain matrix algebra, both avoiding
 the CGMixture machinery; the reference fold uses the kernel algebra but
 none of `evaluate`'s shortcuts.  All three recurse over the raw term
-structure.
+structure.  The reference comparisons at the end are the four loops that
+`mixtures_equal`, `max_deviation`, `nftree_equal` and
+`first_certificate_difference` were before they shared one walker.
 """
 
 import itertools
+from fractions import Fraction
 
 from cgm.diagram import Gen, GenKind, Id, Par, Seq, Swap
+from cgm.errors import TypeMismatch
 from cgm.linalg import Matrix, block_diag, vstack
-from cgm.semantics import (DEFAULT_TOLERANCE, canonicalize, compose,
-                           identity_kernel, interp_generator, swap_kernel,
+from cgm.normalform import NFTree
+from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, bits_to_str,
+                           canonicalize, compose, identity_kernel,
+                           interp_generator, mixture_is_exact, swap_kernel,
                            tensor)
 
 
@@ -116,3 +122,126 @@ def reference_evaluate(t, tol=DEFAULT_TOLERANCE):
         return out
 
     return fold(t)
+
+
+# The four comparison loops as they stood before equality, maximum
+# deviation and the first certificate difference were derived from one
+# difference walker, kept verbatim (renamed) as references.
+
+
+def reference_mixtures_equal(m1: CGMixture, m2: CGMixture,
+                             tol: float = DEFAULT_TOLERANCE) -> bool:
+    """Equality of denotations via canonical forms."""
+    if m1.dom_word != m2.dom_word or m1.cod_word != m2.cod_word:
+        raise TypeMismatch("mixtures on different boundary words",
+                           expected=(m1.dom_word, m1.cod_word),
+                           actual=(m2.dom_word, m2.cod_word))
+    c1 = canonicalize(m1, tol)
+    c2 = canonicalize(m2, tol)
+    exact = mixture_is_exact(c1) and mixture_is_exact(c2)
+    eps = 0 if exact else tol
+    for (b1, comps1), (b2, comps2) in zip(c1.table, c2.table):
+        if b1 != b2 or len(comps1) != len(comps2):
+            return False
+        for a, b in zip(comps1, comps2):
+            if a.bool_out != b.bool_out or abs(a.weight - b.weight) > eps:
+                return False
+            for ma, mb in ((a.lin, b.lin), (a.mean, b.mean),
+                           (a.gram(), b.gram())):
+                if any(abs(x - y) > eps for x, y in zip(ma.entries, mb.entries)):
+                    return False
+    return True
+
+
+def reference_max_deviation(m1: CGMixture, m2: CGMixture,
+                            tol: float = DEFAULT_TOLERANCE) -> float:
+    """Largest parameter gap between the canonical forms; inf on shape mismatch."""
+    c1 = canonicalize(m1, tol)
+    c2 = canonicalize(m2, tol)
+    worst = 0.0
+    for (b1, comps1), (b2, comps2) in zip(c1.table, c2.table):
+        if b1 != b2 or len(comps1) != len(comps2):
+            return float("inf")
+        for a, b in zip(comps1, comps2):
+            if a.bool_out != b.bool_out:
+                return float("inf")
+            worst = max(worst, abs(float(a.weight) - float(b.weight)))
+            for ma, mb in ((a.lin, b.lin), (a.mean, b.mean),
+                           (a.gram(), b.gram())):
+                for x, y in zip(ma.entries, mb.entries):
+                    worst = max(worst, abs(float(x) - float(y)))
+    return worst
+
+
+def _reference_scalars_of_tree(tree: NFTree):
+    for _, row in tree.bool_marginal.rows:
+        for _, w in row:
+            yield w
+    for _, cell in tree.leaves:
+        for c in cell.components:
+            yield c.weight
+            yield from c.lin.entries
+            yield from c.mean.entries
+            yield from c.cov.entries
+
+
+def reference_tree_is_exact(tree: NFTree) -> bool:
+    return all(isinstance(x, Fraction) for x in _reference_scalars_of_tree(tree))
+
+
+def reference_nftree_equal(a: NFTree, b: NFTree,
+                           tol: float = DEFAULT_TOLERANCE) -> bool:
+    """Structural certificate equality, exact unless floats are involved."""
+    if (a.p, a.m, a.q, a.n) != (b.p, b.m, b.q, b.n):
+        return False
+    eps = 0 if reference_tree_is_exact(a) and reference_tree_is_exact(b) else tol
+    for (bits_a, row_a), (bits_b, row_b) in zip(a.bool_marginal.rows,
+                                                b.bool_marginal.rows):
+        if bits_a != bits_b or len(row_a) != len(row_b):
+            return False
+        for (out_a, w_a), (out_b, w_b) in zip(row_a, row_b):
+            if out_a != out_b or abs(w_a - w_b) > eps:
+                return False
+    for (key_a, cell_a), (key_b, cell_b) in zip(a.leaves, b.leaves):
+        if key_a != key_b or len(cell_a.components) != len(cell_b.components):
+            return False
+        for ca, cb in zip(cell_a.components, cell_b.components):
+            if abs(ca.weight - cb.weight) > eps:
+                return False
+            for ma, mb in ((ca.lin, cb.lin), (ca.mean, cb.mean),
+                           (ca.cov, cb.cov)):
+                if any(abs(x - y) > eps for x, y in zip(ma.entries, mb.entries)):
+                    return False
+    return True
+
+
+def reference_first_certificate_difference(a: NFTree, b: NFTree,
+                                           tol: float = DEFAULT_TOLERANCE):
+    """Human-readable location of the first differing certificate entry."""
+    if (a.p, a.m, a.q, a.n) != (b.p, b.m, b.q, b.n):
+        return f"shape {(a.p, a.m, a.q, a.n)} vs {(b.p, b.m, b.q, b.n)}"
+    eps = 0 if reference_tree_is_exact(a) and reference_tree_is_exact(b) else tol
+    for (bits_a, row_a), (_, row_b) in zip(a.bool_marginal.rows,
+                                           b.bool_marginal.rows):
+        if row_a != row_b:
+            da, db = dict(row_a), dict(row_b)
+            for out in sorted(set(da) | set(db)):
+                wa, wb = da.get(out, Fraction(0)), db.get(out, Fraction(0))
+                if abs(wa - wb) > eps:
+                    return (f"marginal({bits_to_str(out)}|{bits_to_str(bits_a)}): "
+                            f"{wa} vs {wb}")
+    for (key, cell_a), (_, cell_b) in zip(a.leaves, b.leaves):
+        label = f"leaf(a'={bits_to_str(key[0])}, a={bits_to_str(key[1])})"
+        if len(cell_a.components) != len(cell_b.components):
+            return (f"{label}: {len(cell_a.components)} vs "
+                    f"{len(cell_b.components)} components")
+        for idx, (ca, cb) in enumerate(zip(cell_a.components, cell_b.components)):
+            if abs(ca.weight - cb.weight) > eps:
+                return f"{label} component {idx}: weight {ca.weight} vs {cb.weight}"
+            for field_name, ma, mb in (("A", ca.lin, cb.lin),
+                                       ("mu", ca.mean, cb.mean),
+                                       ("cov", ca.cov, cb.cov)):
+                if any(abs(x - y) > eps
+                       for x, y in zip(ma.entries, mb.entries)):
+                    return f"{label} component {idx}: {field_name} differs"
+    return None

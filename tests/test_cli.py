@@ -86,6 +86,24 @@ class TestEquiv:
         assert code == EXIT_NOT_EQUIVALENT
         assert out.startswith("NOT EQUIVALENT")
 
+    def test_marginal_output_sets_differ(self, tmp_path, capsys):
+        # flip(1e-15) has a second output that flip(0.0) lacks; the weights
+        # alone are within tolerance, so the reason must come from the
+        # output sets of the marginal row.
+        tiny = tmp_path / "tiny.cgm"
+        tiny.write_text("flip(1e-15)")
+        zero = tmp_path / "zero.cgm"
+        zero.write_text("flip(0.0)")
+        code, out, _ = run(capsys, "equiv", str(tiny), str(zero))
+        assert code == EXIT_NOT_EQUIVALENT
+        assert out == "NOT EQUIVALENT: marginal(*|): outputs {0, 1} vs {0}\n"
+        code, out, _ = run(capsys, "equiv", str(tiny), str(zero),
+                           "--format", "json")
+        assert code == EXIT_NOT_EQUIVALENT
+        payload = json.loads(out)
+        assert payload["equivalent"] is False
+        assert payload["difference"].startswith("marginal(*|)")
+
     def test_boundary_mismatch(self, tmp_path, capsys):
         one = tmp_path / "one.cgm"
         one.write_text("not")          # B -> B

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cgm.diagram import (B, Gen, GenKind, R, TypeWord, identity,
-                         mk_generator, subterms, type_of)
+from cgm.diagram import (B, Gen, GenKind, Par, R, Seq, TypeWord, identity,
+                         mk_generator, par_all, seq_all, subterms, type_of)
 from cgm.dsl import (export_dot, export_json_ast, parse, print_term)
 from cgm.errors import ParseError, TypeMismatch
 from cgm.gadgets import convex_mix, gaussian_circuit
@@ -94,6 +95,31 @@ class TestPrint:
         for _ in range(500):
             t = sampler.closed_term()
             assert parse(print_term(t)) == t
+
+    def test_deep_terms_print_without_recursion(self):
+        # Other tests run `cgm.cli.main`, which raises the limit; go back to
+        # the interpreter default so that a recursive printer fails here.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            two = mk_generator(GenKind.SCALAR, Fraction(2))
+            normal = mk_generator(GenKind.STD_NORMAL)
+            chain = seq_all(*[two] * 3000)
+            assert print_term(chain) == " ; ".join(["scal(2)"] * 3000)
+            wide = par_all(*[normal] * 3000)
+            assert print_term(wide) == " * ".join(["stdnormal"] * 3000)
+            nested = two
+            for _ in range(3000):
+                nested = Seq(two, nested)
+            assert print_term(nested) == \
+                "scal(2) ; (" * 2999 + "scal(2) ; scal(2)" + ")" * 2999
+            mixed, want = two, "scal(2)"
+            for i in range(1500):
+                mixed = Seq(Par(mixed, normal), mk_generator(GenKind.ADD))
+                want = (f"({want})" if i else want) + " * stdnormal ; add"
+            assert print_term(mixed) == want
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestExports:

@@ -403,6 +403,17 @@ class TestEquality:
             mixtures_equal(evaluate(identity(reals(1))),
                            evaluate(identity(bools(1))))
 
+    def test_max_deviation_checks_words(self):
+        # id(R) and id(RR) ; add have one row and one Dirac each; walking
+        # them entry by entry would compare a 1x1 A with a 1x2 A.
+        one = evaluate(identity(reals(1)))
+        two = evaluate(seq(identity(reals(2)), mk_generator(GenKind.ADD)))
+        for compare in (mixtures_equal, max_deviation):
+            with pytest.raises(TypeMismatch) as caught:
+                compare(one, two)
+            assert caught.value.expected == (one.dom_word, one.cod_word)
+            assert caught.value.actual == (two.dom_word, two.cod_word)
+
 
 class TestMomentsAndSampling:
     def _example(self):
