@@ -358,12 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # term printers/evaluators recurse over the syntax tree; give large
-    # hand-flattened circuits headroom beyond the interpreter default
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Headroom for the recursive parser and `assoc_normal`, for this call only.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except ParseError as err:
         print(f"{err.span}: parse error: {err}", file=sys.stderr)
@@ -389,6 +388,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def entrypoint() -> None:

@@ -19,6 +19,7 @@ from typing import Sequence, Union
 from .errors import DimensionMismatch, NotPSD
 
 Scalar = Union[Fraction, float]
+_ZERO = Fraction(0)
 
 
 def as_scalar(x) -> Scalar:
@@ -163,9 +164,14 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    top = hstack(a, Matrix.zeros(a.rows, b.cols))
-    bottom = hstack(Matrix.zeros(b.rows, a.cols), b)
-    return vstack(top, bottom)
+    """``[[a, 0], [0, b]]``, its entries built in one pass."""
+    pad_a, pad_b = (_ZERO,) * a.cols, (_ZERO,) * b.cols
+    entries = []
+    for i in range(a.rows):
+        entries += a.row(i) + pad_b
+    for i in range(b.rows):
+        entries += pad_a + b.row(i)
+    return Matrix(a.rows + b.rows, a.cols + b.cols, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
+from typing import NamedTuple
 import numpy as np
 
 from .diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
@@ -73,6 +75,8 @@ class CGMixture:
     cod_word: TypeWord
     table: tuple   # sorted tuple of (bits, tuple-of-components)
 
+    _canon = None   # a `_Canon` on the kernels `canonicalize` and `tensor` return
+
     def __post_init__(self):
         object.__setattr__(self, "_rows", dict(self.table))
 
@@ -98,6 +102,21 @@ class CGMixture:
 
 def _mk_table(rows: dict) -> tuple:
     return tuple(sorted(rows.items()))
+
+
+class _Canon(NamedTuple):
+    exact: bool     # every scalar is a Fraction
+    tol: float      # the tolerance it is canonical at, if not exact
+    keys: tuple     # per row of the table, each component's sort key
+
+
+def _canonical(dom, cod, rows: list, exact: bool, tol) -> CGMixture:
+    """The kernel of sorted ``(bits, [(key, ..., component)])`` rows, recorded."""
+    mix = CGMixture(dom, cod, tuple((bits, tuple(item[-1] for item in row))
+                                    for bits, row in rows))
+    keys = tuple(tuple(item[0] for item in row) for _, row in rows)
+    object.__setattr__(mix, "_canon", _Canon(exact, tol, keys))
+    return mix
 
 
 def _component(weight, bool_out, lin, mean, cov) -> GaussComponent:
@@ -163,14 +182,14 @@ GENERATOR_WIRINGS = {
 
 @lru_cache(maxsize=4096)
 def wiring_kernel(w: Wiring) -> CGMixture:
-    """The kernel of a wiring: one weight-1 Dirac per input row."""
+    """The kernel of a wiring, canonical: one weight-1 Dirac per input row."""
     m = w.dom.n_real
     one, zero = Fraction(1), Fraction(0)
     lin = Matrix(len(w.reals), m, tuple(one if j == src else zero
                                         for src in w.reals for j in range(m)))
     rows = {bits: (_dirac(tuple(bits[i] for i in w.bits), lin),)
             for bits in all_bitvecs(w.dom.n_bool)}
-    return CGMixture(w.dom, w.cod, _mk_table(rows))
+    return canonicalize(CGMixture(w.dom, w.cod, _mk_table(rows)))
 
 
 def interp_generator(gen: Generator) -> CGMixture:
@@ -219,6 +238,8 @@ def swap_kernel(first: Colour, second: Colour) -> CGMixture:
 
 
 def mixture_is_exact(mix: CGMixture) -> bool:
+    if mix._canon is not None:
+        return mix._canon.exact
     for _, comps in mix.table:
         for c in comps:
             if not isinstance(c.weight, Fraction):
@@ -292,7 +313,12 @@ def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
 
     Idempotent; exact mixtures merge and sort on exact keys, anything with
     a float uses tolerance-quantized keys so the order is reproducible.
+    A kernel that `canonicalize` or `tensor` returned comes back unchanged:
+    at any tolerance when it is exact, at its own tolerance otherwise.
     """
+    canon = mix._canon
+    if canon is not None and (canon.exact or canon.tol == tol):
+        return mix
     exact = mixture_is_exact(mix)
     merge_tol = 0 if exact else tol
     rows = {}
@@ -306,13 +332,14 @@ def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
         keyed.sort(key=lambda item: item[0])
         merged = []
         for key, g, c in keyed:
-            if merged and _params_close(merged[-1][1], merged[-1][0], c, g, merge_tol):
-                prev_g, prev = merged[-1]
-                merged[-1] = (prev_g, replace(prev, weight=prev.weight + c.weight))
+            if merged and _params_close(merged[-1][2], merged[-1][1], c, g, merge_tol):
+                key, prev_g, prev = merged[-1]
+                merged[-1] = (key, prev_g, replace(prev, weight=prev.weight + c.weight))
             else:
-                merged.append((g, c))
-        rows[bits] = tuple(c for _, c in merged)
-    return CGMixture(mix.dom_word, mix.cod_word, _mk_table(rows))
+                merged.append((key, g, c))
+        rows[bits] = merged
+    return _canonical(mix.dom_word, mix.cod_word, sorted(rows.items()),
+                      exact, tol)
 
 
 def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -340,25 +367,31 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
 
 
 def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
-    """Monoidal product of kernels; result is canonical."""
-    rows = {}
-    for bits_f, comps_f in f.table:
-        for bits_g, comps_g in g.table:
-            out = []
-            for ci in comps_f:
-                for cj in comps_g:
-                    w = ci.weight * cj.weight
-                    if w == 0:
-                        continue
-                    out.append(_component(
-                        w, ci.bool_out + cj.bool_out,
-                        block_diag(ci.lin, cj.lin),
-                        vstack(ci.mean, cj.mean),
-                        cov_block(ci.cov, cj.cov)))
-            rows[bits_f + bits_g] = tuple(out)
-    raw = CGMixture(f.dom_word + g.dom_word, f.cod_word + g.cod_word,
-                    _mk_table(rows))
-    return canonicalize(raw, tol)
+    """Monoidal product of kernels; result is canonical.
+
+    The product of canonical kernels is block diagonal: its components stay
+    distinct, and each key field (outputs, A, mu, Gram matrix) orders like
+    the factors' fields concatenated.  So no Gram matrix, no merge pass."""
+    f, g = canonicalize(f, tol), canonicalize(g, tol)
+    exact = f._canon.exact and g._canon.exact
+    rows = []
+    for (bits_f, comps_f), keys_f in zip(f.table, f._canon.keys):
+        for (bits_g, comps_g), keys_g in zip(g.table, g._canon.keys):
+            out = [(tuple(map(add, ki, kj)), GaussComponent(
+                       w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin),
+                       vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov)))
+                   for ci, ki in zip(comps_f, keys_f)
+                   for cj, kj in zip(comps_g, keys_g)
+                   if (w := ci.weight * cj.weight) != 0]   # 0: a float underflow
+            out.sort(key=lambda item: item[0])
+            rows.append((bits_f + bits_g, out))
+    mix = _canonical(f.dom_word + g.dom_word, f.cod_word + g.cod_word, rows,
+                     exact, tol)
+    # Exact components closer than tol merge in a float product.
+    if not exact and any(k._canon.exact and any(
+            len(cs) > 1 for _, cs in k.table) for k in (f, g)):
+        return canonicalize(CGMixture(mix.dom_word, mix.cod_word, mix.table), tol)
+    return mix
 
 
 @lru_cache(maxsize=4096)
@@ -485,7 +518,7 @@ def _mixture_differences(m1: CGMixture, m2: CGMixture, tol, eps=None):
     c1 = canonicalize(m1, tol)
     c2 = canonicalize(m2, tol)
     if eps is None:
-        eps = 0 if mixture_is_exact(c1) and mixture_is_exact(c2) else tol
+        eps = 0 if c1._canon.exact and c2._canon.exact else tol
     return _differences(_mixture_blocks(c1), _mixture_blocks(c2), eps)
 
 

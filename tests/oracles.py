@@ -3,7 +3,8 @@
 The Boolean oracle enumerates stochastic tables directly and the affine
 oracle propagates (A, b, Sigma) with plain matrix algebra, both avoiding
 the CGMixture machinery; the reference fold uses the kernel algebra but
-none of `evaluate`'s shortcuts.  All three recurse over the raw term
+none of `evaluate`'s shortcuts, and its own product: the raw block
+diagonal followed by `canonicalize`.  All three recurse over the raw term
 structure.  The reference comparisons at the end are the four loops that
 `mixtures_equal`, `max_deviation`, `nftree_equal` and
 `first_certificate_difference` were before they shared one walker.
@@ -14,12 +15,12 @@ from fractions import Fraction
 
 from cgm.diagram import Gen, GenKind, Id, Par, Seq, Swap
 from cgm.errors import TypeMismatch
-from cgm.linalg import Matrix, block_diag, vstack
+from cgm.linalg import Matrix, block_diag, cov_block, vstack
 from cgm.normalform import NFTree
-from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, bits_to_str,
-                           canonicalize, compose, identity_kernel,
-                           interp_generator, mixture_is_exact, swap_kernel,
-                           tensor)
+from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
+                           bits_to_str, canonicalize, compose,
+                           identity_kernel, interp_generator,
+                           mixture_is_exact, swap_kernel)
 
 
 def bool_table_oracle(t):
@@ -99,10 +100,34 @@ def affine_oracle(t):
     return (block_diag(a1, a2), vstack(b1, b2), block_diag(s1, s2))
 
 
+def raw_product(f: CGMixture, g: CGMixture) -> CGMixture:
+    """Monoidal product before canonicalization: every pair of components
+    of every pair of rows, block diagonal, zero weights dropped."""
+    rows = {}
+    for bits_f, comps_f in f.table:
+        for bits_g, comps_g in g.table:
+            rows[bits_f + bits_g] = tuple(
+                GaussComponent(ci.weight * cj.weight,
+                               ci.bool_out + cj.bool_out,
+                               block_diag(ci.lin, cj.lin),
+                               vstack(ci.mean, cj.mean),
+                               cov_block(ci.cov, cj.cov))
+                for ci in comps_f for cj in comps_g
+                if ci.weight * cj.weight != 0)
+    return CGMixture(f.dom_word + g.dom_word, f.cod_word + g.cod_word,
+                     tuple(sorted(rows.items())))
+
+
+def reference_tensor(f, g, tol=DEFAULT_TOLERANCE):
+    """Product by raw block diagonal plus a full `canonicalize`."""
+    return canonicalize(raw_product(f, g), tol)
+
+
 def reference_evaluate(t, tol=DEFAULT_TOLERANCE):
     """Kernel of a term by the plain fold: every leaf becomes a kernel and
-    every node a general `compose` or `tensor`, with no wiring shortcuts and
-    no caches.  Parameters are used as they are (no backend cast)."""
+    every node a general `compose` or `reference_tensor`, with no wiring
+    shortcuts and no caches.  Parameters are used as they are (no backend
+    cast)."""
     memo = {}
 
     def fold(s):
@@ -117,7 +142,7 @@ def reference_evaluate(t, tol=DEFAULT_TOLERANCE):
         elif isinstance(s, Seq):
             out = compose(fold(s.early), fold(s.late), tol)
         else:
-            out = tensor(fold(s.top), fold(s.bottom), tol)
+            out = reference_tensor(fold(s.top), fold(s.bottom), tol)
         memo[id(s)] = out
         return out
 

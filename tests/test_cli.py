@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -238,3 +239,23 @@ class TestConfig:
         monkeypatch.setenv("CGM_TOLERANCE", "1e-3")
         code, _, _ = run(capsys, "equiv", mixture_file, str(other))
         assert code == EXIT_OK
+
+
+class TestRecursionLimit:
+    # `main` raises the limit for its own call only; a leak would make every
+    # later deep-term test in the same process run at the raised limit.
+    def test_restored_after_success_and_failure(self, mixture_file, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad.cgm"
+        bad.write_text("flip(1/2) ; ; not")
+        before = sys.getrecursionlimit()
+        assert run(capsys, "eval", mixture_file)[0] == EXIT_OK
+        assert sys.getrecursionlimit() == before
+        assert run(capsys, "eval", str(bad))[0] == EXIT_PARSE
+        assert sys.getrecursionlimit() == before
+
+    def test_restored_after_a_usage_error(self, capsys):
+        before = sys.getrecursionlimit()
+        with pytest.raises(SystemExit):
+            main(["eval"])
+        assert sys.getrecursionlimit() == before

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from cgm.errors import DimensionMismatch, NotPSD
 from cgm.linalg import (CovFactor, Matrix, block_diag, cov_compose,
-                        four_squares, gram, hstack, ldlt, sum_square_scales)
+                        four_squares, gram, hstack, ldlt, sum_square_scales,
+                        vstack)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 
@@ -24,6 +26,21 @@ class TestMatrix:
     def test_block_diag(self):
         a, b = Fraction(2), Fraction(-3)
         assert block_diag(mat([[a]]), mat([[b]])) == mat([[a, 0], [0, b]])
+
+    def test_block_diag_is_stacked_padding(self):
+        rng = random.Random(9)
+        for ra, ca, rb, cb in itertools.product(range(3), repeat=4):
+            a = Matrix(ra, ca, tuple(Fraction(rng.randint(-5, 5))
+                                     for _ in range(ra * ca)))
+            b = Matrix(rb, cb, tuple(float(rng.randint(-5, 5))
+                                     for _ in range(rb * cb)))
+            want = vstack(hstack(a, Matrix.zeros(ra, cb)),
+                          hstack(Matrix.zeros(rb, ca), b))
+            out = block_diag(a, b)
+            assert (out.rows, out.cols, out.entries) == \
+                (want.rows, want.cols, want.entries)
+            assert [type(x) for x in out.entries] == \
+                [type(x) for x in want.entries]
 
     def test_hstack_dims(self):
         out = hstack(Matrix.zeros(2, 1), Matrix.zeros(2, 2))

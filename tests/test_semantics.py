@@ -137,6 +137,119 @@ class TestTensor:
                            (0, 1): (1 - p) * q, (0, 0): (1 - p) * (1 - q)}
 
 
+def random_kernel(rng, exact=True, near=False) -> CGMixture:
+    """A kernel on small random words whose rows may hold duplicate
+    components and zero weights, and with `near`, float near-duplicates
+    (means 1e-12 apart)."""
+    p, m, q, n = (rng.randint(0, 2) for _ in range(4))
+
+    def value():
+        x = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        return x if exact else float(x)
+
+    def component():
+        width, weight = rng.randint(0, 2), abs(value()) + 1
+        return GaussComponent(
+            weight * 0 if rng.random() < 0.15 else weight,
+            tuple(rng.randint(0, 1) for _ in range(q)),
+            Matrix(n, m, tuple(value() for _ in range(n * m))),
+            Matrix(n, 1, tuple(value() for _ in range(n))),
+            CovFactor(n, Matrix(n, width, tuple(value()
+                                                for _ in range(n * width)))))
+
+    rows = {}
+    for bits in itertools.product((0, 1), repeat=p):
+        comps = [component() for _ in range(rng.randint(1, 3))]
+        for c in list(comps):
+            if rng.random() < 0.3:
+                comps.append(c)
+            elif near and rng.random() < 0.3 and n:
+                comps.append(GaussComponent(
+                    c.weight, c.bool_out, c.lin,
+                    Matrix(n, 1, tuple(x + 1e-12 for x in c.mean.entries)),
+                    c.cov))
+        rng.shuffle(comps)
+        rows[bits] = tuple(comps)
+    return CGMixture(bools(p) + reals(m), bools(q) + reals(n),
+                     tuple(sorted(rows.items())))
+
+
+def product_operands(seed: int, exact: bool, near=False) -> list:
+    """Seeded (f, g) pairs: random kernels, evaluated terms and wiring
+    kernels, on either side."""
+    rng = random.Random(seed)
+    sampler = TermSampler(random.Random(seed + 1), max_word=3)
+    wirings = [identity_kernel(reals(1)), identity_kernel(bools(2)),
+               swap_kernel(Colour.B, Colour.R), swap_kernel(Colour.R, Colour.R),
+               interp_generator(Generator(GenKind.BOOL_COPY)),
+               interp_generator(Generator(GenKind.REAL_COPY)),
+               interp_generator(Generator(GenKind.REAL_DISCARD))]
+    backend = "rational" if exact else "float"
+    kinds = [lambda: random_kernel(rng, exact, near),
+             lambda: evaluate(sampler.closed_term(max_len=3), backend=backend),
+             lambda: rng.choice(wirings)]
+    return [(rng.choice(kinds)(), rng.choice(kinds)()) for _ in range(150)]
+
+
+class TestCanonicalProduct:
+    def test_rational_product_is_raw_product_canonicalized(self):
+        from oracles import reference_tensor
+        for f, g in product_operands(61, exact=True):
+            assert tensor(f, g).table == reference_tensor(f, g).table
+
+    def test_float_product_matches_raw_product(self):
+        from oracles import reference_tensor
+        for f, g in product_operands(62, exact=False):
+            assert mixtures_equal(tensor(f, g), reference_tensor(f, g), 1e-9)
+
+    def test_float_product_of_near_duplicates(self):
+        # Merging at a tolerance only joins neighbours in key order.  In a
+        # raw product, other components can sort between two near-duplicates
+        # of one operand, so the raw product's merge pass can miss them;
+        # `tensor` merges each operand first, as the raw product of the
+        # canonical operands does.
+        from oracles import reference_tensor
+        for f, g in product_operands(64, exact=False, near=True):
+            want = reference_tensor(canonicalize(f), canonicalize(g))
+            assert mixtures_equal(tensor(f, g), want, 1e-9)
+
+    def test_canonical_kernels_come_back_unchanged(self):
+        for exact in (True, False):
+            for f, g in product_operands(63, exact)[:40]:
+                for k in (canonicalize(f, 1e-9), tensor(f, g, 1e-9)):
+                    assert canonicalize(k, 1e-9) is k
+                    assert (canonicalize(k, 1e-3) is k) is mixture_is_exact(k)
+
+    def test_float_kernel_merges_again_at_a_wider_tolerance(self):
+        parts = tuple(GaussComponent(0.5, (), Matrix.zeros(1, 0),
+                                     Matrix.column([mu]), CovFactor.zero(1))
+                      for mu in (0.0, 1e-6))
+        mix = CGMixture(TypeWord(), reals(1), (((), parts),))
+        fine = canonicalize(mix, 1e-9)
+        assert len(fine.row(())) == 2
+        (merged,) = canonicalize(fine, 1e-3).row(())
+        assert merged.weight == 1.0
+
+    def test_exact_components_within_tol_merge_in_a_float_product(self):
+        from oracles import reference_tensor
+        parts = tuple(GaussComponent(Fraction(1, 2), (), Matrix.zeros(1, 0),
+                                     Matrix.column([mu]), CovFactor.zero(1))
+                      for mu in (Fraction(0), Fraction(1, 10 ** 12)))
+        exact = CGMixture(TypeWord(), reals(1), (((), parts),))
+        flip = interp_generator(Generator(GenKind.FLIP, 0.25))
+        for f, g in ((flip, exact), (exact, flip)):
+            out = tensor(f, g)
+            assert out.table == reference_tensor(f, g).table
+            assert len(out.row(())) == 2
+
+    def test_underflowing_weights_are_dropped(self):
+        from oracles import reference_tensor
+        tiny = interp_generator(Generator(GenKind.FLIP, 1e-200))
+        out = tensor(tiny, tiny)
+        assert out.table == reference_tensor(tiny, tiny).table
+        assert len(out.row(())) == 3
+
+
 class TestEvaluate:
     def test_worked_mixture(self):
         g1 = gaussian_circuit([3], Matrix.from_rows([[1]]))
