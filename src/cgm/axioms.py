@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .diagram import (B, Colour, EMPTY, Gen, GenKind, Id, Par, R, Seq, Swap,
-                      Term, TypeWord, bools, identity, mk_generator, par,
-                      par_all, reals, seq, seq_all, swap)
+from .diagram import (B, Colour, EMPTY, GenKind, Par, R, Seq, Term, TypeWord,
+                      bools, fold, identity, mk_generator, par, par_all,
+                      reals, seq, seq_all, swap)
 from .dsl import print_term
 from .errors import InadmissibleBinding, InvalidPath, NoMatch
 from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
@@ -669,84 +669,69 @@ def mutant_of(name: str) -> AxiomSchema:
 
 # --- single-step rewriting ------------------------------------------------
 
+def _children(t: Term) -> tuple:
+    return (t.early, t.late) if isinstance(t, Seq) else (t.top, t.bottom)
+
+
 def subterm_at(term: Term, path) -> Term:
     node = term
     for step, k in enumerate(path):
-        if isinstance(node, Seq):
-            children = (node.early, node.late)
-        elif isinstance(node, Par):
-            children = (node.top, node.bottom)
-        else:
+        if not isinstance(node, (Seq, Par)):
             raise InvalidPath(f"no child {k} below {tuple(path[:step])}")
         if k not in (0, 1):
             raise InvalidPath(f"child index {k} out of range at {tuple(path[:step])}")
-        node = children[k]
+        node = _children(node)[k]
     return node
 
 
 def replace_at(term: Term, path, new: Term) -> Term:
-    if not path:
-        return new
-    k, rest = path[0], path[1:]
-    if isinstance(term, Seq):
-        if k == 0:
-            return Seq(replace_at(term.early, rest, new), term.late)
-        if k == 1:
-            return Seq(term.early, replace_at(term.late, rest, new))
-    elif isinstance(term, Par):
-        if k == 0:
-            return Par(replace_at(term.top, rest, new), term.bottom)
-        if k == 1:
-            return Par(term.top, replace_at(term.bottom, rest, new))
-    raise InvalidPath(f"child index {k} out of range")
-
-
-def _seq_spine(t: Term) -> list:
-    if isinstance(t, Seq):
-        return _seq_spine(t.early) + _seq_spine(t.late)
-    return [t]
-
-
-def _par_spine(t: Term) -> list:
-    if isinstance(t, Par):
-        return _par_spine(t.top) + _par_spine(t.bottom)
-    return [t]
+    above = []
+    for k in path:
+        if not isinstance(term, (Seq, Par)) or k not in (0, 1):
+            raise InvalidPath(f"child index {k} out of range")
+        above.append((term, k))
+        term = _children(term)[k]
+    for node, k in reversed(above):
+        a, b = _children(node)
+        new = type(node)(new, b) if k == 0 else type(node)(a, new)
+    return new
 
 
 def assoc_normal(t: Term) -> Term:
-    """Right-associate every Seq and Par chain, recursively."""
-    if isinstance(t, Seq):
-        items = [assoc_normal(x) for x in _seq_spine(t)]
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = Seq(item, out)
-        return out
-    if isinstance(t, Par):
-        items = [assoc_normal(x) for x in _par_spine(t)]
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = Par(item, out)
-        return out
-    return t
+    """Right-associate every Seq and Par chain, at every depth."""
+    # A subterm's value is (node type, operands of its top chain), each
+    # operand already normal; a chain is built where it ends.
+    def join(s, a, b):
+        return type(s), _operands(a, type(s)) + _operands(b, type(s))
+
+    return _build_chain(fold(t, lambda s: (None, (s,)), join, join))
 
 
-def _first_mismatch(a: Term, b: Term, path=()):
-    if type(a) is not type(b):
-        return path
-    if isinstance(a, Gen):
-        return None if a.generator == b.generator else path
-    if isinstance(a, Id):
-        return None if a.word == b.word else path
-    if isinstance(a, Swap):
-        return None if (a.first, a.second) == (b.first, b.second) else path
-    if isinstance(a, Seq):
-        pairs = ((a.early, b.early), (a.late, b.late))
-    else:
-        pairs = ((a.top, b.top), (a.bottom, b.bottom))
-    for k, (x, y) in enumerate(pairs):
-        hit = _first_mismatch(x, y, path + (k,))
-        if hit is not None:
-            return hit
+def _operands(value, node_type) -> tuple:
+    kind, items = value
+    return items if kind is node_type else (_build_chain(value),)
+
+
+def _build_chain(value) -> Term:
+    kind, items = value
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = kind(item, out)
+    return out
+
+
+def _first_mismatch(a: Term, b: Term):
+    """Path of the first differing node in pre-order, or None."""
+    todo = [(a, b, ())]
+    while todo:
+        x, y, path = todo.pop()
+        if type(x) is not type(y):
+            return path
+        if isinstance(x, (Seq, Par)):
+            (x0, x1), (y0, y1) = _children(x), _children(y)
+            todo += ((x1, y1, path + (1,)), (x0, y0, path + (0,)))
+        elif x != y:
+            return path
     return None
 
 

@@ -168,7 +168,8 @@ def cmd_axioms(args) -> int:
     if args.axiom and args.axiom not in CATALOG:
         raise InadmissibleBinding(f"unknown axiom {args.axiom!r}")
     reports = soundness_suite(args.trials, args.seed, names,
-                              tol=cfg.tolerance, cap=cfg.bool_input_cap)
+                              tol=cfg.tolerance, cap=cfg.bool_input_cap,
+                              backend=cfg.backend)
     failed = [r for r in reports if not r.passed]
     if cfg.output_format == "json":
         _json_out({"reports": [_report_json(r) for r in reports],
@@ -358,11 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Headroom for the recursive parser and `assoc_normal`, for this call only.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10000))
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
         return args.run(args)
     except ParseError as err:
         print(f"{err.span}: parse error: {err}", file=sys.stderr)
@@ -370,10 +368,7 @@ def main(argv=None) -> int:
     except InputCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
-    except NoMatch as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_MATCH
-    except InvalidPath as err:
+    except (NoMatch, InvalidPath) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_MATCH
     except TypeMismatch as err:
@@ -382,14 +377,9 @@ def main(argv=None) -> int:
         if args.command == "equiv" and err.span is None:
             return EXIT_BOUNDARY
         return EXIT_PARSE
-    except CgmError as err:
+    except (CgmError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def entrypoint() -> None:

@@ -5,6 +5,11 @@ single-wire crossings, and the two composition operations.  Boundary words
 are computed once at construction and cached on the node; ill-typed
 sequential composites cannot be built.  Terms are immutable values and may
 be shared freely (the gadget builders below lean on that).
+
+Structural walks (evaluation, parameter casts, gate counts, JSON export,
+associativity normalisation) are one `fold`, so terms of any depth need no
+recursion headroom and ``let``-shared terms cost time linear in their
+distinct nodes.
 """
 
 from __future__ import annotations
@@ -255,25 +260,46 @@ def scal(k) -> Term:
     return mk_generator(GenKind.SCALAR, k)
 
 
-def subterms(t: Term):
-    """Depth-first iterator over all subterms, root first."""
-    todo = [t]
+def fold(term: Term, leaf, seq, par):
+    """``leaf(t)`` at each Gen, Id and Swap; ``seq(t, a, b)`` and
+    ``par(t, a, b)`` at each Seq and Par, given its children's values.
+
+    Post-order over an explicit stack; each distinct node (by identity) is
+    computed once."""
+    memo = {}
+    todo = [term]
     while todo:
-        s = todo.pop()
-        yield s
-        if isinstance(s, Seq):
-            todo.extend((s.late, s.early))
-        elif isinstance(s, Par):
-            todo.extend((s.bottom, s.top))
+        t = todo.pop()
+        if type(t) is tuple:        # pushed below its children, now done
+            t, = t
+            if isinstance(t, Seq):
+                memo[id(t)] = seq(t, memo[id(t.early)], memo[id(t.late)])
+            else:
+                memo[id(t)] = par(t, memo[id(t.top)], memo[id(t.bottom)])
+        elif id(t) in memo:
+            continue
+        elif isinstance(t, Seq):
+            todo += ((t,), t.late, t.early)
+        elif isinstance(t, Par):
+            todo += ((t,), t.bottom, t.top)
+        else:
+            memo[id(t)] = leaf(t)
+    return memo[id(term)]
+
+
+def _sum(_t, a, b):
+    return a + b
 
 
 def generator_count(t: Term) -> int:
-    return sum(1 for s in subterms(t) if isinstance(s, Gen))
+    """Generators in `t`, counted with multiplicity."""
+    return fold(t, lambda s: int(isinstance(s, Gen)), _sum, _sum)
 
 
 def has_float_literal(t: Term) -> bool:
-    return any(isinstance(s, Gen) and isinstance(s.generator.param, float)
-               for s in subterms(t))
+    def leaf(s):
+        return isinstance(s, Gen) and isinstance(s.generator.param, float)
+    return fold(t, leaf, _sum, _sum) > 0
 
 
 def map_params(t: Term, f) -> Term:
@@ -282,28 +308,18 @@ def map_params(t: Term, f) -> Term:
     Shared subterms stay shared, and a subterm in which no parameter
     changes (in value or type) is returned as it is.
     """
-    memo = {}
-    todo = [(t, False)]
-    while todo:
-        s, expanded = todo.pop()
-        if id(s) in memo:
-            continue
-        if isinstance(s, (Seq, Par)):
-            a, b = (s.early, s.late) if isinstance(s, Seq) else (s.top, s.bottom)
-            if not expanded:
-                todo += ((s, True), (b, False), (a, False))
-                continue
-            new_a, new_b = memo[id(a)], memo[id(b)]
-            out = s if new_a is a and new_b is b else type(s)(new_a, new_b)
-        elif isinstance(s, Gen) and s.generator.param is not None:
-            old = s.generator.param
-            new = f(old)
-            out = s if type(new) is type(old) and new == old \
-                else Gen(Generator(s.generator.kind, new))
-        else:
-            out = s
-        memo[id(s)] = out
-    return memo[id(t)]
+    def leaf(s):
+        old = s.generator.param if isinstance(s, Gen) else None
+        if old is None:
+            return s
+        new = f(old)
+        if type(new) is type(old) and new == old:
+            return s
+        return Gen(Generator(s.generator.kind, new))
+
+    return fold(t, leaf,
+                lambda s, a, b: s if a is s.early and b is s.late else Seq(a, b),
+                lambda s, a, b: s if a is s.top and b is s.bottom else Par(a, b))
 
 
 def to_float_params(t: Term) -> Term:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (Colour, Gen, GenKind, Id, Par, Seq, Swap, Term,
-                      TypeWord, identity, mk_generator, swap)
+                      TypeWord, fold, identity, mk_generator, swap)
 from .errors import ParseError, TypeMismatch
 from .linalg import format_scalar, scalar_to_json
 
@@ -65,20 +66,11 @@ class Token:
 
 
 def _tokenize(src: str, filename: str) -> list:
-    line_starts = [0]
-    for i, ch in enumerate(src):
-        if ch == "\n":
-            line_starts.append(i + 1)
+    line_starts = [0] + [m.end() for m in re.finditer("\n", src)]
 
     def locate(offset: int):
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - line_starts[lo] + 1
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
     tokens = []
     pos = 0
@@ -103,10 +95,9 @@ def _tokenize(src: str, filename: str) -> list:
 
 
 class _Parser:
-    def __init__(self, tokens, filename):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.filename = filename
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -123,49 +114,62 @@ class _Parser:
                              tok.span, expected={kind})
         return self.next()
 
-    def parse_expr(self, env) -> Term:
-        left = self.parse_par(env)
-        while self.peek().kind == ";":
-            op = self.next()
-            right = self.parse_par(env)
-            try:
-                left = Seq(left, right)
-            except TypeMismatch as err:
-                err.span = op.span
-                raise
-        return left
+    def parse_expr(self) -> Term:
+        """Precedence climbing with an explicit stack of open ``(`` and
+        ``let`` frames, so nesting depth does not recurse."""
+        # The open expression: what ends it, the name a ``let`` binds, its
+        # scope, its ';' chain, last ';' token and '*' chain so far.
+        frames = []
+        closer, bound, env, left, op, row = None, None, {}, None, None, None
+        while True:
+            tok = self.next()
+            if tok.kind == "(" or tok.kind == "name" and tok.text == "let":
+                frames.append((closer, bound, env, left, op, row))
+                closer, left, op, row = tok.text, None, None, None
+                if closer == "let":
+                    bound = self.expect("name").text
+                    if bound in _RESERVED:
+                        raise ParseError(f"{bound!r} is reserved", tok.span)
+                    self.expect("=")
+                continue
+            atom = self.parse_atom(tok, env)
+            while True:
+                row = atom if row is None else Par(row, atom)
+                if self.peek().kind == "*":
+                    self.next()
+                    break
+                try:
+                    left = row if left is None else Seq(left, row)
+                except TypeMismatch as err:
+                    err.span = op.span
+                    raise
+                row = None
+                if self.peek().kind == ";":
+                    op = self.next()
+                    break
+                if closer is None:
+                    return left
+                if closer == "let":
+                    # The value ends at 'in'; the body runs to the end of
+                    # the expression around the let.
+                    in_tok = self.next()
+                    if in_tok.kind != "name" or in_tok.text != "in":
+                        raise ParseError(f"expected 'in', found {in_tok.text!r}",
+                                         in_tok.span, expected={"in"})
+                    env = {**env, bound: left}
+                    closer, left = "in", None
+                    break
+                if closer == "(":
+                    self.expect(")")
+                atom = left
+                closer, bound, env, left, op, row = frames.pop()
 
-    def parse_par(self, env) -> Term:
-        left = self.parse_atom(env)
-        while self.peek().kind == "*":
-            self.next()
-            left = Par(left, self.parse_atom(env))
-        return left
-
-    def parse_atom(self, env) -> Term:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_expr(env)
-            self.expect(")")
-            return inner
+    def parse_atom(self, tok, env) -> Term:
+        """The atom starting at `tok`, unless it is a ``(`` or a ``let``."""
         if tok.kind != "name":
             raise ParseError(f"expected a circuit, found {tok.text!r}",
                              tok.span, expected={"name", "("})
-        name = self.next().text
-        if name == "let":
-            bound = self.expect("name").text
-            if bound in _RESERVED:
-                raise ParseError(f"{bound!r} is reserved", tok.span)
-            self.expect("=")
-            value = self.parse_expr(env)
-            in_tok = self.next()
-            if in_tok.kind != "name" or in_tok.text != "in":
-                raise ParseError(f"expected 'in', found {in_tok.text!r}",
-                                 in_tok.span, expected={"in"})
-            inner_env = dict(env)
-            inner_env[bound] = value
-            return self.parse_expr(inner_env)
+        name = tok.text
         if name == "id":
             self.expect("(")
             word = ""
@@ -227,8 +231,8 @@ class _Parser:
 
 def parse(src: str, filename: str = "<string>") -> Term:
     """Parse circuit text; raises ParseError / TypeMismatch with a span."""
-    parser = _Parser(_tokenize(src, filename), filename)
-    term = parser.parse_expr({})
+    parser = _Parser(_tokenize(src, filename))
+    term = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.span, expected={"eof"})
@@ -275,44 +279,43 @@ def _atom_text(t: Term) -> str:
         return f"id({t.word})"
     if isinstance(t, Swap):
         return f"swap({t.first},{t.second})"
-    gen = t.generator
+    return _gen_text(t.generator)
+
+
+def _gen_text(gen) -> str:
     if gen.param is None:
         return gen.kind.value
     return f"{gen.kind.value}({format_scalar(gen.param)})"
 
 
 def export_json_ast(t: Term) -> dict:
-    if isinstance(t, Seq):
-        children = [export_json_ast(t.early), export_json_ast(t.late)]
-        node = {"kind": "seq", "params": {}, "children": children}
-    elif isinstance(t, Par):
-        children = [export_json_ast(t.top), export_json_ast(t.bottom)]
-        node = {"kind": "par", "params": {}, "children": children}
-    elif isinstance(t, Id):
-        node = {"kind": "id", "params": {"word": str(t.word)}, "children": []}
-    elif isinstance(t, Swap):
-        node = {"kind": "swap",
-                "params": {"first": t.first.value, "second": t.second.value},
-                "children": []}
-    else:
-        params = {"name": t.generator.kind.value}
-        if t.generator.param is not None:
-            params["value"] = scalar_to_json(t.generator.param)
-        node = {"kind": "gen", "params": params, "children": []}
-    node["dom"] = str(t.dom)
-    node["cod"] = str(t.cod)
-    return node
+    """The term as nested dicts; a shared subterm's dict is shared too."""
+    def node(s, kind, params, children=()):
+        return {"kind": kind, "params": params, "children": list(children),
+                "dom": str(s.dom), "cod": str(s.cod)}
+
+    def leaf(s):
+        if isinstance(s, Id):
+            return node(s, "id", {"word": str(s.word)})
+        if isinstance(s, Swap):
+            return node(s, "swap", {"first": s.first.value, "second": s.second.value})
+        params = {"name": s.generator.kind.value}
+        if s.generator.param is not None:
+            params["value"] = scalar_to_json(s.generator.param)
+        return node(s, "gen", params)
+
+    return fold(t, leaf, lambda s, a, b: node(s, "seq", {}, (a, b)),
+                lambda s, a, b: node(s, "par", {}, (a, b)))
 
 
 class _Wire:
-    __slots__ = ("colour", "source", "sink", "parent", "order")
+    __slots__ = ("colour", "source", "sink", "parent")
 
-    def __init__(self, colour, order):
+    def __init__(self, colour, source=None, sink=None):
         self.colour = colour
-        self.source = None
-        self.sink = None
+        self.source = source
+        self.sink = sink
         self.parent = self
-        self.order = order
 
 
 def _find(w: _Wire) -> _Wire:
@@ -331,58 +334,53 @@ def _union(a: _Wire, b: _Wire):
     ra.sink = ra.sink or rb.sink
 
 
-def _gen_label(gen) -> str:
-    if gen.param is None:
-        return gen.kind.value
-    return f"{gen.kind.value}({format_scalar(gen.param)})"
-
-
 def export_dot(t: Term) -> str:
-    """Layered DOT rendering; byte-identical across runs for equal terms."""
+    """Layered DOT rendering; byte-identical across runs for equal terms.
+
+    Each occurrence of a generator is its own box, shared or not.
+    """
     nodes = []
     wires = []
 
-    def fresh(colour):
-        w = _Wire(colour, len(wires))
-        wires.append(w)
-        return w
+    def fresh(colour, source=None, sink=None):
+        wires.append(_Wire(colour, source, sink))
+        return wires[-1]
 
-    def build(sub):
-        if isinstance(sub, Gen):
-            nid = len(nodes)
-            nodes.append(_gen_label(sub.generator))
-            ins = []
-            for k, colour in enumerate(sub.dom):
-                w = fresh(colour)
-                w.sink = (f"n{nid}", k)
-                ins.append(w)
-            outs = []
-            for k, colour in enumerate(sub.cod):
-                w = fresh(colour)
-                w.source = (f"n{nid}", k)
-                outs.append(w)
-            return ins, outs
-        if isinstance(sub, Id):
-            ws = [fresh(c) for c in sub.word]
-            return ws, list(ws)
-        if isinstance(sub, Swap):
-            w1, w2 = fresh(sub.first), fresh(sub.second)
-            return [w1, w2], [w2, w1]
-        if isinstance(sub, Seq):
-            ins1, outs1 = build(sub.early)
-            ins2, outs2 = build(sub.late)
+    # Post-order over an explicit stack: a node's class, pushed below its
+    # children, joins their (inputs, outputs) wire lists once both are built.
+    built = []
+    todo = [t]
+    while todo:
+        sub = todo.pop()
+        if sub is Seq or sub is Par:
+            ins2, outs2 = built.pop()
+            ins1, outs1 = built.pop()
+            if sub is Par:
+                built.append((ins1 + ins2, outs1 + outs2))
+                continue
             for a, b in zip(outs1, ins2):
                 _union(a, b)
-            return ins1, outs2
-        ins1, outs1 = build(sub.top)
-        ins2, outs2 = build(sub.bottom)
-        return ins1 + ins2, outs1 + outs2
-
-    ins, outs = build(t)
+            built.append((ins1, outs2))
+        elif isinstance(sub, Seq):
+            todo += (Seq, sub.late, sub.early)
+        elif isinstance(sub, Par):
+            todo += (Par, sub.bottom, sub.top)
+        elif isinstance(sub, Gen):
+            box = f"n{len(nodes)}"
+            nodes.append(_gen_text(sub.generator))
+            built.append(([fresh(c, sink=box) for c in sub.dom],
+                          [fresh(c, source=box) for c in sub.cod]))
+        elif isinstance(sub, Id):
+            ws = [fresh(c) for c in sub.word]
+            built.append((ws, list(ws)))
+        else:
+            w1, w2 = fresh(sub.first), fresh(sub.second)
+            built.append(([w1, w2], [w2, w1]))
+    ins, outs = built.pop()
     for i, w in enumerate(ins):
-        _find(w).source = (f"in{i}", 0)
+        _find(w).source = f"in{i}"
     for j, w in enumerate(outs):
-        _find(w).sink = (f"out{j}", 0)
+        _find(w).sink = f"out{j}"
 
     lines = ["digraph circuit {", "  rankdir=LR;"]
     for i in range(len(ins)):
@@ -399,10 +397,34 @@ def export_dot(t: Term) -> str:
         seen.add(id(root))
         style = "color=gray50, style=dashed" if root.colour is Colour.B \
             else "color=black"
-        lines.append(f"  {root.source[0]} -> {root.sink[0]} [{style}];")
+        lines.append(f"  {root.source} -> {root.sink} [{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def json_ast_text(t: Term) -> str:
-    return json.dumps(export_json_ast(t), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(export_json_ast(t), indent=2, sort_keys=True)`` and a
+    newline, written from an explicit stack so deep terms do not recurse."""
+    out = []
+    todo = [(export_json_ast(t), "\n")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, newline = item
+        if not value or not isinstance(value, (dict, list)):
+            out.append(json.dumps(value))
+            continue
+        inner = newline + "  "
+        if isinstance(value, dict):
+            brackets = "{}"
+            entries = [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+        else:
+            brackets, entries = "[]", [("", v) for v in value]
+        parts = [brackets[0]]
+        for k, (key, v) in enumerate(entries):
+            parts += [("," if k else "") + inner + key, (v, inner)]
+        parts.append(newline + brackets[1])
+        todo += reversed(parts)
+    return "".join(out) + "\n"

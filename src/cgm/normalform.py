@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .diagram import (GenKind, Term, bools, identity, mk_generator, par,
                       par_all, reals, seq, seq_all)
@@ -158,15 +159,14 @@ def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:
         factor = _noise_factor(component.cov, tol)
         return gauss_map_circuit(component.lin, component.mean, factor)
 
-    def cascade(components, remaining):
-        head = components[0]
-        if len(components) == 1:
-            return leaf(head)
-        bias = head.weight / remaining
-        return convex_mix(bias, leaf(head),
-                          cascade(components[1:], remaining - head.weight))
-
-    return cascade(cell.components, sum(c.weight for c in cell.components))
+    weights = [c.weight for c in cell.components]
+    leaves = [leaf(c) for c in cell.components]
+    # The mass left before each component; the cascade is built inside out.
+    remaining = itertools.accumulate(weights[:-1], sub, initial=sum(weights))
+    out = leaves.pop()
+    for weight, mass, head in reversed(list(zip(weights, remaining, leaves))):
+        out = convex_mix(weight / mass, head, out)
+    return out
 
 
 def _mux3() -> Term:

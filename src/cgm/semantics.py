@@ -12,10 +12,11 @@ Composition and monoidal product follow the closed forms for affine maps
 for the product) with weights multiplying through.  Everything is exact
 when every literal is rational.
 
-Identities, swaps, copies and discards only move wires.  `evaluate` keeps
-them, and any Seq/Par of them, as a `Wiring` (two index maps) and applies
-one to a kernel by gathering or scattering indices instead of composing
-with a 0/1 kernel; the result is the same canonical kernel.
+`evaluate` is a `diagram.fold`.  Identities, swaps, copies and discards
+only move wires: it keeps them, and any Seq/Par of them, as a `Wiring`
+(two index maps) and applies one to a kernel by gathering or scattering
+indices instead of composing with a 0/1 kernel; the result is the same
+canonical kernel.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add
 from typing import NamedTuple
 import numpy as np
 
-from .diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
-                      Term, TypeWord, has_float_literal, to_exact_params,
+from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
+                      fold, has_float_literal, to_exact_params,
                       to_float_params)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      TypeMismatch)
@@ -444,7 +445,7 @@ def _as_kernel(k) -> CGMixture:
     return wiring_kernel(k) if isinstance(k, Wiring) else k
 
 
-def _leaf(t: Term, tol):
+def _leaf(tol, t: Term):
     if isinstance(t, Id):
         return Wiring.identity(t.word)
     if isinstance(t, Swap):
@@ -456,7 +457,7 @@ def _leaf(t: Term, tol):
     return _generator_kernel(gen, type(gen.param), tol)
 
 
-def _seq(f, g, tol):
+def _seq(tol, _t, f, g):
     if isinstance(f, Wiring):
         return f.then(g) if isinstance(g, Wiring) else _wiring_then_kernel(f, g, tol)
     if isinstance(g, Wiring):
@@ -464,7 +465,7 @@ def _seq(f, g, tol):
     return compose(f, g, tol)
 
 
-def _par(f, g, tol):
+def _par(tol, _t, f, g):
     if isinstance(f, Wiring) and isinstance(g, Wiring):
         return f.beside(g)
     return tensor(_as_kernel(f), _as_kernel(g), tol)
@@ -490,24 +491,8 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
     if term.dom.n_bool > cap:
         raise InputCapExceeded(
             f"{term.dom.n_bool} Boolean inputs exceed the cap of {cap}")
-    # Post-order walk with an explicit stack, so deep terms do not recurse;
-    # shared subterms are evaluated once.
-    memo = {}
-    todo = [(term, False)]
-    while todo:
-        t, expanded = todo.pop()
-        if id(t) in memo:
-            continue
-        if isinstance(t, (Seq, Par)):
-            a, b = (t.early, t.late) if isinstance(t, Seq) else (t.top, t.bottom)
-            if not expanded:
-                todo += ((t, True), (b, False), (a, False))
-                continue
-            combine = _seq if isinstance(t, Seq) else _par
-            memo[id(t)] = combine(memo[id(a)], memo[id(b)], tol)
-        else:
-            memo[id(t)] = _leaf(t, tol)
-    return _as_kernel(memo[id(term)])
+    return _as_kernel(fold(term, partial(_leaf, tol), partial(_seq, tol),
+                           partial(_par, tol)))
 
 
 def _mixture_differences(m1: CGMixture, m2: CGMixture, tol, eps=None):

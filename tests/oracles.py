@@ -23,6 +23,18 @@ from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
                            mixture_is_exact, swap_kernel)
 
 
+def subterms(t):
+    """Depth-first iterator over all subterms, root first."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        if isinstance(s, Seq):
+            todo.extend((s.late, s.early))
+        elif isinstance(s, Par):
+            todo.extend((s.bottom, s.top))
+
+
 def bool_table_oracle(t):
     """Column-stochastic table of a grey circuit: bits_in -> {bits_out: w}."""
     if isinstance(t, Gen):

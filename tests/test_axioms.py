@@ -5,12 +5,14 @@ import pytest
 
 from cgm.axioms import (CATALOG, CORE_NAMES, SMC_NAMES, assoc_normal,
                         check_soundness, e10_weights, get_axiom, instantiate,
-                        mutant_of, rewrite_at, sample_binding, subterm_at)
-from cgm.diagram import (B, Gen, GenKind, R, identity, mk_generator, par,
-                         reals, seq, subterms, type_of)
+                        mutant_of, replace_at, rewrite_at, sample_binding,
+                        subterm_at, _first_mismatch)
+from cgm.diagram import (B, Gen, GenKind, R, Seq, identity, mk_generator,
+                         par, reals, seq, seq_all, type_of)
 from cgm.errors import InadmissibleBinding, InvalidPath, NoMatch
 from cgm.randcircuit import TermSampler
 from cgm.semantics import evaluate, mixtures_equal
+from oracles import subterms
 
 QUICK_TRIALS = 12
 
@@ -146,3 +148,40 @@ class TestRewrite:
         left = seq(seq(a, b), c)
         right = seq(a, seq(b, c))
         assert assoc_normal(left) == assoc_normal(right)
+
+    def test_deep_chains_without_recursion(self):
+        # Runs at the interpreter's default recursion limit (see conftest).
+        lhs, rhs = instantiate(get_axiom("A1"), {})
+        host = seq_all(lhs, *[identity(reals(3))] * 3000)
+        path = (0,) * 3000
+        out = rewrite_at(host, path, get_axiom("A1"), "L2R", {})
+        assert subterm_at(out, path) is rhs
+        assert subterm_at(out, (0,) * 2999).late is subterm_at(host, (0,) * 2999).late
+        with pytest.raises(NoMatch) as err:
+            rewrite_at(host, (), get_axiom("A1"), "L2R", {})
+        assert err.value.position == (1,)
+        normal = assoc_normal(host)
+        for _ in range(3001):
+            assert isinstance(normal, Seq) and not isinstance(normal.early, Seq)
+            normal = normal.late
+        assert normal == identity(reals(3))
+        not_ = mk_generator(GenKind.NOT)
+        chain = seq_all(*[not_] * 3000)
+        again = seq_all(*[mk_generator(GenKind.NOT) for _ in range(3000)])
+        assert _first_mismatch(assoc_normal(chain), assoc_normal(again)) is None
+        other = seq_all(*[not_] * 2999, seq(mk_generator(GenKind.BOOL_COPY),
+                                             mk_generator(GenKind.AND)))
+        assert _first_mismatch(assoc_normal(chain), assoc_normal(other)) == (1,) * 2999
+
+    def test_first_mismatch_is_the_first_in_pre_order(self):
+        n, a, c = (mk_generator(k) for k in
+                   (GenKind.NOT, GenKind.AND, GenKind.BOOL_COPY))
+        assert _first_mismatch(par(n, n), par(a, c)) == (0,)
+        assert _first_mismatch(par(par(n, n), n), par(par(n, a), c)) == (0, 1)
+        assert _first_mismatch(par(n, par(n, n)), par(n, n)) == (1,)
+
+    def test_replace_at_rejects_bad_paths(self):
+        term = seq(mk_generator(GenKind.NOT), mk_generator(GenKind.NOT))
+        for path in ((2,), (0, 0), (1, 1, 0)):
+            with pytest.raises(InvalidPath):
+                replace_at(term, path, term)

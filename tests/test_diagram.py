@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
-                         TypeWord, bools, identity, mk_generator, par, reals,
-                         seq, seq_all, subterms, swap, to_exact_params,
+                         TypeWord, bools, fold, generator_count,
+                         has_float_literal, identity, mk_generator, par,
+                         reals, seq, seq_all, swap, to_exact_params,
                          to_float_params, type_of)
 from cgm.errors import (BiasOutOfRange, MissingParam, TypeMismatch,
                         UnexpectedParam)
 from cgm.gadgets import (matrix_circuit, nary_copy, permute_term, thick_ite)
 from cgm.linalg import Matrix
 from cgm.randcircuit import TermSampler
+from oracles import subterms
 
 
 class TestGenerators:
@@ -93,6 +95,33 @@ class TestParamCasts:
         flips = [s.generator.param for s in subterms(floated)
                  if isinstance(s, Gen) and s.generator.kind is GenKind.FLIP]
         assert flips == [1 / 3]
+
+
+class TestFold:
+    def test_post_order_once_per_distinct_node(self):
+        a = mk_generator(GenKind.NOT)
+        shared = seq(a, a)
+        t = par(shared, seq(shared, a))
+        visits = []
+
+        def note(text):
+            return lambda s, *kids: visits.append(s) or text.format(*kids)
+
+        assert fold(t, note("g"), note("({};{})"), note("({}*{})")) == \
+            "((g;g)*((g;g);g))"
+        assert [id(v) for v in visits] == [id(a), id(shared), id(t.bottom), id(t)]
+
+    def test_shared_doubling_is_linear(self):
+        # 2^30 generators in 31 distinct nodes.
+        t = mk_generator(GenKind.NOT)
+        for _ in range(30):
+            t = seq(t, t)
+        assert generator_count(t) == 2 ** 30
+        assert not has_float_literal(t)
+        assert to_exact_params(t) is t
+        floated = to_float_params(seq(mk_generator(GenKind.FLIP, Fraction(1, 2)), t))
+        assert floated.late is t and has_float_literal(floated)
+        assert generator_count(floated) == 2 ** 30 + 1
 
 
 class TestGadgetShapes:

@@ -1,12 +1,14 @@
+import hashlib
+import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
 from cgm.diagram import (B, Gen, GenKind, Par, R, Seq, TypeWord, identity,
-                         mk_generator, par_all, seq_all, subterms, type_of)
-from cgm.dsl import (export_dot, export_json_ast, parse, print_term)
+                         mk_generator, par_all, seq_all, type_of)
+from cgm.dsl import (export_dot, export_json_ast, json_ast_text, parse,
+                     print_term)
 from cgm.errors import ParseError, TypeMismatch
 from cgm.gadgets import convex_mix, gaussian_circuit
 from cgm.linalg import Matrix
@@ -97,29 +99,64 @@ class TestPrint:
             assert parse(print_term(t)) == t
 
     def test_deep_terms_print_without_recursion(self):
-        # Other tests run `cgm.cli.main`, which raises the limit; go back to
-        # the interpreter default so that a recursive printer fails here.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            two = mk_generator(GenKind.SCALAR, Fraction(2))
-            normal = mk_generator(GenKind.STD_NORMAL)
-            chain = seq_all(*[two] * 3000)
-            assert print_term(chain) == " ; ".join(["scal(2)"] * 3000)
-            wide = par_all(*[normal] * 3000)
-            assert print_term(wide) == " * ".join(["stdnormal"] * 3000)
-            nested = two
-            for _ in range(3000):
-                nested = Seq(two, nested)
-            assert print_term(nested) == \
-                "scal(2) ; (" * 2999 + "scal(2) ; scal(2)" + ")" * 2999
-            mixed, want = two, "scal(2)"
-            for i in range(1500):
-                mixed = Seq(Par(mixed, normal), mk_generator(GenKind.ADD))
-                want = (f"({want})" if i else want) + " * stdnormal ; add"
-            assert print_term(mixed) == want
-        finally:
-            sys.setrecursionlimit(limit)
+        # Runs at the interpreter's default recursion limit (see conftest).
+        two = mk_generator(GenKind.SCALAR, Fraction(2))
+        normal = mk_generator(GenKind.STD_NORMAL)
+        chain = seq_all(*[two] * 3000)
+        assert print_term(chain) == " ; ".join(["scal(2)"] * 3000)
+        wide = par_all(*[normal] * 3000)
+        assert print_term(wide) == " * ".join(["stdnormal"] * 3000)
+        nested = two
+        for _ in range(3000):
+            nested = Seq(two, nested)
+        assert print_term(nested) == \
+            "scal(2) ; (" * 2999 + "scal(2) ; scal(2)" + ")" * 2999
+        mixed, want = two, "scal(2)"
+        for i in range(1500):
+            mixed = Seq(Par(mixed, normal), mk_generator(GenKind.ADD))
+            want = (f"({want})" if i else want) + " * stdnormal ; add"
+        assert print_term(mixed) == want
+
+
+class TestDeepParse:
+    # Each runs at the interpreter's default recursion limit (see conftest).
+    def test_nested_parentheses(self):
+        t = parse("flip(1/3)" + " ; (not" * 600 + ")" * 600)
+        for _ in range(600):
+            assert t.early.cod == B
+            t = t.late
+        assert t == mk_generator(GenKind.NOT)
+        wrapped = parse("(" * 600 + "not" + ")" * 600)
+        assert wrapped == mk_generator(GenKind.NOT)
+
+    def test_nested_lets(self):
+        src = "".join(f"let x{i} = x{i - 1} ; not in " for i in range(1, 601))
+        t = parse("let x0 = flip(1/2) in " + src + "x600")
+        depth = 0
+        while isinstance(t, Seq):
+            assert t.late == mk_generator(GenKind.NOT)
+            t, depth = t.early, depth + 1
+        assert depth == 600 and t.generator.kind is GenKind.FLIP
+
+    def test_let_values_nested_in_values(self):
+        src = "let a = " * 600 + "not" + " in a" * 600
+        assert parse(src) == mk_generator(GenKind.NOT)
+
+    def test_errors_deep_inside_keep_their_spans(self):
+        with pytest.raises(ParseError) as err:
+            parse("(" * 600 + "not ; ; not" + ")" * 600)
+        assert err.value.span.start_col == 607
+        with pytest.raises(TypeMismatch) as err:
+            parse("let x = not in " * 600 + "(" * 600 + "x ; add" + ")" * 600)
+        assert err.value.span.start_col == 15 * 600 + 600 + 3
+        with pytest.raises(ParseError) as err:
+            parse("let x = not in (x" + ")" * 2)
+        assert str(err.value) == "trailing input ')'"
+
+    def test_let_body_extends_to_the_end(self):
+        t = parse("not * let x = not in x ; x")
+        assert isinstance(t, Par)
+        assert t.bottom == Seq(mk_generator(GenKind.NOT), mk_generator(GenKind.NOT))
 
 
 class TestExports:
@@ -156,3 +193,38 @@ class TestExports:
                          "children": [], "dom": "BR", "cod": "BR"}
         assert second["params"] == {"first": "R", "second": "B"}
         assert second["dom"] == "RB" and second["cod"] == "BR"
+
+    def test_json_ast_shares_shared_subterms(self):
+        node = export_json_ast(parse("let g = stdnormal ; scal(2) in g * g"))
+        first, second = node["children"]
+        assert first is second and first["kind"] == "seq"
+
+    def test_json_text_is_json_dumps(self):
+        sampler = TermSampler(random.Random(8), max_word=4, max_depth=5)
+        for _ in range(300):
+            t = sampler.closed_term()
+            assert json_ast_text(t) == \
+                json.dumps(export_json_ast(t), indent=2, sort_keys=True) + "\n"
+        for src in ("id()", "flip(0.25) * scal(-2/3)", "swap(R,B) ; delB * id(R)"):
+            t = parse(src)
+            assert json_ast_text(t) == \
+                json.dumps(export_json_ast(t), indent=2, sort_keys=True) + "\n"
+
+    def test_deep_exports(self):
+        # 3,000 stages for the AST and DOT; the indented JSON text grows with
+        # depth squared (308 MB at 3,000), so it is checked at 600 levels,
+        # where `json.dumps(indent=2)` already fails at the default limit.
+        chain = seq_all(mk_generator(GenKind.FLIP, Fraction(1, 3)),
+                        *[mk_generator(GenKind.NOT)] * 2999)
+        node, depth = export_json_ast(chain), 0
+        while node["children"]:
+            assert node["children"][1]["params"] == {"name": "not"}
+            node, depth = node["children"][0], depth + 1
+        assert depth == 2999 and node["params"]["name"] == "flip"
+        dot = export_dot(chain)
+        assert dot.count("shape=box") == 3000
+        assert "n2998 -> n2999 [color=gray50, style=dashed];" in dot
+        assert "n2999 -> out0" in dot
+        text = json_ast_text(parse("flip(1/3)" + " ; (not" * 600 + ")" * 600))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "4e6ab1c30e1174789e9dae8bd71a63c51a03ea97b5a595fe8e97c0125aaad5f7"

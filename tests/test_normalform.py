@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -6,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from cgm.diagram import (Gen, GenKind, bools, identity, mk_generator, par,
-                         reals, seq, subterms)
+                         par_all, reals, seq)
+from cgm.dsl import print_term
 from cgm.errors import TypeMismatch
-from cgm.gadgets import convex_mix, discard_all, gaussian_circuit
+from cgm.gadgets import add_n, convex_mix, discard_all, gaussian_circuit
 from cgm.linalg import Matrix
 from cgm.normalform import (BoolKernel, CNFCell, CellComponent, NFTree,
                             decide_equiv, disintegrate, emit_nf,
@@ -17,6 +19,7 @@ from cgm.normalform import (BoolKernel, CNFCell, CellComponent, NFTree,
 from cgm.randcircuit import TermSampler
 from cgm.semantics import (evaluate, mixtures_equal, max_deviation,
                            with_sorted_words)
+from oracles import subterms
 
 
 def flip(p):
@@ -105,6 +108,35 @@ class TestSynthCnf:
         term = synth_cnf(cell)
         (c,) = evaluate(term).row(())
         assert c.gram() == Matrix.from_rows([[1, 1], [1, 1]])
+
+
+class TestDeepCascade:
+    # Runs at the interpreter's default recursion limit (see conftest).
+    @staticmethod
+    def stacked_coins(k):
+        """e -> R: sum of 2^i * (1 or 0), i < k; one cell of 2^k components."""
+        one, zero = mk_generator(GenKind.ONE), mk_generator(GenKind.ZERO)
+        return seq(par_all(*(seq(convex_mix(Fraction(1, 2), one, zero),
+                                 mk_generator(GenKind.SCALAR, 2 ** i))
+                             for i in range(k))), add_n(k))
+
+    def test_thousand_component_cell_is_emitted_without_recursion(self):
+        tree = disintegrate(evaluate(self.stacked_coins(10)))
+        assert [len(cell.components) for _, cell in tree.leaves] == [1024]
+        text = print_term(emit_nf(tree))
+        # The circuit the recursive cascade emitted (under a raised limit).
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "2d375a2617a6d2daf88a746b985cfb168760ceb827b2cc979dd235adcf67e331"
+
+    def test_cascade_round_trips(self):
+        # Evaluating the 1,024-deep cascade takes minutes (quadratic in the
+        # components), so the semantic round trip runs on 64 components.
+        term = self.stacked_coins(6)
+        emitted = emit_nf(disintegrate(evaluate(term)))
+        assert hashlib.sha256(print_term(emitted).encode()).hexdigest() == \
+            "9f87d88804b8a5f2fce958c1c824d4ef34f8cfe2b05f887a3fc329c8632d45da"
+        equivalent, _ = decide_equiv(term, emitted)
+        assert equivalent
 
 
 class TestSynthBool:
