@@ -66,14 +66,6 @@ class AxiomSchema:
     sample: Callable = None
     validate: Callable = None
 
-    def instantiate(self, binding: dict):
-        """Closed, well-typed (lhs, rhs) with equal boundary words."""
-        check_binding(self, binding)
-        lhs, rhs = self.build(binding)
-        if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
-            raise AssertionError(f"{self.name}: sides have unequal boundaries")
-        return lhs, rhs
-
 
 def check_binding(schema: AxiomSchema, binding: dict):
     for name, kind in schema.scalar_vars:
@@ -97,7 +89,12 @@ def check_binding(schema: AxiomSchema, binding: dict):
 
 
 def instantiate(schema: AxiomSchema, binding: dict):
-    return schema.instantiate(binding)
+    """Closed, well-typed (lhs, rhs) with equal boundary words."""
+    check_binding(schema, binding)
+    lhs, rhs = schema.build(binding)
+    if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
+        raise AssertionError(f"{schema.name}: sides have unequal boundaries")
+    return lhs, rhs
 
 
 def _no_sample(_sampler):
@@ -538,18 +535,16 @@ def sample_binding(schema: AxiomSchema, rng: random.Random,
 def check_soundness(schema: AxiomSchema, trials: int, seed: int,
                     tol: float = DEFAULT_TOLERANCE,
                     cap: int = DEFAULT_BOOL_CAP,
-                    build=None, backend: str = "auto") -> SoundnessReport:
+                    backend: str = "auto") -> SoundnessReport:
     """Randomized semantic check: eval both sides of `trials` instances.
 
-    Failures are data, not errors; `build` may override the schema's
-    builder (used by the mutation tests).
+    Failures are data, not errors.
     """
     report = SoundnessReport(schema.name, trials)
-    make = build or schema.build
     for index in range(trials):
         rng = random.Random(_trial_seed(seed, schema.name, index))
         binding = sample_binding(schema, rng)
-        lhs, rhs = make(binding)
+        lhs, rhs = schema.build(binding)
         left = evaluate(lhs, cap=cap, tol=tol, backend=backend)
         right = evaluate(rhs, cap=cap, tol=tol, backend=backend)
         same_words = (left.dom_word, left.cod_word) == \
@@ -747,7 +742,7 @@ def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
     """
     if direction not in ("L2R", "R2L"):
         raise ValueError("direction must be 'L2R' or 'R2L'")
-    lhs, rhs = schema.instantiate(binding or {})
+    lhs, rhs = instantiate(schema, binding or {})
     src, dst = (lhs, rhs) if direction == "L2R" else (rhs, lhs)
     target = subterm_at(term, path)
     mismatch = _first_mismatch(assoc_normal(target), assoc_normal(src))

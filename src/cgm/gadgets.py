@@ -92,20 +92,25 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
     return seq_all(*terms)
 
 
-@lru_cache(maxsize=None)
+# nary_copy(c, k), add_n(k) and ite_n(k) by k: each is built in a loop on
+# the one below and shares it, so no builder recurses once per wire.
+# `setdefault` keeps the first build of a width if two calls race.
+_FANOUTS = {Colour.B: {0: _gen(GenKind.BOOL_DISCARD), 1: identity(B)},
+            Colour.R: {0: _gen(GenKind.REAL_DISCARD), 1: identity(reals(1))}}
+_SUMS = {0: _gen(GenKind.ZERO), 1: identity(reals(1))}
+_ITES = {0: _gen(GenKind.BOOL_DISCARD), 1: _gen(GenKind.ITE)}
+
+
 def nary_copy(colour: Colour, n: int) -> Term:
     """Fanout-n copy of one wire, as a right-associated comb; n = 0 discards."""
     if n < 0:
         raise ValueError("negative fanout")
-    one_wire = TypeWord((colour,))
+    built = _FANOUTS[colour]
     copy_kind = GenKind.BOOL_COPY if colour is Colour.B else GenKind.REAL_COPY
-    del_kind = GenKind.BOOL_DISCARD if colour is Colour.B else GenKind.REAL_DISCARD
-    if n == 0:
-        return _gen(del_kind)
-    if n == 1:
-        return identity(one_wire)
-    return seq_trim(_gen(copy_kind),
-                    par_trim(identity(one_wire), nary_copy(colour, n - 1)))
+    for k in range(len(built), n + 1):
+        built.setdefault(k, seq_trim(_gen(copy_kind),
+                                     par_trim(built[1], built[k - 1])))
+    return built[n]
 
 
 @lru_cache(maxsize=None)
@@ -129,41 +134,30 @@ def copy_bundle(word: TypeWord) -> Term:
     return seq(copies, permute_term(doubled, tuple(dest)))
 
 
-@lru_cache(maxsize=None)
 def add_n(n: int) -> Term:
     """Sum of n real wires, right-associated; n = 0 is the constant 0."""
     if n < 0:
         raise ValueError("negative arity")
-    if n == 0:
-        return _gen(GenKind.ZERO)
-    if n == 1:
-        return identity(reals(1))
-    return seq_trim(par_trim(identity(reals(1)), add_n(n - 1)), _gen(GenKind.ADD))
+    for k in range(len(_SUMS), n + 1):
+        _SUMS.setdefault(k, seq_trim(par_trim(_SUMS[1], _SUMS[k - 1]),
+                                     _gen(GenKind.ADD)))
+    return _SUMS[n]
 
 
-@lru_cache(maxsize=None)
 def ite_n(n: int) -> Term:
     """n if-then-else gates sharing one copied guard: B.R^n.R^n -> R^n."""
     if n < 0:
         raise ValueError("negative width")
-    if n == 0:
-        return _gen(GenKind.BOOL_DISCARD)
-    if n == 1:
-        return _gen(GenKind.ITE)
-    word = B + reals(2 * n)
-    spread = seq(par(_gen(GenKind.BOOL_COPY), identity(reals(2 * n))),
-                 permute_term(B + B + reals(2 * n), _ite_split_dest(n)))
-    return seq(spread, par(_gen(GenKind.ITE), ite_n(n - 1)))
+    for k in range(len(_ITES), n + 1):
+        spread = seq(par(_gen(GenKind.BOOL_COPY), identity(reals(2 * k))),
+                     permute_term(B + B + reals(2 * k), _ite_split_dest(k)))
+        _ITES.setdefault(k, seq(spread, par(_gen(GenKind.ITE), _ITES[k - 1])))
+    return _ITES[n]
 
 
 def _ite_split_dest(n: int) -> tuple:
     # [b1 b2 x1..xn y1..yn] -> [b1 x1 y1 b2 x2..xn y2..yn]
-    dest = [0, 3]
-    dest.append(1)                      # x1
-    dest.extend(i + 2 for i in range(2, n + 1))   # x2..xn
-    dest.append(2)                      # y1
-    dest.extend(n + i + 1 for i in range(2, n + 1))  # y2..yn
-    return tuple(dest)
+    return (0, 3, 1, *range(4, n + 3), 2, *range(n + 3, 2 * n + 2))
 
 
 @lru_cache(maxsize=None)

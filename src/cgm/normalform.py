@@ -13,6 +13,10 @@ is split into at most four rational squares (Lagrange), one scaled Gaussian
 source per square, so the synthesized covariance reproduces the Gram
 matrix with no floating square roots.  Under the float backend a single
 sqrt(d)-scaled source per pivot is used instead.
+
+The marginal's selector trees and the guard tree over the cells have one
+shape (test the leftmost guard, copy the rest and the shared real wires into
+both branches, join), so one builder makes both, level by level.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .diagram import (GenKind, Term, bools, identity, mk_generator, par,
-                      par_all, reals, seq, seq_all)
+from .diagram import (EMPTY, GenKind, Term, TypeWord, bools, identity,
+                      mk_generator, par, par_all, reals, seq, seq_all)
 from .errors import TypeMismatch
 from .gadgets import (convex_mix, copy_bundle, discard_all, gauss_map_circuit,
                       ite_n, permute_term)
@@ -180,16 +184,19 @@ def _mux3() -> Term:
                    g(GenKind.AND), g(GenKind.NOT))
 
 
-def _mux_tree(selectors: int, biases: list) -> Term:
-    """B^s -> B: select one of 2^s constant flips by the selector bits."""
-    if selectors == 0:
-        return mk_generator(GenKind.FLIP, biases[0])
-    half = len(biases) // 2
-    spread = par(identity(bools(1)), copy_bundle(bools(selectors - 1)))
-    subtrees = par_all(identity(bools(1)),
-                       _mux_tree(selectors - 1, biases[:half]),
-                       _mux_tree(selectors - 1, biases[half:]))
-    return seq_all(spread, subtrees, _mux3())
+def _guard_tree(leaves: list, shared: TypeWord, join: Term) -> Term:
+    """B^k . shared -> cod: the leaf of k guard bits, listed true first.
+
+    Built level by level from the leaves: a node passes its guard to `join`
+    and copies the guards below it and the `shared` wires into both branches.
+    """
+    below = 0
+    while len(leaves) > 1:
+        spread = par(identity(bools(1)), copy_bundle(bools(below) + shared))
+        leaves = [seq_all(spread, par_all(identity(bools(1)), yes, no), join)
+                  for yes, no in zip(leaves[::2], leaves[1::2])]
+        below += 1
+    return leaves[0]
 
 
 def synth_bool(kernel: BoolKernel) -> Term:
@@ -208,20 +215,17 @@ def synth_bool(kernel: BoolKernel) -> Term:
         return sum(w for out, w in kernel.row(bits_in).items()
                    if out[:len(prefix)] == prefix)
 
+    mux = _mux3()
     stage_terms = []
     for j in range(q):
-        biases = []
+        flips = []
         for v in itertools.product((1, 0), repeat=p + j):
             bits_in, prefix = v[:p], v[p:]
             denom = prefix_mass(bits_in, prefix)
-            if denom == 0:
-                biases.append(Fraction(0))
-            else:
-                biases.append(prefix_mass(bits_in, prefix + (1,)) / denom)
-        avail = p + j
-        stage = seq(copy_bundle(bools(avail)),
-                    par(identity(bools(avail)), _mux_tree(avail, biases)))
-        stage_terms.append(stage)
+            bias = prefix_mass(bits_in, prefix + (1,)) / denom if denom else 0
+            flips.append(mk_generator(GenKind.FLIP, bias))
+        stage_terms.append(seq(copy_bundle(bools(p + j)), par(
+            identity(bools(p + j)), _guard_tree(flips, EMPTY, mux))))
     finish = par(discard_all(bools(p)), identity(bools(q)))
     return seq_all(*stage_terms, finish)
 
@@ -236,18 +240,9 @@ def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
     """
     p, m, q, n = tree.p, tree.m, tree.q, tree.n
     cells = {key: synth_cnf(cell, tol) for key, cell in tree.leaves}
-
-    def node(prefix) -> Term:
-        remaining = q + p - len(prefix)
-        if remaining == 0:
-            return cells[(prefix[:q], prefix[q:])]
-        spread = par(identity(bools(1)),
-                     copy_bundle(bools(remaining - 1) + reals(m)))
-        branches = par_all(identity(bools(1)),
-                           node(prefix + (1,)), node(prefix + (0,)))
-        return seq_all(spread, branches, ite_n(n))
-
-    guard_tree = node(())
+    guard_tree = _guard_tree(
+        [cells[(v[:q], v[q:])] for v in itertools.product((1, 0), repeat=q + p)],
+        reals(m), ite_n(n))
     if p + q == 0:
         return guard_tree
     step1 = par(copy_bundle(bools(p)), identity(reals(m)))

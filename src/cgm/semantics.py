@@ -12,11 +12,18 @@ Composition and monoidal product follow the closed forms for affine maps
 for the product) with weights multiplying through.  Everything is exact
 when every literal is rational.
 
-`evaluate` is a `diagram.fold`.  Identities, swaps, copies and discards
-only move wires: it keeps them, and any Seq/Par of them, as a `Wiring`
-(two index maps) and applies one to a kernel by gathering or scattering
-indices instead of composing with a 0/1 kernel; the result is the same
-canonical kernel.
+The kernels `canonicalize`, `compose`, `tensor` and `evaluate` return are
+canonical and record whether they are exact.  One builder sorts and merges
+the rows of each result, and a result is exact when its operands are, so
+only kernels a caller built and fresh generator tables are scanned for
+floats.
+
+`evaluate` is a `diagram.fold`.  The backend casts each parameter as its
+generator is interpreted.  Identities, swaps, copies and discards only move
+wires: it keeps them, and any Seq/Par of them, as a `Wiring` (two index
+maps) and applies one to a kernel by gathering or scattering indices
+instead of composing with a 0/1 kernel; the result is the same canonical
+kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
-                      fold, has_float_literal, to_exact_params,
-                      to_float_params)
+                      fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      TypeMismatch)
 from .linalg import (CovFactor, Matrix, Scalar, block_diag, cov_block,
@@ -76,7 +82,7 @@ class CGMixture:
     cod_word: TypeWord
     table: tuple   # sorted tuple of (bits, tuple-of-components)
 
-    _canon = None   # a `_Canon` on the kernels `canonicalize` and `tensor` return
+    _canon = None   # a `_Canon` on every kernel `_canonical` builds
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", dict(self.table))
@@ -99,10 +105,6 @@ class CGMixture:
 
     def row(self, bits: BitVec) -> tuple:
         return self._rows[tuple(bits)]
-
-
-def _mk_table(rows: dict) -> tuple:
-    return tuple(sorted(rows.items()))
 
 
 class _Canon(NamedTuple):
@@ -188,9 +190,9 @@ def wiring_kernel(w: Wiring) -> CGMixture:
     one, zero = Fraction(1), Fraction(0)
     lin = Matrix(len(w.reals), m, tuple(one if j == src else zero
                                         for src in w.reals for j in range(m)))
-    rows = {bits: (_dirac(tuple(bits[i] for i in w.bits), lin),)
-            for bits in all_bitvecs(w.dom.n_bool)}
-    return canonicalize(CGMixture(w.dom, w.cod, _mk_table(rows)))
+    rows = [(bits, (_dirac(tuple(bits[i] for i in w.bits), lin),))
+            for bits in all_bitvecs(w.dom.n_bool)]
+    return _build(w.dom, w.cod, rows, True, DEFAULT_TOLERANCE)
 
 
 def interp_generator(gen: Generator) -> CGMixture:
@@ -227,7 +229,7 @@ def interp_generator(gen: Generator) -> CGMixture:
         rows[(0,)] = (_dirac((), Matrix.from_rows([[0, 1]])),)
     else:  # pragma: no cover
         raise AssertionError(kind)
-    return CGMixture(dom, cod, _mk_table(rows))
+    return CGMixture(dom, cod, tuple(sorted(rows.items())))
 
 
 def identity_kernel(word: TypeWord) -> CGMixture:
@@ -309,21 +311,13 @@ def _params_close(a: GaussComponent, ga: Matrix, b: GaussComponent,
         _component_blocks((), 0, b.lin, b.mean, gb), tol))
 
 
-def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
-    """Drop zero weights, merge equal components, sort by the canonical key.
-
-    Idempotent; exact mixtures merge and sort on exact keys, anything with
-    a float uses tolerance-quantized keys so the order is reproducible.
-    A kernel that `canonicalize` or `tensor` returned comes back unchanged:
-    at any tolerance when it is exact, at its own tolerance otherwise.
-    """
-    canon = mix._canon
-    if canon is not None and (canon.exact or canon.tol == tol):
-        return mix
-    exact = mixture_is_exact(mix)
+def _build(dom, cod, rows, exact: bool, tol) -> CGMixture:
+    """The canonical kernel of ``(bits, components)`` rows, recorded: zero
+    weights dropped, equal components merged, sorted by key.  Callers read
+    `exact` from their operands' records; the rows are not scanned."""
     merge_tol = 0 if exact else tol
-    rows = {}
-    for bits, comps in mix.table:
+    out = []
+    for bits, comps in rows:
         keyed = []
         for c in comps:
             if c.weight == 0:
@@ -338,9 +332,25 @@ def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
                 merged[-1] = (key, prev_g, replace(prev, weight=prev.weight + c.weight))
             else:
                 merged.append((key, g, c))
-        rows[bits] = merged
-    return _canonical(mix.dom_word, mix.cod_word, sorted(rows.items()),
-                      exact, tol)
+        out.append((bits, merged))
+    out.sort(key=lambda row: row[0])
+    return _canonical(dom, cod, out, exact, tol)
+
+
+def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
+    """Drop zero weights, merge equal components, sort by the canonical key.
+
+    Idempotent; exact mixtures merge and sort on exact keys, anything with
+    a float uses tolerance-quantized keys so the order is reproducible.
+    A kernel that `canonicalize`, `compose`, `tensor` or `evaluate`
+    returned comes back unchanged: at any tolerance when it is exact, at its
+    own tolerance otherwise.
+    """
+    canon = mix._canon
+    if canon is not None and (canon.exact or canon.tol == tol):
+        return mix
+    return _build(mix.dom_word, mix.cod_word, mix.table,
+                  mixture_is_exact(mix), tol)
 
 
 def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -349,7 +359,7 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
         raise TypeMismatch(
             f"compose: {f.cod_word} does not match {g.dom_word}",
             expected=f.cod_word, actual=g.dom_word)
-    rows = {}
+    rows = []
     for bits, comps in f.table:
         out = []
         for ci in comps:
@@ -362,9 +372,9 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
                     cj.lin @ ci.lin,
                     cj.lin @ ci.mean + cj.mean,
                     cov_compose(cj.lin, ci.cov, cj.cov)))
-        rows[bits] = tuple(out)
-    raw = CGMixture(f.dom_word, g.cod_word, _mk_table(rows))
-    return canonicalize(raw, tol)
+        rows.append((bits, out))
+    return _build(f.dom_word, g.cod_word, rows,
+                  mixture_is_exact(f) and mixture_is_exact(g), tol)
 
 
 def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -386,13 +396,13 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
                    if (w := ci.weight * cj.weight) != 0]   # 0: a float underflow
             out.sort(key=lambda item: item[0])
             rows.append((bits_f + bits_g, out))
-    mix = _canonical(f.dom_word + g.dom_word, f.cod_word + g.cod_word, rows,
-                     exact, tol)
+    dom, cod = f.dom_word + g.dom_word, f.cod_word + g.cod_word
     # Exact components closer than tol merge in a float product.
     if not exact and any(k._canon.exact and any(
             len(cs) > 1 for _, cs in k.table) for k in (f, g)):
-        return canonicalize(CGMixture(mix.dom_word, mix.cod_word, mix.table), tol)
-    return mix
+        return _build(dom, cod, [(bits, [c for _, c in out])
+                                 for bits, out in rows], exact, tol)
+    return _canonical(dom, cod, rows, exact, tol)
 
 
 @lru_cache(maxsize=4096)
@@ -411,20 +421,19 @@ def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
 def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
     """``f ; w``: each component's outputs gathered through the wiring."""
     n = len(w.reals)
-    table = tuple(
-        (bits, tuple(GaussComponent(
-            c.weight, tuple(c.bool_out[i] for i in w.bits),
-            _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
-            CovFactor(n, _rows_of(c.cov.factor, w.reals))) for c in comps))
-        for bits, comps in f.table)
+    rows = [(bits, [GaussComponent(
+                c.weight, tuple(c.bool_out[i] for i in w.bits),
+                _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
+                CovFactor(n, _rows_of(c.cov.factor, w.reals))) for c in comps])
+            for bits, comps in f.table]
     # A discard can make two components equal, so merge again.
-    return canonicalize(CGMixture(f.dom_word, w.cod, table), tol)
+    return _build(f.dom_word, w.cod, rows, mixture_is_exact(f), tol)
 
 
 def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     """``w ; g``: the row at the wired bits, ``A`` columns summed by ``reals``."""
     m = w.dom.n_real
-    rows = {}
+    rows = []
     for bits in all_bitvecs(w.dom.n_bool):
         out = []
         for c in g.row(tuple(bits[i] for i in w.bits)):
@@ -437,15 +446,15 @@ def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
                     if x != 0:
                         acc[i * m + src] += x
             out.append(replace(c, lin=Matrix(lin.rows, m, tuple(acc))))
-        rows[bits] = tuple(out)
-    return canonicalize(CGMixture(w.dom, g.cod_word, _mk_table(rows)), tol)
+        rows.append((bits, out))
+    return _build(w.dom, g.cod_word, rows, mixture_is_exact(g), tol)
 
 
 def _as_kernel(k) -> CGMixture:
     return wiring_kernel(k) if isinstance(k, Wiring) else k
 
 
-def _leaf(tol, t: Term):
+def _leaf(cast, tol, t: Term):
     if isinstance(t, Id):
         return Wiring.identity(t.word)
     if isinstance(t, Swap):
@@ -454,6 +463,8 @@ def _leaf(tol, t: Term):
     wiring = GENERATOR_WIRINGS.get(gen.kind)
     if wiring is not None:
         return wiring
+    if gen.param is not None and cast not in (None, type(gen.param)):
+        gen = Generator(gen.kind, cast(gen.param))
     return _generator_kernel(gen, type(gen.param), tol)
 
 
@@ -471,27 +482,28 @@ def _par(tol, _t, f, g):
     return tensor(_as_kernel(f), _as_kernel(g), tol)
 
 
+_CASTS = {"auto": None, "rational": Fraction, "float": float}
+
+
 def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
              tol: float = DEFAULT_TOLERANCE, backend: str = "auto") -> CGMixture:
     """Denotation of a term, canonical.
 
     Backends: 'auto' evaluates exactly unless some literal is a float, in
     which case the whole evaluation is demoted to floats; 'rational' and
-    'float' force one side.
+    'float' force one side.  The backend is a cast (to `Fraction` or
+    `float`) that each parameter goes through as its generator is
+    interpreted; the term itself is not rebuilt.
     """
-    if backend == "rational":
-        term = to_exact_params(term)
-    elif backend == "float":
-        term = to_float_params(term)
-    elif backend == "auto":
-        if has_float_literal(term):
-            term = to_float_params(term)
-    else:
+    if backend not in _CASTS:
         raise ValueError(f"unknown backend {backend!r}")
+    cast = _CASTS[backend]
+    if backend == "auto" and has_float_literal(term):
+        cast = float
     if term.dom.n_bool > cap:
         raise InputCapExceeded(
             f"{term.dom.n_bool} Boolean inputs exceed the cap of {cap}")
-    return _as_kernel(fold(term, partial(_leaf, tol), partial(_seq, tol),
+    return _as_kernel(fold(term, partial(_leaf, cast, tol), partial(_seq, tol),
                            partial(_par, tol)))
 
 

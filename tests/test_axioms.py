@@ -101,7 +101,7 @@ class TestSoundness:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_documented_mutant_fails(self, name):
         mutant = mutant_of(name)
-        report = check_soundness(mutant, 20, seed=99, build=mutant.build)
+        report = check_soundness(mutant, 20, seed=99)
         assert report.failures, f"mutant of {name} went unnoticed"
 
 

@@ -1,10 +1,11 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
-from cgm.diagram import Colour, type_of
-from cgm.gadgets import (gaussian_circuit, matrix_circuit, nary_copy,
-                         thick_ite)
+from cgm.diagram import B, Colour, reals, type_of
+from cgm.gadgets import (add_n, gaussian_circuit, ite_n, matrix_circuit,
+                         nary_copy, thick_ite)
 from cgm.linalg import Matrix
 from cgm.semantics import evaluate
 
@@ -22,6 +23,34 @@ class TestNaryCopy:
         for b in (0, 1):
             (c,) = mix.row((b,))
             assert c.bool_out == (b, b, b)
+
+
+class TestWideBuilders:
+    """Each width is built on the one below and shares it, in a loop."""
+
+    def test_wide_sum_and_fanout_at_the_default_limit(self):
+        total = add_n(2000)
+        assert type_of(total) == (reals(2000), reals(1))
+        assert total.early.bottom is add_n(1999)
+        fanout = nary_copy(Colour.R, 2000)
+        assert type_of(fanout) == (reals(1), reals(2000))
+        assert fanout.late.bottom is nary_copy(Colour.R, 1999)
+        mix = evaluate(add_n(40))
+        (c,) = mix.row(())
+        assert c.lin == Matrix.from_rows([[1] * 40])
+
+    def test_wide_ite_needs_no_recursion_headroom(self):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            wide = ite_n(120)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert type_of(wide) == (B + reals(240), reals(120))
+        assert wide.late.bottom is ite_n(119)
 
 
 class TestThickIte:

@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cgm import diagram, semantics
 from cgm.axioms import (CATALOG, _trial_seed, get_axiom, instantiate,
                         sample_binding)
 from cgm.diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
                          TypeWord, bools, flip, identity, mk_generator, par,
-                         par_all, reals, seq, seq_all, to_float_params)
+                         par_all, reals, seq, seq_all, to_exact_params,
+                         to_float_params)
 from cgm.dsl import parse
 from cgm.errors import InputCapExceeded, InvalidDrawCount, TypeMismatch
 from cgm.gadgets import (convex_mix, discard_all, gaussian_circuit,
@@ -23,7 +25,7 @@ from cgm.semantics import (CGMixture, GaussComponent, canonicalize, compose,
                            max_deviation, mixture_is_exact, mixture_to_json,
                            is_trivial_kernel, mixtures_equal, moments, sample,
                            sample_many, swap_kernel, tensor, with_sorted_words)
-from oracles import reference_evaluate
+from oracles import reference_evaluate, subterms
 
 # SHA-256 of the rational kernels of `exactness_corpus()`; any change to an
 # exact kernel or to its JSON form changes it.
@@ -31,18 +33,21 @@ EXACTNESS_CORPUS_DIGEST = (
     "1251144389945277d07f87289511fbd9d3f5fa5fec1328011822b60f8889cf50")
 
 
-def exactness_corpus() -> list:
-    """Both sides of trials 0-4 of every axiom schema at seed 2026, then 100
-    random closed terms."""
+def axiom_sides(seed: int) -> list:
+    """Both sides of trials 0-4 of every axiom schema."""
     terms = []
     for name in CATALOG:
         schema = get_axiom(name)
         for index in range(5):
-            rng = random.Random(_trial_seed(2026, name, index))
+            rng = random.Random(_trial_seed(seed, name, index))
             terms.extend(instantiate(schema, sample_binding(schema, rng)))
-    sampler = TermSampler(random.Random(2027))
-    terms.extend(sampler.closed_term() for _ in range(100))
     return terms
+
+
+def exactness_corpus() -> list:
+    """`axiom_sides(2026)`, then 100 random closed terms."""
+    sampler = TermSampler(random.Random(2027))
+    return axiom_sides(2026) + [sampler.closed_term() for _ in range(100)]
 
 
 def gauss_map(a_rows, b_entries, factor_rows, m=None):
@@ -428,6 +433,77 @@ class TestExactness:
         for t in random_mixed_terms() + exactness_corpus():
             assert mixtures_equal(evaluate(t, backend="float"),
                                   reference_evaluate(to_float_params(t)), 1e-9)
+
+
+def cast_corpus() -> list:
+    """200 random terms (closed, and open on mixed words, some with float
+    literals), then both sides of 5 instances of every axiom."""
+    sampler = TermSampler(random.Random(515))
+    words = [TypeWord.of(w) for w in ("", "B", "R", "BR", "RB", "BBR")]
+    terms = []
+    for i in range(200):
+        t = sampler.closed_term() if i % 2 else sampler.term(
+            sampler.rng.choice(words), sampler.rng.choice(words))
+        terms.append(to_float_params(t) if i % 5 == 0 else t)
+    return terms + axiom_sides(2028)
+
+
+def has_float_entry(mix: CGMixture) -> bool:
+    return any(type(x) is float for _, comps in mix.table for c in comps
+               for x in (c.weight, *c.lin.entries, *c.mean.entries,
+                         *c.cov.factor.entries))
+
+
+class TestBackendCastAtLeaves:
+    """The backend casts each generator's parameter; every kernel evaluation
+    builds carries its exactness from its operands."""
+
+    def test_backends_equal_evaluation_of_cast_terms(self, monkeypatch):
+        corpus = cast_corpus()
+        want = [(b, json.dumps(mixture_to_json(evaluate(cast(t))),
+                               sort_keys=True))
+                for t in corpus
+                for b, cast in (("rational", to_exact_params),
+                                ("float", to_float_params))]
+
+        def no_rebuild(*_args):
+            raise AssertionError("evaluate rebuilt the term")
+
+        monkeypatch.setattr(diagram, "map_params", no_rebuild)
+        got = [(b, json.dumps(mixture_to_json(evaluate(t, backend=b)),
+                              sort_keys=True))
+               for t in corpus for b in ("rational", "float")]
+        assert got == want
+
+    def test_only_generator_tables_are_scanned(self, monkeypatch):
+        corpus = cast_corpus()
+        distinct = {(s.generator, type(s.generator.param))
+                    for t in corpus for cast in (to_exact_params, to_float_params)
+                    for s in subterms(cast(t)) if isinstance(s, Gen)}
+        scans = []
+        scan = semantics.mixture_is_exact
+
+        def counted(mix):
+            if mix._canon is None:
+                scans.append(mix)
+            return scan(mix)
+
+        monkeypatch.setattr(semantics, "mixture_is_exact", counted)
+        semantics._generator_kernel.cache_clear()
+        for t in corpus:
+            for backend in ("rational", "float"):
+                evaluate(t, backend=backend)
+        assert 0 < len(scans) <= len(distinct)
+
+    def test_exactness_is_recorded_from_the_operands(self):
+        for t in cast_corpus():
+            exact = evaluate(t, backend="rational")
+            assert exact._canon.exact and not has_float_entry(exact)
+            floating = evaluate(t, backend="float")
+            if has_float_entry(floating):
+                assert not floating._canon.exact
+            auto = evaluate(t)
+            assert auto._canon.exact is not diagram.has_float_literal(t)
 
 
 class TestBooleanOracle:

@@ -2,10 +2,12 @@
 
 `bench/tracer.py` is loaded from the checkout as it is (nothing under
 `bench/` is changed) and every function and method it patches must still
-exist where it looks for it, so that a cleanup in `src/cgm` cannot break
+exist where it looks for it, and a traced pipeline must still yield every
+per-layer metric, so that a cleanup in `src/cgm` cannot break
 `bench/run.py --trace 1` without a tier-1 failure.
 """
 
+import json
 import types
 from pathlib import Path
 
@@ -45,3 +47,45 @@ def test_patched_methods_exist(tracer):
                for cls, attr, _ in tracer.LEAF_METHODS + tracer.SPAN_METHODS
                if attr not in cls.__dict__]
     assert missing == []
+
+
+def test_traced_pipeline_reports_every_layer_metric(tracer):
+    # Everything the tracer reads on the way (kernel tables, factor widths,
+    # cache statistics, draw counts) must still be there: one small mixed
+    # term goes through every traced layer.
+    from cgm import dsl, linalg, normalform, semantics
+    spec = json.loads((TRACER.parent.parent / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_ratio"}
+    names = [(module, name) for module, names in tracer.SPAN_FUNCTIONS.items()
+             for name in names]
+    names += [(linalg, name) for name in tracer.LEAF_FUNCTIONS]
+    names += [(cls, attr) for cls, attr, _ in
+              tracer.LEAF_METHODS + tracer.SPAN_METHODS]
+    before = [(vars(owner), key, vars(owner)[key]) for owner, key in names]
+    run = tracer.Tracer()
+    run.install()
+    try:
+        before += [(owner if isinstance(owner, dict) else vars(owner), key,
+                    original) for owner, key, original in run.patched]
+        run.begin_ops()
+        run.next_op(0)
+        term = dsl.parse("flip(1/3) * stdnormal * one ; copyB * id(RR) ; "
+                         "id(B) * ite")
+        for backend in ("rational", "float"):
+            semantics.evaluate(term, backend=backend)
+        mix = semantics.evaluate(term)
+        emitted = normalform.emit_nf(normalform.disintegrate(mix))
+        same, _ = normalform.decide_equiv(term, emitted)
+        semantics.sample_many(mix, (), [], 50, seed=1)
+        run.end_ops()
+        metrics = run.metrics()
+    finally:
+        run.uninstall()
+    assert same
+    assert sorted(wanted - set(metrics)) == []
+    assert metrics["semantics.evaluate.calls"] >= 5
+    assert metrics["semantics.sample_many.draws_per_s"] > 0
+    assert metrics["linalg.peak_factor_width"] >= 1
+    assert len(before) > len(names)
+    assert [key for space, key, original in before
+            if space[key] is not original] == []
