@@ -12,6 +12,7 @@ import sys
 import time
 
 from cgm.axioms import CATALOG, check_soundness, get_axiom
+from cgm.semantics import DEFAULT_TOLERANCE
 
 
 def main() -> int:
@@ -20,7 +21,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", choices=("auto", "rational", "float"),
                         default="auto")
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--out", default="axioms.json")
     args = parser.parse_args()
 

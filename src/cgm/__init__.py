@@ -19,7 +19,7 @@ from .gadgets import (gauss_map_circuit, gaussian_circuit, matrix_circuit,
                       thick_ite)
 from .linalg import CovFactor, Matrix, Scalar, ldlt
 from .axioms import (AxiomSchema, check_soundness, e10_weights, get_axiom,
-                     instantiate, list_axioms, rewrite_at, soundness_suite)
+                     instantiate, rewrite_at, soundness_suite)
 from .normalform import (BoolKernel, CNFCell, NFTree, decide_equiv,
                          disintegrate, emit_nf, nftree_equal, synth_bool,
                          synth_cnf)

@@ -7,6 +7,11 @@ usual presentation; the encodings below fix one orientation of each picture
 (documented in the summary strings) and the soundness harness verifies the
 chosen reading semantically.
 
+A schema's `sample` draws one candidate binding, and its `validate` checks
+every constraint on a binding (through `check_binding`).  `sample_binding`
+is the one loop that redraws until a candidate passes, for schemas and
+mutants alike.
+
 Matching for rewrites is structural modulo associativity of the two
 composition operations only; the structural laws themselves are schemas in
 the catalog and can be applied explicitly.
@@ -21,8 +26,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .diagram import (B, Colour, EMPTY, GenKind, Par, R, Seq, Term, TypeWord,
-                      bools, fold, identity, mk_generator, par, par_all,
-                      reals, seq, seq_all, swap)
+                      bools, children, fold, identity, mk_generator, par,
+                      par_all, reals, seq, seq_all, swap)
 from .dsl import print_term
 from .errors import InadmissibleBinding, InvalidPath, NoMatch
 from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
@@ -36,24 +41,10 @@ def _g(kind, param=None):
     return mk_generator(kind, param)
 
 
-def _copyR():
-    return _g(GenKind.REAL_COPY)
-
-
-def _copyB():
-    return _g(GenKind.BOOL_COPY)
-
-
-def _delR():
-    return _g(GenKind.REAL_DISCARD)
-
-
-def _delB():
-    return _g(GenKind.BOOL_DISCARD)
-
-
-def _ite():
-    return _g(GenKind.ITE)
+# Terms are immutable values, so each nullary wiring generator is built once.
+_COPY_R, _COPY_B = _g(GenKind.REAL_COPY), _g(GenKind.BOOL_COPY)
+_DEL_R, _DEL_B = _g(GenKind.REAL_DISCARD), _g(GenKind.BOOL_DISCARD)
+_ITE = _g(GenKind.ITE)
 
 
 @dataclass(frozen=True)
@@ -106,10 +97,6 @@ def _fixed(name, summary, lhs, rhs):
                        sample=_no_sample)
 
 
-def _all_real(word: TypeWord) -> bool:
-    return word.n_bool == 0
-
-
 def e10_weights(p, q):
     """Reassociation weights: p~ = pq and q~ = q(1-p)/(1-pq)."""
     pt = p * q
@@ -119,133 +106,129 @@ def e10_weights(p, q):
     return pt, qt
 
 
-def _copy_laws(tag, colour_word, copy_gen, del_gen, colour):
-    name = "A" if tag == "real" else "B"
-    one = identity(colour_word)
+def _copy_laws(colour, copy, delete):
+    name, tag = ("A", "real") if colour is Colour.R else ("B", "bool")
+    one = identity(TypeWord((colour,)))
     yield _fixed(f"{name}1", f"co-associativity of {tag} copy",
-                 seq(copy_gen(), par(one, copy_gen())),
-                 seq(copy_gen(), par(copy_gen(), one)))
+                 seq(copy, par(one, copy)), seq(copy, par(copy, one)))
     yield _fixed(f"{name}2l", f"left co-unit of {tag} copy",
-                 seq(copy_gen(), par(del_gen(), one)), one)
+                 seq(copy, par(delete, one)), one)
     yield _fixed(f"{name}2r", f"right co-unit of {tag} copy",
-                 seq(copy_gen(), par(one, del_gen())), one)
+                 seq(copy, par(one, delete)), one)
     yield _fixed(f"{name}3", f"co-commutativity of {tag} copy",
-                 seq(copy_gen(), swap(colour, colour)), copy_gen())
+                 seq(copy, swap(colour, colour)), copy)
 
 
-def _scalar_schema(name, summary, param_kind, builder, extra_validate=None,
-                   var_names=("k",)):
+def _scalar_schema(name, summary, param_kind, builder, var_names=("k",)):
     def sample(sampler: TermSampler):
-        out = {}
-        for v in var_names:
-            out[v] = sampler.bias() if param_kind == "bias" else sampler.scalar()
-        return out
+        draw = sampler.bias if param_kind == "bias" else sampler.scalar
+        return {v: draw() for v in var_names}
 
     return AxiomSchema(name, summary,
                        scalar_vars=tuple((v, param_kind) for v in var_names),
-                       build=builder, sample=sample, validate=extra_validate)
+                       build=builder, sample=sample)
 
 
 def _copyable_schemas():
     idR, idB = identity(R), identity(B)
     yield _fixed("C1-zero", "zero is copyable",
-                 seq(_g(GenKind.ZERO), _copyR()),
+                 seq(_g(GenKind.ZERO), _COPY_R),
                  par(_g(GenKind.ZERO), _g(GenKind.ZERO)))
     yield _fixed("C1-add", "addition is copyable",
-                 seq(_g(GenKind.ADD), _copyR()),
-                 seq_all(par(_copyR(), _copyR()),
+                 seq(_g(GenKind.ADD), _COPY_R),
+                 seq_all(par(_COPY_R, _COPY_R),
                          par_all(idR, swap(Colour.R, Colour.R), idR),
                          par(_g(GenKind.ADD), _g(GenKind.ADD))))
     yield _scalar_schema(
         "C1-scal", "scalar gates are copyable", "real",
-        lambda b: (seq(_g(GenKind.SCALAR, b["k"]), _copyR()),
-                   seq(_copyR(), par(_g(GenKind.SCALAR, b["k"]),
-                                     _g(GenKind.SCALAR, b["k"])))))
+        lambda b: (seq(_g(GenKind.SCALAR, b["k"]), _COPY_R),
+                   seq(_COPY_R, par(_g(GenKind.SCALAR, b["k"]),
+                                    _g(GenKind.SCALAR, b["k"])))))
     yield _fixed("C1-one", "the constant one is copyable",
-                 seq(_g(GenKind.ONE), _copyR()),
+                 seq(_g(GenKind.ONE), _COPY_R),
                  par(_g(GenKind.ONE), _g(GenKind.ONE)))
     yield _fixed("C2-and", "conjunction is copyable",
-                 seq(_g(GenKind.AND), _copyB()),
-                 seq_all(par(_copyB(), _copyB()),
+                 seq(_g(GenKind.AND), _COPY_B),
+                 seq_all(par(_COPY_B, _COPY_B),
                          par_all(idB, swap(Colour.B, Colour.B), idB),
                          par(_g(GenKind.AND), _g(GenKind.AND))))
     yield _fixed("C2-not", "negation is copyable",
-                 seq(_g(GenKind.NOT), _copyB()),
-                 seq(_copyB(), par(_g(GenKind.NOT), _g(GenKind.NOT))))
+                 seq(_g(GenKind.NOT), _COPY_B),
+                 seq(_COPY_B, par(_g(GenKind.NOT), _g(GenKind.NOT))))
 
 
 def _discard_schemas():
     yield _fixed("D1-zero", "zero is discardable",
-                 seq(_g(GenKind.ZERO), _delR()), identity(EMPTY))
+                 seq(_g(GenKind.ZERO), _DEL_R), identity(EMPTY))
     yield _fixed("D1-add", "addition is discardable",
-                 seq(_g(GenKind.ADD), _delR()), par(_delR(), _delR()))
+                 seq(_g(GenKind.ADD), _DEL_R), par(_DEL_R, _DEL_R))
     yield _scalar_schema(
         "D1-scal", "scalar gates are discardable", "real",
-        lambda b: (seq(_g(GenKind.SCALAR, b["k"]), _delR()), _delR()))
+        lambda b: (seq(_g(GenKind.SCALAR, b["k"]), _DEL_R), _DEL_R))
     yield _fixed("D1-one", "the constant one is discardable",
-                 seq(_g(GenKind.ONE), _delR()), identity(EMPTY))
+                 seq(_g(GenKind.ONE), _DEL_R), identity(EMPTY))
     yield _fixed("D1-stdnormal", "the Gaussian source is discardable",
-                 seq(_g(GenKind.STD_NORMAL), _delR()), identity(EMPTY))
+                 seq(_g(GenKind.STD_NORMAL), _DEL_R), identity(EMPTY))
     yield _fixed("D2-and", "conjunction is discardable",
-                 seq(_g(GenKind.AND), _delB()), par(_delB(), _delB()))
+                 seq(_g(GenKind.AND), _DEL_B), par(_DEL_B, _DEL_B))
     yield _fixed("D2-not", "negation is discardable",
-                 seq(_g(GenKind.NOT), _delB()), _delB())
+                 seq(_g(GenKind.NOT), _DEL_B), _DEL_B)
     yield _scalar_schema(
         "D2-flip", "coin flips are discardable", "bias",
-        lambda b: (seq(_g(GenKind.FLIP, b["p"]), _delB()), identity(EMPTY)),
+        lambda b: (seq(_g(GenKind.FLIP, b["p"]), _DEL_B), identity(EMPTY)),
         var_names=("p",))
 
 
 def _ite_schemas():
     idB, idR = identity(B), identity(R)
     idRR, idRRR = identity(reals(2)), identity(reals(3))
-    single = seq(par_all(idB, idR, _delR(), idR), _ite())
+    single = seq(par_all(idB, idR, _DEL_R, idR), _ITE)
     yield _fixed(
         "E1l", "retesting a shared guard in the true branch is redundant "
                "(encoding fixes one orientation of the picture)",
-        seq_all(par(_copyB(), idRRR), par_all(idB, _ite(), idR), _ite()),
+        seq_all(par(_COPY_B, idRRR), par_all(idB, _ITE, idR), _ITE),
         single)
     yield _fixed(
         "E1r", "retesting a shared guard in the false branch is redundant "
                "(encoding fixes one orientation of the picture)",
         single,
-        seq_all(par(_copyB(), idRRR),
+        seq_all(par(_COPY_B, idRRR),
                 par_all(idB, swap(Colour.B, Colour.R), idRR),
-                par_all(idB, idR, _ite()), _ite()))
+                par_all(idB, idR, _ITE), _ITE))
     yield _fixed("E2", "a certainly-true guard takes the then branch",
-                 seq(par(_g(GenKind.FLIP, Fraction(1)), idRR), _ite()),
-                 par(idR, _delR()))
+                 seq(par(_g(GenKind.FLIP, Fraction(1)), idRR), _ITE),
+                 par(idR, _DEL_R))
     yield _fixed("E2z", "a certainly-false guard takes the else branch",
-                 seq(par(_g(GenKind.FLIP, Fraction(0)), idRR), _ite()),
-                 par(_delR(), idR))
+                 seq(par(_g(GenKind.FLIP, Fraction(0)), idRR), _ITE),
+                 par(_DEL_R, idR))
     # ite(a, ite(b,x1,x2), ite(b,x3,x4)) = ite(b, ite(a,x1,x3), ite(a,x2,x4))
     word7 = bools(3) + reals(4)
-    lhs3 = seq_all(par_all(identity(B), _copyB(), identity(reals(4))),
+    lhs3 = seq_all(par_all(identity(B), _COPY_B, identity(reals(4))),
                    permute_term(word7, (0, 1, 4, 2, 3, 5, 6)),
-                   par_all(identity(B), _ite(), _ite()), _ite())
-    rhs3 = seq_all(par_all(_copyB(), identity(B), identity(reals(4))),
+                   par_all(identity(B), _ITE, _ITE), _ITE)
+    rhs3 = seq_all(par_all(_COPY_B, identity(B), identity(reals(4))),
                    permute_term(word7, (1, 4, 0, 2, 5, 3, 6)),
-                   par_all(identity(B), _ite(), _ite()), _ite())
+                   par_all(identity(B), _ITE, _ITE), _ITE)
     yield _fixed("E3", "conditionals commute when their guards are swapped",
                  lhs3, rhs3)
     yield _fixed("E6", "negating the guard swaps the branches",
-                 seq(par(_g(GenKind.NOT), idRR), _ite()),
-                 seq(par(idB, swap(Colour.R, Colour.R)), _ite()))
+                 seq(par(_g(GenKind.NOT), idRR), _ITE),
+                 seq(par(idB, swap(Colour.R, Colour.R)), _ITE))
     yield _fixed("E7", "a conjunctive guard unfolds to nested conditionals",
-                 seq(par(_g(GenKind.AND), idRR), _ite()),
-                 seq_all(par_all(idB, idB, idR, _copyR()),
-                         par_all(idB, _ite(), idR), _ite()))
+                 seq(par(_g(GenKind.AND), idRR), _ITE),
+                 seq_all(par_all(idB, idB, idR, _COPY_R),
+                         par_all(idB, _ITE, idR), _ITE))
     yield _fixed("E8", "equal branches make the conditional trivial",
-                 seq(par(idB, _copyR()), _ite()), par(_delB(), idR))
+                 seq(par(idB, _COPY_R), _ITE), par(_DEL_B, idR))
     yield _fixed("E9", "conditionals are discardable",
-                 seq(_ite(), _delR()), par_all(_delB(), _delR(), _delR()))
+                 seq(_ITE, _DEL_R), par_all(_DEL_B, _DEL_R, _DEL_R))
 
 
 def _build_e4(binding):
     c, d = binding["c"], binding["d"]
     m = len(c.dom) - 1
     n = len(c.cod)
-    share_noise = seq(_g(GenKind.STD_NORMAL), _copyR())
+    share_noise = seq(_g(GenKind.STD_NORMAL), _COPY_R)
     lhs_front = par_all(identity(B), share_noise, copy_bundle(reals(m)))
     # [b, z1, z2, y, y'] -> [b, z1, y, z2, y']
     word = B + reals(2 + 2 * m)
@@ -259,13 +242,18 @@ def _build_e4(binding):
     return lhs, rhs
 
 
+def _check_all_real(axiom, binding, names):
+    for name in names:
+        t = binding[name]
+        if t.dom.n_bool or t.cod.n_bool:
+            raise InadmissibleBinding(
+                f"{axiom}: {name} must have all-real boundaries, got "
+                f"{t.dom} -> {t.cod}", constraint="no-boolean-boundary")
+
+
 def _validate_e4(binding):
     c, d = binding["c"], binding["d"]
-    for name, t in (("c", c), ("d", d)):
-        if not (_all_real(t.dom) and _all_real(t.cod)):
-            raise InadmissibleBinding(
-                f"E4: {name} must have all-real boundaries, got "
-                f"{t.dom} -> {t.cod}", constraint="no-boolean-boundary")
+    _check_all_real("E4", binding, "cd")
     if len(c.dom) < 1:
         raise InadmissibleBinding("E4: c needs the shared noise input",
                                   constraint="noise-input")
@@ -289,14 +277,6 @@ def _build_e5(binding):
     return lhs, rhs
 
 
-def _validate_e5(binding):
-    c = binding["c"]
-    if not (_all_real(c.dom) and _all_real(c.cod)):
-        raise InadmissibleBinding(
-            f"E5: c must have all-real boundaries, got {c.dom} -> {c.cod}",
-            constraint="no-boolean-boundary")
-
-
 def _sample_e5(sampler: TermSampler):
     m = sampler.rng.randint(0, 2)
     n = sampler.rng.randint(0, 2)
@@ -309,19 +289,6 @@ def _build_e10(binding):
     lhs = seq(par(mix_gate(p), identity(R)), mix_gate(q))
     rhs = seq(par(identity(R), mix_gate(qt)), mix_gate(pt))
     return lhs, rhs
-
-
-def _validate_e10(binding):
-    if binding["p"] * binding["q"] == 1:
-        raise InadmissibleBinding("E10: pq must differ from 1",
-                                  constraint="pq!=1")
-
-
-def _sample_e10(sampler: TermSampler):
-    while True:
-        p, q = sampler.bias(), sampler.bias()
-        if p * q != 1:
-            return {"p": p, "q": q}
 
 
 def _smc_schemas():
@@ -441,8 +408,8 @@ def _sample_swap_invol(sampler: TermSampler):
 
 def _catalog() -> dict:
     schemas = []
-    schemas.extend(_copy_laws("real", R, _copyR, _delR, Colour.R))
-    schemas.extend(_copy_laws("bool", B, _copyB, _delB, Colour.B))
+    schemas.extend(_copy_laws(Colour.R, _COPY_R, _DEL_R))
+    schemas.extend(_copy_laws(Colour.B, _COPY_B, _DEL_B))
     schemas.extend(_copyable_schemas())
     schemas.extend(_discard_schemas())
     schemas.extend(_ite_schemas())
@@ -455,11 +422,13 @@ def _catalog() -> dict:
         "E5", "if-then-else is natural: select inputs, then apply, or apply "
               "twice and select outputs (scheme over all-real circuits)",
         circuit_vars=("c",), build=_build_e5, sample=_sample_e5,
-        validate=_validate_e5))
+        validate=lambda b: _check_all_real("E5", b, "c")))
     schemas.append(AxiomSchema(
         "E10", "skew-associativity of convex sums; p~ = pq, q~ = q(1-p)/(1-pq)",
         scalar_vars=(("p", "bias"), ("q", "bias")),
-        build=_build_e10, sample=_sample_e10, validate=_validate_e10))
+        build=_build_e10,
+        sample=lambda s: {"p": s.bias(), "q": s.bias()},
+        validate=lambda b: e10_weights(b["p"], b["q"])))
     schemas.extend(_smc_schemas())
     return {s.name: s for s in schemas}
 
@@ -467,11 +436,6 @@ def _catalog() -> dict:
 CATALOG = _catalog()
 CORE_NAMES = tuple(name for name in CATALOG if not name.startswith("SMC-"))
 SMC_NAMES = tuple(name for name in CATALOG if name.startswith("SMC-"))
-
-
-def list_axioms() -> dict:
-    """Name -> schema for the full catalog (core axioms plus SMC laws)."""
-    return dict(CATALOG)
 
 
 def get_axiom(name: str) -> AxiomSchema:
@@ -518,9 +482,10 @@ def _dump_binding(binding: dict) -> str:
     return ", ".join(parts)
 
 
-def sample_binding(schema: AxiomSchema, rng: random.Random,
-                   max_depth: int = 4, max_word: int = 3) -> dict:
-    sampler = TermSampler(rng, max_depth=max_depth, max_word=max_word)
+def sample_binding(schema: AxiomSchema, rng: random.Random) -> dict:
+    """Draw bindings from `rng` until one passes `check_binding`; the one
+    retry loop for every schema and mutant."""
+    sampler = TermSampler(rng)
     for _ in range(64):
         binding = schema.sample(sampler)
         try:
@@ -570,42 +535,27 @@ def soundness_suite(trials: int, seed: int, names=None,
 # --- documented mutants: each breaks its schema so the harness must notice ---
 
 def _mutant_scale_output(schema: AxiomSchema):
-    """Scale the first real output wire (or negate the first Boolean one)
-    of the right-hand side only."""
+    """Scale the right-hand side's first output wire if it is real, or
+    negate it if it is Boolean; `validate` requires that wire."""
     def build(binding):
         lhs, rhs = schema.build(binding)
-        word = rhs.cod
-        parts = []
-        done = False
-        for colour in word:
-            if not done and colour is Colour.R:
-                parts.append(_g(GenKind.SCALAR, Fraction(2)))
-                done = True
-            elif not done and colour is Colour.B:
-                parts.append(_g(GenKind.NOT))
-                done = True
-            else:
-                parts.append(identity(TypeWord((colour,))))
-        if not done:
+        first, *rest = rhs.cod
+        change = _g(GenKind.SCALAR, Fraction(2)) if first is Colour.R \
+            else _g(GenKind.NOT)
+        keep = (identity(TypeWord((colour,))) for colour in rest)
+        return lhs, seq(rhs, par_all(change, *keep))
+
+    def validate(binding):
+        if schema.validate is not None:
+            schema.validate(binding)
+        if not schema.build(binding)[1].cod:
             raise InadmissibleBinding("mutant needs an output wire",
                                       constraint="output-wire")
-        return lhs, seq(rhs, par_all(*parts))
-
-    def sample(sampler):
-        for _ in range(64):
-            binding = schema.sample(sampler)
-            try:
-                check_binding(schema, binding)
-            except InadmissibleBinding:
-                continue
-            if len(schema.build(binding)[1].cod) > 0:
-                return binding
-        raise InadmissibleBinding("mutant sampling failed", constraint="sampling")
 
     return AxiomSchema(schema.name + "-mutant",
                        "rhs postcomposed with a non-identity on one output",
                        schema.scalar_vars, schema.circuit_vars,
-                       build=build, sample=sample, validate=schema.validate)
+                       build=build, sample=schema.sample, validate=validate)
 
 
 def _mutant_fixed(schema, summary, build):
@@ -627,18 +577,18 @@ def mutant_of(name: str) -> AxiomSchema:
         "D1-one": lambda b: (_g(GenKind.ONE), _g(GenKind.ZERO)),
         "D1-stdnormal": lambda b: (_g(GenKind.STD_NORMAL), _g(GenKind.ZERO)),
         "D1-add": lambda b: (_g(GenKind.ADD),
-                             seq(par(_delR(), _delR()), _g(GenKind.ZERO))),
+                             seq(par(_DEL_R, _DEL_R), _g(GenKind.ZERO))),
         "D1-scal": lambda b: (_g(GenKind.SCALAR, b["k"]),
-                              seq(_delR(), _g(GenKind.ZERO))),
+                              seq(_DEL_R, _g(GenKind.ZERO))),
         "D2-and": lambda b: (_g(GenKind.AND),
-                             seq(par(_delB(), _delB()),
+                             seq(par(_DEL_B, _DEL_B),
                                  _g(GenKind.FLIP, Fraction(1, 2)))),
         "D2-not": lambda b: (_g(GenKind.NOT),
-                             seq(_delB(), _g(GenKind.FLIP, Fraction(1, 2)))),
+                             seq(_DEL_B, _g(GenKind.FLIP, Fraction(1, 2)))),
         "D2-flip": lambda b: (_g(GenKind.FLIP, b["p"]),
                               _g(GenKind.FLIP, (1 + b["p"]) / 2)),
-        "E9": lambda b: (_ite(),
-                         seq(par_all(_delB(), _delR(), _delR()),
+        "E9": lambda b: (_ITE,
+                         seq(par_all(_DEL_B, _DEL_R, _DEL_R),
                              _g(GenKind.ZERO))),
     }
     if name in dropped_discard:
@@ -648,7 +598,7 @@ def mutant_of(name: str) -> AxiomSchema:
         # scaling a zero output is invisible, so disturb one copy instead
         return _mutant_fixed(
             schema, "one copy of the duplicated constant replaced by one",
-            lambda b: (seq(_g(GenKind.ZERO), _copyR()),
+            lambda b: (seq(_g(GenKind.ZERO), _COPY_R),
                        par(_g(GenKind.ONE), _g(GenKind.ZERO))))
     if name == "E10":
         def bad_weights(binding):
@@ -664,30 +614,26 @@ def mutant_of(name: str) -> AxiomSchema:
 
 # --- single-step rewriting ------------------------------------------------
 
-def _children(t: Term) -> tuple:
-    return (t.early, t.late) if isinstance(t, Seq) else (t.top, t.bottom)
-
-
-def subterm_at(term: Term, path) -> Term:
-    node = term
+def _descend(term: Term, path) -> tuple:
+    """The subterm at `path`, and the (node, child index) steps above it."""
+    above = []
     for step, k in enumerate(path):
-        if not isinstance(node, (Seq, Par)):
+        if not isinstance(term, (Seq, Par)):
             raise InvalidPath(f"no child {k} below {tuple(path[:step])}")
         if k not in (0, 1):
             raise InvalidPath(f"child index {k} out of range at {tuple(path[:step])}")
-        node = _children(node)[k]
-    return node
+        above.append((term, k))
+        term = children(term)[k]
+    return term, above
+
+
+def subterm_at(term: Term, path) -> Term:
+    return _descend(term, path)[0]
 
 
 def replace_at(term: Term, path, new: Term) -> Term:
-    above = []
-    for k in path:
-        if not isinstance(term, (Seq, Par)) or k not in (0, 1):
-            raise InvalidPath(f"child index {k} out of range")
-        above.append((term, k))
-        term = _children(term)[k]
-    for node, k in reversed(above):
-        a, b = _children(node)
+    for node, k in reversed(_descend(term, path)[1]):
+        a, b = children(node)
         new = type(node)(new, b) if k == 0 else type(node)(a, new)
     return new
 
@@ -723,7 +669,7 @@ def _first_mismatch(a: Term, b: Term):
         if type(x) is not type(y):
             return path
         if isinstance(x, (Seq, Par)):
-            (x0, x1), (y0, y1) = _children(x), _children(y)
+            (x0, x1), (y0, y1) = children(x), children(y)
             todo += ((x1, y1, path + (1,)), (x0, y0, path + (0,)))
         elif x != y:
             return path
@@ -731,14 +677,13 @@ def _first_mismatch(a: Term, b: Term):
 
 
 def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
-               binding: Optional[dict] = None, verify: bool = True,
-               tol: float = DEFAULT_TOLERANCE,
+               binding: Optional[dict] = None, tol: float = DEFAULT_TOLERANCE,
                cap: int = DEFAULT_BOOL_CAP) -> Term:
     """Replace the subterm at `path` by the other side of an axiom instance.
 
     Matching is structural modulo associativity of Seq and Par only;
-    `direction` is 'L2R' or 'R2L'.  With `verify`, the replaced subterm and
-    its replacement are evaluated and compared (skipped above the input cap).
+    `direction` is 'L2R' or 'R2L'.  The replaced subterm and its replacement
+    are evaluated and compared (skipped above the input cap).
     """
     if direction not in ("L2R", "R2L"):
         raise ValueError("direction must be 'L2R' or 'R2L'")
@@ -751,7 +696,7 @@ def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
             f"{schema.name} {direction}: subterm does not match at "
             f"position {mismatch}", position=mismatch)
     out = replace_at(term, tuple(path), dst)
-    if verify and target.dom.n_bool <= cap:
+    if target.dom.n_bool <= cap:
         if not mixtures_equal(evaluate(target, cap=cap, tol=tol),
                               evaluate(dst, cap=cap, tol=tol), tol):
             raise AssertionError(

@@ -176,8 +176,57 @@ class Swap:
         _cache_boundaries(self, dom, cod)
 
 
-@dataclass(frozen=True)
-class Seq:
+class _Composite:
+    """Structural equality, hash and repr for Seq and Par over explicit
+    stacks, so terms of any depth can be compared, hashed and printed.  A
+    pair of nodes is compared once, so shared subterms cost once; a node's
+    hash is computed when first asked for and cached on the node."""
+
+    def __eq__(self, other):
+        todo, seen = [(self, other)], set()     # seen: node pairs entered
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Composite):
+                seen.add((id(a), id(b)))
+                todo += zip(children(a), children(b))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        todo = [self]
+        while "_hash" not in self.__dict__:
+            parts = children(todo[-1])
+            pending = [c for c in parts if isinstance(c, _Composite)
+                       and "_hash" not in c.__dict__]
+            if pending:
+                todo += pending
+            else:
+                t = todo.pop()
+                object.__setattr__(t, "_hash", hash((type(t), *parts)))
+        return self._hash
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+            elif isinstance(t, _Composite):
+                (f, a), (g, b) = ((name, getattr(t, name))
+                                  for name in t.__dataclass_fields__)
+                todo += (")", b, f", {g}=", a, f"{type(t).__name__}({f}=")
+            else:
+                out.append(repr(t))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Composite):
     early: "Term"
     late: "Term"
 
@@ -189,8 +238,8 @@ class Seq:
         _cache_boundaries(self, self.early.dom, self.late.cod)
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False, repr=False)
+class Par(_Composite):
     top: "Term"
     bottom: "Term"
 
@@ -200,6 +249,11 @@ class Par:
 
 
 Term = Union[Gen, Id, Swap, Seq, Par]
+
+
+def children(t: Term) -> tuple:
+    """The two operands of a Seq or Par, in order."""
+    return (t.early, t.late) if isinstance(t, Seq) else (t.top, t.bottom)
 
 
 def mk_generator(kind, param=None) -> Term:
@@ -254,10 +308,6 @@ def type_of(t: Term):
 
 def flip(bias) -> Term:
     return mk_generator(GenKind.FLIP, bias)
-
-
-def scal(k) -> Term:
-    return mk_generator(GenKind.SCALAR, k)
 
 
 def fold(term: Term, leaf, seq, par):

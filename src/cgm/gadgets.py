@@ -60,21 +60,11 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
     cur = list(range(n))
     terms = []
     while True:
-        swaps = set()
-        k = 0
-        while k < n - 1:
-            if dest[cur[k]] > dest[cur[k + 1]]:
-                swaps.add(k)
-                k += 2
-            else:
-                k += 1
-        if not swaps:
-            break
-        parts = []
-        run = []
-        k = 0
+        # One left-to-right scan decides and emits the layer's crossings;
+        # they are disjoint, so each decision sees wires not yet moved.
+        parts, run, k = [], [], 0
         while k < n:
-            if k in swaps:
+            if k < n - 1 and dest[cur[k]] > dest[cur[k + 1]]:
                 if run:
                     parts.append(identity(TypeWord(tuple(run))))
                     run = []
@@ -84,6 +74,8 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
             else:
                 run.append(word[cur[k]])
                 k += 1
+        if len(run) == n:       # no crossing left: sorted
+            break
         if run:
             parts.append(identity(TypeWord(tuple(run))))
         terms.append(par_all(*parts))

@@ -31,8 +31,8 @@ from .diagram import (EMPTY, GenKind, Term, TypeWord, bools, identity,
 from .errors import TypeMismatch
 from .gadgets import (convex_mix, copy_bundle, discard_all, gauss_map_circuit,
                       ite_n, permute_term)
-from .linalg import (Matrix, Scalar, hstack, ldlt, matrix_to_json,
-                     scalar_to_json, sum_square_scales)
+from .linalg import (Matrix, Scalar, ldlt, matrix_to_json, scalar_to_json,
+                     sum_square_scales)
 from .semantics import (CGMixture, DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE,
                         _component_blocks, _differences, all_bitvecs,
                         bits_to_str, canonicalize, evaluate)
@@ -139,17 +139,11 @@ def _noise_factor(cov: Matrix, tol: float) -> Matrix:
     lower, diag = ldlt(cov, 0 if exact else tol)
     columns = []
     for i, d in enumerate(diag):
-        if d == 0:
-            continue
-        col = Matrix.column([lower.at(r, i) for r in range(cov.rows)])
-        for scale_value in sum_square_scales(d):
-            columns.append(col.scale(scale_value))
-    if not columns:
-        return Matrix.zeros(cov.rows, 0)
-    out = columns[0]
-    for col in columns[1:]:
-        out = hstack(out, col)
-    return out
+        if d != 0:
+            col = Matrix.column([lower.at(r, i) for r in range(cov.rows)])
+            columns += (col.scale(s).entries for s in sum_square_scales(d))
+    return Matrix(len(columns), cov.rows,
+                  tuple(x for col in columns for x in col)).transpose()
 
 
 def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:

@@ -22,18 +22,18 @@ GAUSSIAN_KINDS = frozenset({GenKind.REAL_DISCARD, GenKind.REAL_COPY,
                             GenKind.ZERO, GenKind.ADD, GenKind.SCALAR,
                             GenKind.ONE, GenKind.STD_NORMAL})
 ALL_KINDS = frozenset(GenKind)
+DEN_CAP = 6     # largest denominator of a sampled bias or scalar
 
 
 class TermSampler:
     """Draws random well-typed terms between chosen boundary words."""
 
     def __init__(self, rng: random.Random, kinds=ALL_KINDS, max_depth: int = 4,
-                 max_word: int = 3, den_cap: int = 6):
+                 max_word: int = 3):
         self.rng = rng
         self.kinds = frozenset(kinds)
         self.max_depth = max_depth
         self.max_word = max_word
-        self.den_cap = den_cap
         self.colours = tuple(sorted(
             {c for k in self.kinds for w in SIGNATURES[k] for c in w},
             key=lambda c: c.value))
@@ -41,12 +41,12 @@ class TermSampler:
             raise ValueError("kind set generates no colours")
 
     def bias(self) -> Fraction:
-        den = self.rng.randint(1, self.den_cap)
+        den = self.rng.randint(1, DEN_CAP)
         return Fraction(self.rng.randint(0, den), den)
 
     def scalar(self) -> Fraction:
-        den = self.rng.randint(1, self.den_cap)
-        return Fraction(self.rng.randint(-self.den_cap, self.den_cap), den)
+        den = self.rng.randint(1, DEN_CAP)
+        return Fraction(self.rng.randint(-DEN_CAP, DEN_CAP), den)
 
     def word(self, max_len: int | None = None, colours=None) -> TypeWord:
         length = self.rng.randint(0, max_len if max_len is not None else self.max_word)

@@ -8,6 +8,7 @@ from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
                          has_float_literal, identity, mk_generator, par,
                          reals, seq, seq_all, swap, to_exact_params,
                          to_float_params, type_of)
+from cgm.dsl import parse, print_term
 from cgm.errors import (BiasOutOfRange, MissingParam, TypeMismatch,
                         UnexpectedParam)
 from cgm.gadgets import (matrix_circuit, nary_copy, permute_term, thick_ite)
@@ -122,6 +123,53 @@ class TestFold:
         floated = to_float_params(seq(mk_generator(GenKind.FLIP, Fraction(1, 2)), t))
         assert floated.late is t and has_float_literal(floated)
         assert generator_count(floated) == 2 ** 30 + 1
+
+
+class TestDeepTermValues:
+    """Equality, hashing and repr of Seq/Par terms 3,000 nodes deep, at the
+    interpreter's default recursion limit (see conftest)."""
+
+    @staticmethod
+    def chain(last=None):
+        nots = [mk_generator(GenKind.NOT) for _ in range(3000)]
+        return seq_all(*nots[:-1], last or nots[-1])
+
+    def test_equal_chains_hash_alike(self):
+        a, b = self.chain(), self.chain()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_chains_differing_in_the_last_leaf(self):
+        a, b = self.chain(), self.chain(identity(B))
+        assert a != b and not a == b
+        assert par(a, a) != par(a, b)
+        assert a != par(identity(EMPTY), a)
+
+    def test_shared_subterms_compare_once(self):
+        # 2^25 paths through 26 distinct nodes on each side.
+        a, b = mk_generator(GenKind.NOT), mk_generator(GenKind.NOT)
+        for _ in range(25):
+            a, b = seq(a, a), seq(b, b)
+        assert a == b and hash(a) == hash(b)
+        assert seq(a, identity(B)) != seq(b, mk_generator(GenKind.NOT))
+
+    def test_repr(self):
+        small = seq(par(mk_generator(GenKind.NOT), identity(R)),
+                    swap(Colour.B, Colour.R))
+        assert repr(small) == (
+            f"Seq(early=Par(top={mk_generator(GenKind.NOT)!r}, "
+            f"bottom={identity(R)!r}), late={swap(Colour.B, Colour.R)!r})")
+        text = repr(self.chain())
+        assert text.startswith("Seq(early=Seq(early=")
+        assert text.count("Gen(") == 3000
+
+    def test_parse_round_trip(self):
+        right = mk_generator(GenKind.NOT)      # nested to the right
+        for _ in range(2999):
+            right = seq(mk_generator(GenKind.NOT), right)
+        t = par(self.chain(), right)
+        assert parse(print_term(t)) == t
 
 
 class TestGadgetShapes:
