@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import (Colour, Gen, GenKind, Id, Par, Seq, Swap, Term,
                       TypeWord, fold, identity, mk_generator, swap)
@@ -58,46 +58,49 @@ _NULLARY = {kind.value: kind for kind in GenKind
 _RESERVED = set(_NULLARY) | {"flip", "scal", "id", "swap"} | _KEYWORDS
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # 'name' | 'int' | 'float' | one of the punctuation marks | 'eof'
     text: str
-    span: SourceSpan
+    start: int     # offset of the first character
+    end: int       # offset of the last character
+
+
+def _locate(src: str, offset: int):
+    """The 1-based line and column of `offset` in `src`."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 def _tokenize(src: str, filename: str) -> list:
-    line_starts = [0] + [m.end() for m in re.finditer("\n", src)]
-
-    def locate(offset: int):
-        line = bisect_right(line_starts, offset)
-        return line, offset - line_starts[line - 1] + 1
-
     tokens = []
     pos = 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
-            line, col = locate(pos)
+            line, col = _locate(src, pos)
             raise ParseError(f"unexpected character {src[pos]!r}",
                              SourceSpan(filename, line, col, line, col))
         kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            sl, sc = locate(m.start())
-            el, ec = locate(m.end() - 1)
-            if kind == "punct":
-                kind = text
-            tokens.append(Token(kind, text, SourceSpan(filename, sl, sc, el, ec)))
-        pos = m.end()
-    line, col = locate(max(len(src) - 1, 0))
-    tokens.append(Token("eof", "", SourceSpan(filename, line, col + 1, line, col + 1)))
+        end = m.end()
+        if kind != "ws" and kind != "comment":
+            text = m.group()
+            tokens.append(Token(text if kind == "punct" else kind, text,
+                                pos, end - 1))
+        pos = end
+    last = max(len(src) - 1, 0)
+    tokens.append(Token("eof", "", last, last))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, src: str, filename: str):
+        self.src, self.filename, self.i = src, filename, 0
+        self.tokens = _tokenize(src, filename)
+
+    def span(self, tok: Token) -> SourceSpan:
+        """Where `tok` is; the end of input is one column past the last character."""
+        shift = tok.kind == "eof"
+        (sl, sc), (el, ec) = _locate(self.src, tok.start), _locate(self.src, tok.end)
+        return SourceSpan(self.filename, sl, sc + shift, el, ec + shift)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -111,7 +114,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}",
-                             tok.span, expected={kind})
+                             self.span(tok), expected={kind})
         return self.next()
 
     def parse_expr(self) -> Term:
@@ -129,7 +132,7 @@ class _Parser:
                 if closer == "let":
                     bound = self.expect("name").text
                     if bound in _RESERVED:
-                        raise ParseError(f"{bound!r} is reserved", tok.span)
+                        raise ParseError(f"{bound!r} is reserved", self.span(tok))
                     self.expect("=")
                 continue
             atom = self.parse_atom(tok, env)
@@ -141,7 +144,7 @@ class _Parser:
                 try:
                     left = row if left is None else Seq(left, row)
                 except TypeMismatch as err:
-                    err.span = op.span
+                    err.span = self.span(op)
                     raise
                 row = None
                 if self.peek().kind == ";":
@@ -155,7 +158,7 @@ class _Parser:
                     in_tok = self.next()
                     if in_tok.kind != "name" or in_tok.text != "in":
                         raise ParseError(f"expected 'in', found {in_tok.text!r}",
-                                         in_tok.span, expected={"in"})
+                                         self.span(in_tok), expected={"in"})
                     env = {**env, bound: left}
                     closer, left = "in", None
                     break
@@ -168,7 +171,7 @@ class _Parser:
         """The atom starting at `tok`, unless it is a ``(`` or a ``let``."""
         if tok.kind != "name":
             raise ParseError(f"expected a circuit, found {tok.text!r}",
-                             tok.span, expected={"name", "("})
+                             self.span(tok), expected={"name", "("})
         name = tok.text
         if name == "id":
             self.expect("(")
@@ -178,7 +181,7 @@ class _Parser:
                 word = word_tok.text
                 if any(ch not in "BR" for ch in word):
                     raise ParseError(f"bad word {word!r}: use letters B and R",
-                                     word_tok.span)
+                                     self.span(word_tok))
             self.expect(")")
             return identity(TypeWord.of(word))
         if name == "swap":
@@ -198,14 +201,14 @@ class _Parser:
             return mk_generator(_NULLARY[name])
         if name in env:
             return env[name]
-        raise ParseError(f"unknown name {name!r}", tok.span,
+        raise ParseError(f"unknown name {name!r}", self.span(tok),
                          expected=set(_NULLARY) | {"flip", "scal", "id", "swap", "let"})
 
     def _colour(self) -> Colour:
         tok = self.expect("name")
         if tok.text not in ("B", "R"):
             raise ParseError(f"expected colour B or R, found {tok.text!r}",
-                             tok.span, expected={"B", "R"})
+                             self.span(tok), expected={"B", "R"})
         return Colour(tok.text)
 
     def _number(self):
@@ -226,16 +229,17 @@ class _Parser:
                 return Fraction(sign * num, int(den_tok.text))
             return Fraction(sign * num)
         raise ParseError(f"expected a number, found {tok.text!r}",
-                         tok.span, expected={"int", "float"})
+                         self.span(tok), expected={"int", "float"})
 
 
 def parse(src: str, filename: str = "<string>") -> Term:
     """Parse circuit text; raises ParseError / TypeMismatch with a span."""
-    parser = _Parser(_tokenize(src, filename))
+    parser = _Parser(src, filename)
     term = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.span, expected={"eof"})
+        raise ParseError(f"trailing input {tok.text!r}", parser.span(tok),
+                         expected={"eof"})
     return term
 
 

@@ -6,6 +6,10 @@ Python's own behaviour, so no wrapper type is needed.  Matrices are small,
 dense and immutable.  Covariances are kept in factored form ``Sigma = L L^T``
 so that kernel composition stays square-root free and exact whenever the
 inputs are rational.
+
+Exact products of more than two scalar terms are computed over integers: each
+operand is put on the lcm of its denominators, each entry is one integer dot
+product and one reduced ``Fraction``.  Smaller and float products loop entrywise.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NotPSD
@@ -88,6 +93,7 @@ class Matrix:
         return Matrix(len(rows), cols, flat)
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
 
@@ -124,14 +130,20 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        if not (n and k and m):
+            return Matrix.zeros(n, m)
+        a = n * k * m > 2 and _over_common_den(self.entries)
+        b = a and _over_common_den(other.entries)
+        if b:
+            den, cols = a[0] * b[0], [b[1][j::m] for j in range(m)]
+            dots = (sum(map(mul, a[1][i:i + k], col))
+                    for i in range(0, n * k, k) for col in cols)
+            return Matrix(n, m, tuple(Fraction(d, den) if d else _ZERO for d in dots))
         out = [Fraction(0)] * (n * m)
         for i in range(n):
             base = i * k
@@ -148,6 +160,15 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
+
+
+def _over_common_den(entries):
+    """``(lcm of denominators, numerators over it)``; None unless all are Fractions."""
+    if not all(type(x) is Fraction for x in entries):
+        return None
+    ratios = [x.as_integer_ratio() for x in entries]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [num * (den // d) for num, d in ratios]
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -199,7 +220,18 @@ class CovFactor:
         return self.factor.cols
 
     def gram(self) -> Matrix:
-        return self.factor @ self.factor.transpose()
+        """``L L^T``; for an exact L, one integer dot product per pair i <= j."""
+        f, n, k = self.factor, self.dim, self.width
+        exact = n * n * k > 2 and _over_common_den(f.entries)
+        if not exact:
+            return f @ f.transpose()
+        den, nums = exact
+        rows = [nums[i * k:(i + 1) * k] for i in range(n)]
+        low = [[Fraction(d, den * den) if d else _ZERO
+                for d in (sum(map(mul, r, s)) for s in rows[:i + 1])]
+               for i, r in enumerate(rows)]
+        return Matrix(n, n, tuple(low[max(i, j)][min(i, j)]
+                                  for i in range(n) for j in range(n)))
 
 
 def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor) -> CovFactor:
@@ -213,10 +245,6 @@ def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor) -> CovFactor:
 
 def cov_block(sigma: CovFactor, theta: CovFactor) -> CovFactor:
     return CovFactor(sigma.dim + theta.dim, block_diag(sigma.factor, theta.factor))
-
-
-def gram(f: CovFactor) -> Matrix:
-    return f.gram()
 
 
 def ldlt(sigma: Matrix, tol: float = 0.0):

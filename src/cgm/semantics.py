@@ -48,6 +48,7 @@ BitVec = tuple
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_BOOL_CAP = 12
+_ZERO = Fraction(0)
 
 
 def all_bitvecs(p: int) -> list:
@@ -544,27 +545,39 @@ class Moments:
     cov: Matrix            # n x n
 
 
-def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
-    """Exact Boolean marginal and real mean/covariance at one input point."""
+def _input_point(mix: CGMixture, bits: BitVec, xs):
+    """The table row at `bits` and the entries of the input point `xs`."""
     x = xs if isinstance(xs, Matrix) else Matrix.column(xs)
-    if x.rows != mix.m:
-        raise DimensionMismatch(f"input has {x.rows} reals, kernel wants {mix.m}")
-    if len(bits) != mix.p:
-        raise DimensionMismatch(f"input has {len(bits)} bits, kernel wants {mix.p}")
-    comps = mix.row(tuple(bits))
-    marg = {}
+    if (x.rows, x.cols) != (mix.m, 1):
+        raise DimensionMismatch(f"input is {x.rows}x{x.cols}, kernel wants {mix.m}x1")
+    if len(bits) != mix.p or any(b not in (0, 1) for b in bits):
+        raise DimensionMismatch(f"bits {bits!r}: kernel wants {mix.p} bits of 0 or 1")
+    return mix.row(tuple(bits)), x.entries
+
+
+def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
+    """Exact Boolean marginal and real mean/covariance at one input point;
+    each centre is computed once, the covariance over its upper half."""
+    comps, x = _input_point(mix, bits, xs)
     n = mix.n
-    mean = Matrix.zeros(n, 1)
+    marg, centres, mean = {}, [], [_ZERO] * n
     for c in comps:
-        marg[c.bool_out] = marg.get(c.bool_out, Fraction(0)) + c.weight
-        centre = c.lin @ x + c.mean
-        mean = mean + centre.scale(c.weight)
-    cov = Matrix.zeros(n, n)
-    for c in comps:
-        centre = c.lin @ x + c.mean
-        dev = centre - mean
-        cov = cov + (c.gram() + dev @ dev.transpose()).scale(c.weight)
-    return Moments(tuple(sorted(marg.items())), mean, cov)
+        marg[c.bool_out] = marg.get(c.bool_out, _ZERO) + c.weight
+        centre = [sum([a * v for a, v in zip(c.lin.row(i), x) if a and v], _ZERO)
+                  + mu for i, mu in enumerate(c.mean.entries)]
+        mean = [acc + c.weight * v for acc, v in zip(mean, centre)]
+        centres.append(centre)
+    cov = [_ZERO] * (n * n)
+    for c, centre in zip(comps, centres):
+        w, g = c.weight, c.gram().entries
+        dev = [v - mu for v, mu in zip(centre, mean)]
+        for i, di in enumerate(dev):
+            for j in range(i, n):
+                dd = di * dev[j] if di and dev[j] else _ZERO
+                cov[i * n + j] += w * (g[i * n + j] + dd)
+    return Moments(tuple(sorted(marg.items())), Matrix(n, 1, tuple(mean)),
+                   Matrix(n, n, tuple(cov[min(i, j) * n + max(i, j)]
+                                      for i in range(n) for j in range(n))))
 
 
 def _floats(entries) -> list:
@@ -581,14 +594,9 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     ``R^T`` of a QR decomposition of ``F^T``, so every draw takes at most n
     standard normals.  The draws are a deterministic function of the seed.
     """
-    x = xs if isinstance(xs, Matrix) else Matrix.column(xs)
-    if x.rows != mix.m:
-        raise DimensionMismatch(f"input has {x.rows} reals, kernel wants {mix.m}")
-    if len(bits) != mix.p:
-        raise DimensionMismatch(f"input has {len(bits)} bits, kernel wants {mix.p}")
+    comps, x = _input_point(mix, bits, xs)
     if count < 0:
         raise InvalidDrawCount(f"cannot draw {count} samples: the count is negative")
-    comps = mix.row(tuple(bits))
     n, m, size = mix.n, mix.m, len(comps)
     rng = np.random.default_rng(seed)
     weights = np.array(_floats(c.weight for c in comps))
@@ -602,7 +610,7 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
         fac[ci, :, :k] = np.array(_floats(c.cov.factor.entries)).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
-    centres = lin @ np.array(_floats(x.entries)) + mu
+    centres = lin @ np.array(_floats(x)) + mu
     z = rng.standard_normal((count, fac.shape[2]))
     reals_out = centres[idx]
     for i in range(n):

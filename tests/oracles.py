@@ -8,6 +8,8 @@ diagonal followed by `canonicalize`.  All three recurse over the raw term
 structure.  The reference comparisons at the end are the four loops that
 `mixtures_equal`, `max_deviation`, `nftree_equal` and
 `first_certificate_difference` were before they shared one walker.
+`reference_matmul` is the entrywise ``Fraction`` loop that ``Matrix.@``
+was before exact products moved to integer numerators.
 """
 
 import itertools
@@ -21,6 +23,24 @@ from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
                            bits_to_str, canonicalize, compose,
                            identity_kernel, interp_generator,
                            mixture_is_exact, swap_kernel)
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """``a @ b`` by entrywise scalar arithmetic, skipping zero factors."""
+    n, k, m = a.rows, a.cols, b.cols
+    out = [Fraction(0)] * (n * m)
+    for i in range(n):
+        base = i * k
+        for t in range(k):
+            x = a.entries[base + t]
+            if x == 0:
+                continue
+            ob = t * m
+            for j in range(m):
+                y = b.entries[ob + j]
+                if y != 0:
+                    out[i * m + j] += x * y
+    return Matrix(n, m, tuple(out))
 
 
 def subterms(t):

@@ -8,10 +8,40 @@ from hypothesis import strategies as st
 
 from cgm.errors import DimensionMismatch, NotPSD
 from cgm.linalg import (CovFactor, Matrix, block_diag, cov_compose,
-                        four_squares, gram, hstack, ldlt, sum_square_scales,
+                        four_squares, hstack, ldlt, sum_square_scales,
                         vstack)
 
+from oracles import reference_matmul
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
+# Zero, negative and mixed-denominator entries for the product kernels.
+exact_entries = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-20, max_value=20,
+                                       max_denominator=12))
+float_entries = st.one_of(st.just(0.0), st.just(-0.0),
+                          st.floats(min_value=-20, max_value=20))
+mixed_entries = st.one_of(exact_entries, float_entries)
+dims = st.integers(min_value=0, max_value=5)
+
+
+@st.composite
+def matrices(draw, entries, rows=dims, cols=dims):
+    n, m = draw(rows), draw(cols)
+    return Matrix(n, m, tuple(draw(st.lists(entries, min_size=n * m,
+                                            max_size=n * m))))
+
+
+@st.composite
+def products(draw, entries):
+    n, k, m = draw(dims), draw(dims), draw(dims)
+    return (draw(matrices(entries, st.just(n), st.just(k))),
+            draw(matrices(entries, st.just(k), st.just(m))))
+
+
+def same_entries(out: Matrix, want: Matrix) -> bool:
+    """Equal shape, equal values and the same type in every entry."""
+    return ((out.rows, out.cols, out.entries) == (want.rows, want.cols, want.entries)
+            and [type(x) for x in out.entries] == [type(x) for x in want.entries])
 
 
 def mat(rows):
@@ -58,6 +88,18 @@ class TestMatrix:
         wide = Matrix.zeros(0, 3)
         assert (wide @ Matrix.zeros(3, 2)).rows == 0
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(products(exact_entries))
+    def test_exact_product_matches_reference(self, pair):
+        a, b = pair
+        assert same_entries(a @ b, reference_matmul(a, b))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(products(float_entries), products(mixed_entries)))
+    def test_float_and_mixed_product_matches_reference(self, pair):
+        a, b = pair
+        assert same_entries(a @ b, reference_matmul(a, b))
+
     @given(rationals, rationals)
     def test_rational_arithmetic_exact(self, a, b):
         assert (a + b) - b == a
@@ -74,21 +116,28 @@ class TestCovFactor:
         sigma = CovFactor.of(mat([[1]]))
         theta = CovFactor.of(mat([[2]]))
         out = cov_compose(mat([[3]]), sigma, theta)
-        assert gram(out) == mat([[13]])
+        assert out.gram() == mat([[13]])
 
     def test_compose_zero_factors(self):
         z = CovFactor.zero(2)
         out = cov_compose(Matrix.identity(2), z, CovFactor.zero(2))
-        assert gram(out) == Matrix.zeros(2, 2)
+        assert out.gram() == Matrix.zeros(2, 2)
 
     def test_identity_preserves(self):
         sigma = CovFactor.of(mat([[1, 2], [0, 1]]))
         out = cov_compose(Matrix.identity(2), sigma, CovFactor.zero(2))
-        assert gram(out) == gram(sigma)
+        assert out.gram() == sigma.gram()
 
     def test_gram_examples(self):
-        assert gram(CovFactor.of(mat([[1], [1]]))) == mat([[1, 1], [1, 1]])
-        assert gram(CovFactor.zero(2)) == Matrix.zeros(2, 2)
+        assert CovFactor.of(mat([[1], [1]])).gram() == mat([[1, 1], [1, 1]])
+        assert CovFactor.zero(2).gram() == Matrix.zeros(2, 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(matrices(exact_entries), matrices(float_entries),
+                     matrices(mixed_entries)))
+    def test_gram_matches_reference(self, factor):
+        assert same_entries(CovFactor.of(factor).gram(),
+                            reference_matmul(factor, factor.transpose()))
 
     def test_gram_orthogonal_invariance(self):
         rng = random.Random(3)
@@ -101,7 +150,7 @@ class TestCovFactor:
             q = Matrix.from_rows(
                 [[signs[j] if perm[i] == j else 0 for j in range(3)]
                  for i in range(3)])
-            assert gram(CovFactor.of(l_mat @ q)) == gram(CovFactor.of(l_mat))
+            assert CovFactor.of(l_mat @ q).gram() == CovFactor.of(l_mat).gram()
 
     def test_gram_of_compose_is_closed_form(self):
         rng = random.Random(9)
@@ -111,8 +160,8 @@ class TestCovFactor:
             s = CovFactor.of(mat([[Fraction(rng.randint(-3, 3)) for _ in range(2)]
                                   for _ in range(2)]))
             t = CovFactor.of(mat([[Fraction(rng.randint(-3, 3))] for _ in range(2)]))
-            lhs = gram(cov_compose(b, s, t))
-            rhs = b @ gram(s) @ b.transpose() + gram(t)
+            lhs = cov_compose(b, s, t).gram()
+            rhs = b @ s.gram() @ b.transpose() + t.gram()
             assert lhs == rhs
 
 
@@ -173,7 +222,7 @@ class TestLdlt:
             s = CovFactor.of(mat([[Fraction(rng.randint(-2, 2)) for _ in range(3)]
                                   for _ in range(2)]))
             t = CovFactor.of(mat([[Fraction(rng.randint(-2, 2))] for _ in range(2)]))
-            _, diag = ldlt(gram(cov_compose(b, s, t)))
+            _, diag = ldlt(cov_compose(b, s, t).gram())
             assert all(x >= 0 for x in diag)
 
 

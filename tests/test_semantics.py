@@ -15,8 +15,10 @@ from cgm.diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
                          par_all, reals, seq, seq_all, to_exact_params,
                          to_float_params)
 from cgm.dsl import parse
-from cgm.errors import InputCapExceeded, InvalidDrawCount, TypeMismatch
-from cgm.gadgets import (convex_mix, discard_all, gaussian_circuit,
+from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
+                        TypeMismatch)
+from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
+                         gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
 from cgm.linalg import CovFactor, Matrix
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
@@ -614,6 +616,57 @@ class TestMomentsAndSampling:
         stats = moments(self._example())
         assert stats.mean == Matrix.from_rows([[Fraction(9, 10)]])
         assert stats.cov == Matrix.from_rows([[Fraction(499, 100)]])
+
+    def test_dense_cascade_matches_closed_form(self):
+        # 8 dense Gaussian maps R^2 -> R^2 with width-3 factors, mixed by a
+        # cascade of convex_mix; the closed form uses plain Fraction lists.
+        rng = random.Random(11)
+
+        def dense(rows, cols):
+            return [[Fraction(rng.choice((-3, -2, -1, 0, 1, 2, 3)),
+                              rng.choice((1, 2, 3))) for _ in range(cols)]
+                    for _ in range(rows)]
+
+        comps = [(Fraction(rng.randint(1, 4)), dense(2, 2), dense(2, 1),
+                  dense(2, 3)) for _ in range(8)]
+        total = sum(w for w, *_ in comps)
+        term, remaining = None, Fraction(0)
+        for w, a, b, f in reversed(comps):
+            leaf = gauss_map_circuit(Matrix.from_rows(a), Matrix.from_rows(b),
+                                     Matrix.from_rows(f))
+            remaining += w
+            term = leaf if term is None else convex_mix(w / remaining, leaf, term)
+        x = [Fraction(3, 2), Fraction(-1)]
+        centres = [(w / total, [sum(p * v for p, v in zip(row, x)) + mu
+                                for row, (mu,) in zip(a, b)], f)
+                   for w, a, b, f in comps]
+        mean = [sum(w * c[i] for w, c, _ in centres) for i in range(2)]
+        cov = [sum(w * (sum(p * q for p, q in zip(f[i], f[j]))
+                        + (c[i] - mean[i]) * (c[j] - mean[j]))
+                   for w, c, f in centres)
+               for i in range(2) for j in range(2)]
+        mix = evaluate(term)
+        assert len(mix.row(())) == 8
+        stats = moments(mix, (), x)
+        assert stats.mean.entries == tuple(mean)
+        assert stats.cov.entries == tuple(cov)
+        assert all(type(v) is Fraction for v in stats.cov.entries)
+
+    def test_moments_rejects_bits_other_than_0_or_1(self):
+        with pytest.raises(DimensionMismatch):
+            moments(evaluate(parse("not")), (2,))
+
+    def test_sample_many_rejects_bits_other_than_0_or_1(self):
+        with pytest.raises(DimensionMismatch):
+            sample_many(evaluate(parse("not")), (2,), (), 3, 1)
+
+    def test_input_point_must_be_a_column(self):
+        mix = evaluate(parse("add"))
+        square = Matrix.from_rows([[1, 2], [3, 4]])
+        for call in (lambda: moments(mix, (), square),
+                     lambda: sample_many(mix, (), square, 3, 1)):
+            with pytest.raises(DimensionMismatch):
+                call()
 
     def test_sure_flip(self):
         m = evaluate(mk_generator(GenKind.FLIP, Fraction(1)))
