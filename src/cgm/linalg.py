@@ -2,8 +2,11 @@
 
 Scalars are either exact rationals (``fractions.Fraction``) or binary
 floats; arithmetic between the two promotes to float, which is exactly
-Python's own behaviour, so no wrapper type is needed.  Matrices are small,
-dense and immutable.  Covariances are kept in factored form ``Sigma = L L^T``
+Python's own behaviour, so no wrapper type is needed.  A `Field` names one
+of the two with its 0 and 1: the constructors that make entries of their
+own (zeros, identities, block-diagonal padding, product accumulators) take
+it, so a float kernel holds only floats.  Matrices are small, dense and
+immutable.  Covariances are kept in factored form ``Sigma = L L^T``
 so that kernel composition stays square-root free and exact whenever the
 inputs are rational.
 
@@ -24,7 +27,21 @@ from typing import Sequence, Union
 from .errors import DimensionMismatch, NotPSD
 
 Scalar = Union[Fraction, float]
-_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, eq=False)
+class Field:
+    """The scalars of a kernel: `cast` turns a parameter into one.  Two
+    instances, compared (and hashed, as cache keys) by identity."""
+    cast: type
+    zero: Scalar
+    one: Scalar
+
+
+# One shared 0 per field: padding costs a reference, not an object.
+RATIONAL = Field(Fraction, Fraction(0), Fraction(1))
+FLOAT = Field(float, 0.0, 1.0)
+_ZERO = RATIONAL.zero
 
 
 def as_scalar(x) -> Scalar:
@@ -51,16 +68,10 @@ def scalar_to_json(x: Scalar):
     return format_scalar(x) if isinstance(x, Fraction) else float(x)
 
 
-def scalar_from_json(v) -> Scalar:
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    return as_scalar(v)
-
-
 def quantize_key(x: Scalar):
-    """Sort key that is stable under float noise: 12 significant digits."""
-    if isinstance(x, Fraction):
+    """Sort key that is stable under float noise: 12 significant digits.
+    Rationals and zeros (either sign) are their own keys."""
+    if isinstance(x, Fraction) or x == 0:
         return x
     return float(f"{float(x):.12g}")
 
@@ -94,13 +105,12 @@ class Matrix:
 
     @staticmethod
     @lru_cache(maxsize=1024)
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
+    def zeros(rows: int, cols: int, field: Field = RATIONAL) -> "Matrix":
+        return Matrix(rows, cols, (field.zero,) * (rows * cols))
 
     @staticmethod
-    def identity(n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return Matrix(n, n, tuple(one if i == j else zero
+    def identity(n: int, field: Field = RATIONAL) -> "Matrix":
+        return Matrix(n, n, tuple(field.one if i == j else field.zero
                                   for i in range(n) for j in range(n)))
 
     @staticmethod
@@ -130,13 +140,14 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
+    def __matmul__(self, other: "Matrix", field: Field = RATIONAL) -> "Matrix":
+        """The product; its entries with no nonzero term are `field`'s 0."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
         if not (n and k and m):
-            return Matrix.zeros(n, m)
+            return Matrix.zeros(n, m, field)
         a = n * k * m > 2 and _over_common_den(self.entries)
         b = a and _over_common_den(other.entries)
         if b:
@@ -144,7 +155,7 @@ class Matrix:
             dots = (sum(map(mul, a[1][i:i + k], col))
                     for i in range(0, n * k, k) for col in cols)
             return Matrix(n, m, tuple(Fraction(d, den) if d else _ZERO for d in dots))
-        out = [Fraction(0)] * (n * m)
+        out = [field.zero] * (n * m)
         for i in range(n):
             base = i * k
             for t in range(k):
@@ -184,9 +195,9 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
+def block_diag(a: Matrix, b: Matrix, field: Field = RATIONAL) -> Matrix:
     """``[[a, 0], [0, b]]``, its entries built in one pass."""
-    pad_a, pad_b = (_ZERO,) * a.cols, (_ZERO,) * b.cols
+    pad_a, pad_b = (field.zero,) * a.cols, (field.zero,) * b.cols
     entries = []
     for i in range(a.rows):
         entries += a.row(i) + pad_b
@@ -219,12 +230,12 @@ class CovFactor:
     def width(self) -> int:
         return self.factor.cols
 
-    def gram(self) -> Matrix:
+    def gram(self, field: Field = RATIONAL) -> Matrix:
         """``L L^T``; for an exact L, one integer dot product per pair i <= j."""
         f, n, k = self.factor, self.dim, self.width
         exact = n * n * k > 2 and _over_common_den(f.entries)
         if not exact:
-            return f @ f.transpose()
+            return f.__matmul__(f.transpose(), field)
         den, nums = exact
         rows = [nums[i * k:(i + 1) * k] for i in range(n)]
         low = [[Fraction(d, den * den) if d else _ZERO
@@ -234,17 +245,21 @@ class CovFactor:
                                   for i in range(n) for j in range(n)))
 
 
-def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor) -> CovFactor:
+def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor,
+                field: Field = RATIONAL) -> CovFactor:
     """Factor of ``B Sigma B^T + Theta`` without leaving factored form."""
     if b.cols != sigma.dim:
         raise DimensionMismatch(f"B has {b.cols} cols, sigma dim {sigma.dim}")
     if b.rows != theta.dim:
         raise DimensionMismatch(f"B has {b.rows} rows, theta dim {theta.dim}")
-    return CovFactor(b.rows, hstack(b @ sigma.factor, theta.factor))
+    return CovFactor(b.rows,
+                     hstack(b.__matmul__(sigma.factor, field), theta.factor))
 
 
-def cov_block(sigma: CovFactor, theta: CovFactor) -> CovFactor:
-    return CovFactor(sigma.dim + theta.dim, block_diag(sigma.factor, theta.factor))
+def cov_block(sigma: CovFactor, theta: CovFactor,
+              field: Field = RATIONAL) -> CovFactor:
+    return CovFactor(sigma.dim + theta.dim,
+                     block_diag(sigma.factor, theta.factor, field))
 
 
 def ldlt(sigma: Matrix, tol: float = 0.0):
@@ -337,8 +352,3 @@ def sum_square_scales(d: Scalar) -> tuple:
 def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [scalar_to_json(x) for x in m.entries]}
-
-
-def matrix_from_json(obj: dict) -> Matrix:
-    return Matrix(obj["rows"], obj["cols"],
-                  tuple(scalar_from_json(x) for x in obj["entries"]))

@@ -49,9 +49,6 @@ class BoolKernel:
     def __post_init__(self):
         object.__setattr__(self, "_rows", {k: dict(v) for k, v in self.rows})
 
-    def prob(self, bits_out, bits_in) -> Scalar:
-        return self._rows[tuple(bits_in)].get(tuple(bits_out), Fraction(0))
-
     def row(self, bits_in) -> dict:
         return self._rows[tuple(bits_in)]
 

@@ -13,17 +13,17 @@ for the product) with weights multiplying through.  Everything is exact
 when every literal is rational.
 
 The kernels `canonicalize`, `compose`, `tensor` and `evaluate` return are
-canonical and record whether they are exact.  One builder sorts and merges
-the rows of each result, and a result is exact when its operands are, so
-only kernels a caller built and fresh generator tables are scanned for
-floats.
+canonical and record their `Field`.  One builder sorts and merges the rows
+of each result, and a result is exact when its operands are, so only
+kernels a caller built are scanned for floats.
 
-`evaluate` is a `diagram.fold`.  The backend casts each parameter as its
-generator is interpreted.  Identities, swaps, copies and discards only move
-wires: it keeps them, and any Seq/Par of them, as a `Wiring` (two index
-maps) and applies one to a kernel by gathering or scattering indices
-instead of composing with a 0/1 kernel; the result is the same canonical
-kernel.
+`evaluate` is a `diagram.fold` over one field, rational or float: each
+parameter is cast to it and every leaf is built from its 0 and 1, so a
+float kernel holds only floats.  Identities, swaps, copies and discards
+only move wires: it keeps them, and any Seq/Par of them, as a `Wiring`
+(two index maps) and applies one to a kernel by gathering or scattering
+indices instead of composing with a 0/1 kernel; the result is the same
+canonical kernel.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
                       fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      TypeMismatch)
-from .linalg import (CovFactor, Matrix, Scalar, block_diag, cov_block,
-                     cov_compose, matrix_to_json, quantize_key,
-                     scalar_to_json, vstack)
+from .linalg import (FLOAT, RATIONAL, CovFactor, Field, Matrix, Scalar,
+                     block_diag, cov_block, cov_compose, matrix_to_json,
+                     quantize_key, scalar_to_json, vstack)
 
 BitVec = tuple
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_BOOL_CAP = 12
-_ZERO = Fraction(0)
+_ZERO = RATIONAL.zero
 
 
 def all_bitvecs(p: int) -> list:
@@ -74,7 +74,7 @@ class GaussComponent:
     cov: CovFactor         # n-dimensional
 
     def gram(self) -> Matrix:
-        return self.cov.gram()
+        return self.cov.gram(FLOAT if type(self.weight) is float else RATIONAL)
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,21 @@ class CGMixture:
 
 
 class _Canon(NamedTuple):
-    exact: bool     # every scalar is a Fraction
+    field: Field    # RATIONAL: every scalar is a Fraction
     tol: float      # the tolerance it is canonical at, if not exact
     keys: tuple     # per row of the table, each component's sort key
 
+    @property
+    def exact(self) -> bool:
+        return self.field is RATIONAL
 
-def _canonical(dom, cod, rows: list, exact: bool, tol) -> CGMixture:
+
+def _canonical(dom, cod, rows: list, field: Field, tol) -> CGMixture:
     """The kernel of sorted ``(bits, [(key, ..., component)])`` rows, recorded."""
     mix = CGMixture(dom, cod, tuple((bits, tuple(item[-1] for item in row))
                                     for bits, row in rows))
     keys = tuple(tuple(item[0] for item in row) for _, row in rows)
-    object.__setattr__(mix, "_canon", _Canon(exact, tol, keys))
+    object.__setattr__(mix, "_canon", _Canon(field, tol, keys))
     return mix
 
 
@@ -129,9 +133,9 @@ def _component(weight, bool_out, lin, mean, cov) -> GaussComponent:
     return GaussComponent(weight, tuple(bool_out), lin, mean, cov)
 
 
-def _dirac(bool_out, lin: Matrix) -> GaussComponent:
+def _dirac(bool_out, lin: Matrix, field: Field) -> GaussComponent:
     n = lin.rows
-    return _component(Fraction(1), bool_out, lin, Matrix.zeros(n, 1),
+    return _component(field.one, bool_out, lin, Matrix.zeros(n, 1, field),
                       CovFactor.zero(n))
 
 
@@ -185,49 +189,47 @@ GENERATOR_WIRINGS = {
 
 
 @lru_cache(maxsize=4096)
-def wiring_kernel(w: Wiring) -> CGMixture:
+def wiring_kernel(w: Wiring, field: Field = RATIONAL) -> CGMixture:
     """The kernel of a wiring, canonical: one weight-1 Dirac per input row."""
-    m = w.dom.n_real
-    one, zero = Fraction(1), Fraction(0)
+    m, one, zero = w.dom.n_real, field.one, field.zero
     lin = Matrix(len(w.reals), m, tuple(one if j == src else zero
                                         for src in w.reals for j in range(m)))
-    rows = [(bits, (_dirac(tuple(bits[i] for i in w.bits), lin),))
+    rows = [(bits, (_dirac(tuple(bits[i] for i in w.bits), lin, field),))
             for bits in all_bitvecs(w.dom.n_bool)]
-    return _build(w.dom, w.cod, rows, True, DEFAULT_TOLERANCE)
+    return _build(w.dom, w.cod, rows, field, DEFAULT_TOLERANCE)
 
 
-def interp_generator(gen: Generator) -> CGMixture:
-    kind, param = gen.kind, gen.param
+def interp_generator(gen: Generator, field: Field = RATIONAL) -> CGMixture:
+    """The generator's kernel over `field`; its parameter is used as it is."""
+    kind, param, one, zero = gen.kind, gen.param, field.one, field.zero
     if kind in GENERATOR_WIRINGS:
-        return wiring_kernel(GENERATOR_WIRINGS[kind])
+        return wiring_kernel(GENERATOR_WIRINGS[kind], field)
     dom, cod = gen.dom, gen.cod
     rows = {}
+    empty, line = Matrix.zeros(0, 0), Matrix.zeros(1, 0)
     if kind is GenKind.FLIP:
-        rows[()] = (_component(param, (1,), Matrix.zeros(0, 0),
-                               Matrix.zeros(0, 1), CovFactor.zero(0)),
-                    _component(1 - param, (0,), Matrix.zeros(0, 0),
-                               Matrix.zeros(0, 1), CovFactor.zero(0)))
+        rows[()] = tuple(_component(w, (b,), empty, Matrix.zeros(0, 1),
+                                    CovFactor.zero(0))
+                         for w, b in ((param, 1), (one - param, 0)))
     elif kind is GenKind.AND:
-        for b1, b2 in all_bitvecs(2):
-            rows[(b1, b2)] = (_dirac((b1 & b2,), Matrix.zeros(0, 0)),)
+        rows = {(a, b): (_dirac((a & b,), empty, field),) for a, b in all_bitvecs(2)}
     elif kind is GenKind.NOT:
-        for b in (0, 1):
-            rows[(b,)] = (_dirac((1 - b,), Matrix.zeros(0, 0)),)
+        rows = {(b,): (_dirac((1 - b,), empty, field),) for b in (0, 1)}
     elif kind is GenKind.STD_NORMAL:
-        rows[()] = (_component(Fraction(1), (), Matrix.zeros(1, 0),
-                               Matrix.zeros(1, 1), CovFactor.of(Matrix.identity(1))),)
+        rows[()] = (_component(one, (), line, Matrix.zeros(1, 1, field),
+                               CovFactor.of(Matrix.identity(1, field))),)
     elif kind is GenKind.ZERO:
-        rows[()] = (_dirac((), Matrix.zeros(1, 0)),)
+        rows[()] = (_dirac((), line, field),)
     elif kind is GenKind.ADD:
-        rows[()] = (_dirac((), Matrix.from_rows([[1, 1]])),)
+        rows[()] = (_dirac((), Matrix(1, 2, (one, one)), field),)
     elif kind is GenKind.SCALAR:
-        rows[()] = (_dirac((), Matrix.from_rows([[param]])),)
+        rows[()] = (_dirac((), Matrix(1, 1, (param,)), field),)
     elif kind is GenKind.ONE:
-        rows[()] = (_component(Fraction(1), (), Matrix.zeros(1, 0),
-                               Matrix.from_rows([[1]]), CovFactor.zero(1)),)
+        rows[()] = (_component(one, (), line, Matrix(1, 1, (one,)),
+                               CovFactor.zero(1)),)
     elif kind is GenKind.ITE:
-        rows[(1,)] = (_dirac((), Matrix.from_rows([[1, 0]])),)
-        rows[(0,)] = (_dirac((), Matrix.from_rows([[0, 1]])),)
+        rows[(1,)] = (_dirac((), Matrix(1, 2, (one, zero)), field),)
+        rows[(0,)] = (_dirac((), Matrix(1, 2, (zero, one)), field),)
     else:  # pragma: no cover
         raise AssertionError(kind)
     return CGMixture(dom, cod, tuple(sorted(rows.items())))
@@ -242,16 +244,16 @@ def swap_kernel(first: Colour, second: Colour) -> CGMixture:
 
 
 def mixture_is_exact(mix: CGMixture) -> bool:
+    """Whether the kernel is rational: its record, or a scan if it has none."""
     if mix._canon is not None:
         return mix._canon.exact
-    for _, comps in mix.table:
-        for c in comps:
-            if not isinstance(c.weight, Fraction):
-                return False
-            for mat in (c.lin, c.mean, c.cov.factor):
-                if not all(isinstance(x, Fraction) for x in mat.entries):
-                    return False
-    return True
+    return all(isinstance(x, Fraction) for _, comps in mix.table for c in comps
+               for x in (c.weight, *c.lin.entries, *c.mean.entries,
+                         *c.cov.factor.entries))
+
+
+def _field(*mixes: CGMixture) -> Field:
+    return RATIONAL if all(mixture_is_exact(m) for m in mixes) else FLOAT
 
 
 def _comp_key(c: GaussComponent, gram: Matrix, exact: bool):
@@ -312,10 +314,11 @@ def _params_close(a: GaussComponent, ga: Matrix, b: GaussComponent,
         _component_blocks((), 0, b.lin, b.mean, gb), tol))
 
 
-def _build(dom, cod, rows, exact: bool, tol) -> CGMixture:
+def _build(dom, cod, rows, field: Field, tol) -> CGMixture:
     """The canonical kernel of ``(bits, components)`` rows, recorded: zero
     weights dropped, equal components merged, sorted by key.  Callers read
-    `exact` from their operands' records; the rows are not scanned."""
+    `field` from their operands' records; the rows are not scanned."""
+    exact = field is RATIONAL
     merge_tol = 0 if exact else tol
     out = []
     for bits, comps in rows:
@@ -335,7 +338,7 @@ def _build(dom, cod, rows, exact: bool, tol) -> CGMixture:
                 merged.append((key, g, c))
         out.append((bits, merged))
     out.sort(key=lambda row: row[0])
-    return _canonical(dom, cod, out, exact, tol)
+    return _canonical(dom, cod, out, field, tol)
 
 
 def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -350,8 +353,7 @@ def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
     canon = mix._canon
     if canon is not None and (canon.exact or canon.tol == tol):
         return mix
-    return _build(mix.dom_word, mix.cod_word, mix.table,
-                  mixture_is_exact(mix), tol)
+    return _build(mix.dom_word, mix.cod_word, mix.table, _field(mix), tol)
 
 
 def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -360,6 +362,7 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
         raise TypeMismatch(
             f"compose: {f.cod_word} does not match {g.dom_word}",
             expected=f.cod_word, actual=g.dom_word)
+    field = _field(f, g)
     rows = []
     for bits, comps in f.table:
         out = []
@@ -370,12 +373,11 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
                     continue
                 out.append(_component(
                     w, cj.bool_out,
-                    cj.lin @ ci.lin,
-                    cj.lin @ ci.mean + cj.mean,
-                    cov_compose(cj.lin, ci.cov, cj.cov)))
+                    cj.lin.__matmul__(ci.lin, field),
+                    cj.lin.__matmul__(ci.mean, field) + cj.mean,
+                    cov_compose(cj.lin, ci.cov, cj.cov, field)))
         rows.append((bits, out))
-    return _build(f.dom_word, g.cod_word, rows,
-                  mixture_is_exact(f) and mixture_is_exact(g), tol)
+    return _build(f.dom_word, g.cod_word, rows, field, tol)
 
 
 def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -385,13 +387,13 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
     distinct, and each key field (outputs, A, mu, Gram matrix) orders like
     the factors' fields concatenated.  So no Gram matrix, no merge pass."""
     f, g = canonicalize(f, tol), canonicalize(g, tol)
-    exact = f._canon.exact and g._canon.exact
+    field = _field(f, g)
     rows = []
     for (bits_f, comps_f), keys_f in zip(f.table, f._canon.keys):
         for (bits_g, comps_g), keys_g in zip(g.table, g._canon.keys):
             out = [(tuple(map(add, ki, kj)), GaussComponent(
-                       w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin),
-                       vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov)))
+                       w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin, field),
+                       vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov, field)))
                    for ci, ki in zip(comps_f, keys_f)
                    for cj, kj in zip(comps_g, keys_g)
                    if (w := ci.weight * cj.weight) != 0]   # 0: a float underflow
@@ -399,18 +401,19 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
             rows.append((bits_f + bits_g, out))
     dom, cod = f.dom_word + g.dom_word, f.cod_word + g.cod_word
     # Exact components closer than tol merge in a float product.
-    if not exact and any(k._canon.exact and any(
+    if field is FLOAT and any(k._canon.exact and any(
             len(cs) > 1 for _, cs in k.table) for k in (f, g)):
         return _build(dom, cod, [(bits, [c for _, c in out])
-                                 for bits, out in rows], exact, tol)
-    return _canonical(dom, cod, rows, exact, tol)
+                                 for bits, out in rows], field, tol)
+    return _canonical(dom, cod, rows, field, tol)
 
 
 @lru_cache(maxsize=4096)
-def _generator_kernel(gen: Generator, param_type: type, tol: float) -> CGMixture:
-    # `param_type` is part of the key: Fraction(1, 2) == 0.5 and both hash
+def _generator_kernel(gen: Generator, field: Field, tol: float) -> CGMixture:
+    # `field` is part of the key: Fraction(1, 2) == 0.5 and both hash
     # alike, but a float flip(0.5) must not get the exact kernel.
-    return canonicalize(interp_generator(gen), tol)
+    mix = interp_generator(gen, field)
+    return _build(mix.dom_word, mix.cod_word, mix.table, field, tol)
 
 
 def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
@@ -428,18 +431,18 @@ def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
                 CovFactor(n, _rows_of(c.cov.factor, w.reals))) for c in comps])
             for bits, comps in f.table]
     # A discard can make two components equal, so merge again.
-    return _build(f.dom_word, w.cod, rows, mixture_is_exact(f), tol)
+    return _build(f.dom_word, w.cod, rows, _field(f), tol)
 
 
 def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     """``w ; g``: the row at the wired bits, ``A`` columns summed by ``reals``."""
-    m = w.dom.n_real
+    m, field = w.dom.n_real, _field(g)
     rows = []
     for bits in all_bitvecs(w.dom.n_bool):
         out = []
         for c in g.row(tuple(bits[i] for i in w.bits)):
             lin = c.lin
-            acc = [Fraction(0)] * (lin.rows * m)
+            acc = [field.zero] * (lin.rows * m)
             for i in range(lin.rows):
                 base = i * lin.cols
                 for j, src in enumerate(w.reals):
@@ -448,14 +451,14 @@ def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
                         acc[i * m + src] += x
             out.append(replace(c, lin=Matrix(lin.rows, m, tuple(acc))))
         rows.append((bits, out))
-    return _build(w.dom, g.cod_word, rows, mixture_is_exact(g), tol)
+    return _build(w.dom, g.cod_word, rows, field, tol)
 
 
-def _as_kernel(k) -> CGMixture:
-    return wiring_kernel(k) if isinstance(k, Wiring) else k
+def _as_kernel(k, field: Field) -> CGMixture:
+    return wiring_kernel(k, field) if isinstance(k, Wiring) else k
 
 
-def _leaf(cast, tol, t: Term):
+def _leaf(field, tol, t: Term):
     if isinstance(t, Id):
         return Wiring.identity(t.word)
     if isinstance(t, Swap):
@@ -464,9 +467,9 @@ def _leaf(cast, tol, t: Term):
     wiring = GENERATOR_WIRINGS.get(gen.kind)
     if wiring is not None:
         return wiring
-    if gen.param is not None and cast not in (None, type(gen.param)):
-        gen = Generator(gen.kind, cast(gen.param))
-    return _generator_kernel(gen, type(gen.param), tol)
+    if gen.param is not None and type(gen.param) is not field.cast:
+        gen = Generator(gen.kind, field.cast(gen.param))
+    return _generator_kernel(gen, field, tol)
 
 
 def _seq(tol, _t, f, g):
@@ -477,13 +480,13 @@ def _seq(tol, _t, f, g):
     return compose(f, g, tol)
 
 
-def _par(tol, _t, f, g):
+def _par(field, tol, _t, f, g):
     if isinstance(f, Wiring) and isinstance(g, Wiring):
         return f.beside(g)
-    return tensor(_as_kernel(f), _as_kernel(g), tol)
+    return tensor(_as_kernel(f, field), _as_kernel(g, field), tol)
 
 
-_CASTS = {"auto": None, "rational": Fraction, "float": float}
+_FIELDS = {"auto": RATIONAL, "rational": RATIONAL, "float": FLOAT}
 
 
 def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
@@ -492,20 +495,20 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
 
     Backends: 'auto' evaluates exactly unless some literal is a float, in
     which case the whole evaluation is demoted to floats; 'rational' and
-    'float' force one side.  The backend is a cast (to `Fraction` or
-    `float`) that each parameter goes through as its generator is
-    interpreted; the term itself is not rebuilt.
+    'float' force one side.  The backend is a `Field`: each parameter is
+    cast to it as its generator is interpreted, and every leaf is built
+    from its 0 and 1; the term itself is not rebuilt.
     """
-    if backend not in _CASTS:
+    if backend not in _FIELDS:
         raise ValueError(f"unknown backend {backend!r}")
-    cast = _CASTS[backend]
+    field = _FIELDS[backend]
     if backend == "auto" and has_float_literal(term):
-        cast = float
+        field = FLOAT
     if term.dom.n_bool > cap:
         raise InputCapExceeded(
             f"{term.dom.n_bool} Boolean inputs exceed the cap of {cap}")
-    return _as_kernel(fold(term, partial(_leaf, cast, tol), partial(_seq, tol),
-                           partial(_par, tol)))
+    return _as_kernel(fold(term, partial(_leaf, field, tol), partial(_seq, tol),
+                           partial(_par, field, tol)), field)
 
 
 def _mixture_differences(m1: CGMixture, m2: CGMixture, tol, eps=None):
@@ -580,12 +583,6 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
                                       for i in range(n) for j in range(n))))
 
 
-def _floats(entries) -> list:
-    # x.numerator / x.denominator rounds like float(x) and is faster.
-    return [x.numerator / x.denominator if type(x) is Fraction else x
-            for x in entries]
-
-
 def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     """`count` seeded draws; returns (list of Boolean outputs, (count, n) array).
 
@@ -593,30 +590,32 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     ``F F^T = Sigma``.  Factors wider than n are replaced by the n x n
     ``R^T`` of a QR decomposition of ``F^T``, so every draw takes at most n
     standard normals.  The draws are a deterministic function of the seed.
+    Entries go into NumPy as they are; factor rows and outputs are
+    gathered with `np.take`, one (count, k) block per output coordinate.
     """
     comps, x = _input_point(mix, bits, xs)
     if count < 0:
         raise InvalidDrawCount(f"cannot draw {count} samples: the count is negative")
     n, m, size = mix.n, mix.m, len(comps)
     rng = np.random.default_rng(seed)
-    weights = np.array(_floats(c.weight for c in comps))
+    weights = np.array([c.weight for c in comps], dtype=float)
     idx = rng.choice(size, size=count, p=weights / weights.sum())
-    lin = np.array([_floats(c.lin.entries) for c in comps]).reshape(size, n, m)
-    mu = np.array([_floats(c.mean.entries) for c in comps]).reshape(size, n)
+    lin = np.array([c.lin.entries for c in comps], dtype=float).reshape(size, n, m)
+    mu = np.array([c.mean.entries for c in comps], dtype=float).reshape(size, n)
     width = max(c.cov.width for c in comps)
     fac = np.zeros((size, n, width))
     for ci, c in enumerate(comps):
         k = c.cov.width
-        fac[ci, :, :k] = np.array(_floats(c.cov.factor.entries)).reshape(n, k)
+        fac[ci, :, :k] = np.array(c.cov.factor.entries, dtype=float).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
-    centres = lin @ np.array(_floats(x)) + mu
+    centres = lin @ np.array(x, dtype=float) + mu
     z = rng.standard_normal((count, fac.shape[2]))
-    reals_out = centres[idx]
+    reals_out = np.take(centres, idx, axis=0)
     for i in range(n):
-        reals_out[:, i] += np.einsum("dk,dk->d", fac[idx, i, :], z)
-    outs = [c.bool_out for c in comps]
-    return [outs[i] for i in idx.tolist()], reals_out
+        reals_out[:, i] += np.einsum("dk,dk->d", np.take(fac[:, i], idx, axis=0), z)
+    outs = np.fromiter((c.bool_out for c in comps), dtype=object, count=size)
+    return np.take(outs, idx).tolist(), reals_out
 
 
 def sample(mix: CGMixture, bits: BitVec, xs, seed: int):
@@ -654,12 +653,3 @@ def with_sorted_words(mix: CGMixture) -> CGMixture:
     cod = bools(mix.q) + reals(mix.n)
     return CGMixture(dom, cod, mix.table)
 
-
-def is_trivial_kernel(mix: CGMixture) -> bool:
-    """True for the weight-1 kernel into the unit object."""
-    if len(mix.cod_word) != 0:
-        return False
-    for _, comps in mix.table:
-        if len(comps) != 1 or comps[0].weight != 1:
-            return False
-    return True

@@ -9,18 +9,23 @@ structure.  The reference comparisons at the end are the four loops that
 `mixtures_equal`, `max_deviation`, `nftree_equal` and
 `first_certificate_difference` were before they shared one walker.
 `reference_matmul` is the entrywise ``Fraction`` loop that ``Matrix.@``
-was before exact products moved to integer numerators.
+was before exact products moved to integer numerators, and
+`reference_sample_many` is the sampler as it was before it read float
+entries directly and gathered each drawn factor once.  The last helpers
+are small readers that only tests use.
 """
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from cgm.diagram import Gen, GenKind, Id, Par, Seq, Swap
 from cgm.errors import TypeMismatch
-from cgm.linalg import Matrix, block_diag, cov_block, vstack
+from cgm.linalg import Matrix, as_scalar, block_diag, cov_block, vstack
 from cgm.normalform import NFTree
 from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
-                           bits_to_str, canonicalize, compose,
+                           _input_point, bits_to_str, canonicalize, compose,
                            identity_kernel, interp_generator,
                            mixture_is_exact, swap_kernel)
 
@@ -302,3 +307,61 @@ def reference_first_certificate_difference(a: NFTree, b: NFTree,
                        for x, y in zip(ma.entries, mb.entries)):
                     return f"{label} component {idx}: {field_name} differs"
     return None
+
+
+def _floats(entries) -> list:
+    return [x.numerator / x.denominator if type(x) is Fraction else x
+            for x in entries]
+
+
+def reference_sample_many(mix: CGMixture, bits, xs, count: int, seed: int):
+    """`sample_many` with each entry converted in Python and each output
+    coordinate's factor rows gathered on their own."""
+    comps, x = _input_point(mix, bits, xs)
+    n, m, size = mix.n, mix.m, len(comps)
+    rng = np.random.default_rng(seed)
+    weights = np.array(_floats(c.weight for c in comps))
+    idx = rng.choice(size, size=count, p=weights / weights.sum())
+    lin = np.array([_floats(c.lin.entries) for c in comps]).reshape(size, n, m)
+    mu = np.array([_floats(c.mean.entries) for c in comps]).reshape(size, n)
+    width = max(c.cov.width for c in comps)
+    fac = np.zeros((size, n, width))
+    for ci, c in enumerate(comps):
+        k = c.cov.width
+        fac[ci, :, :k] = np.array(_floats(c.cov.factor.entries)).reshape(n, k)
+    if width > n:
+        fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+    centres = lin @ np.array(_floats(x)) + mu
+    z = rng.standard_normal((count, fac.shape[2]))
+    reals_out = centres[idx]
+    for i in range(n):
+        reals_out[:, i] += np.einsum("dk,dk->d", fac[idx, i, :], z)
+    outs = [c.bool_out for c in comps]
+    return [outs[i] for i in idx.tolist()], reals_out
+
+
+def is_trivial_kernel(mix: CGMixture) -> bool:
+    """True for the weight-1 kernel into the unit object."""
+    if len(mix.cod_word) != 0:
+        return False
+    for _, comps in mix.table:
+        if len(comps) != 1 or comps[0].weight != 1:
+            return False
+    return True
+
+
+def bool_prob(kernel, bits_out, bits_in):
+    """The weight of `bits_out` given `bits_in` in a `BoolKernel`; 0 if absent."""
+    return kernel.row(bits_in).get(tuple(bits_out), Fraction(0))
+
+
+def matrix_from_json(obj: dict) -> Matrix:
+    """Inverse of `linalg.matrix_to_json`."""
+    def scalar(v):
+        if isinstance(v, str):
+            num, _, den = v.partition("/")
+            return Fraction(int(num), int(den or 1))
+        return as_scalar(v)
+
+    return Matrix(obj["rows"], obj["cols"],
+                  tuple(scalar(x) for x in obj["entries"]))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bool_table_oracle
+from oracles import bool_prob, bool_table_oracle, is_trivial_kernel
 
 from cgm.axioms import (CATALOG, check_soundness, e10_weights, get_axiom,
                         instantiate, sample_binding)
@@ -25,7 +25,7 @@ from cgm.normalform import (CNFCell, NFTree, decide_equiv, disintegrate,
                             emit_nf, make_bool_kernel, nftree_equal)
 from cgm.randcircuit import BOOLEAN_KINDS, TermSampler
 from cgm.semantics import (CGMixture, GaussComponent, compose, evaluate,
-                           is_trivial_kernel, max_deviation, mixtures_equal,
+                           max_deviation, mixtures_equal,
                            moments, sample_many, with_sorted_words)
 from cgm.dsl import parse
 
@@ -184,7 +184,7 @@ def _live_perturbations(tree):
             kernel = make_bool_kernel(tree.p, tree.q, table)
             yield NFTree(tree.p, tree.m, tree.q, tree.n, kernel, tree.leaves)
     for index, (key, cell) in enumerate(tree.leaves):
-        if tree.bool_marginal.prob(key[0], key[1]) == 0:
+        if bool_prob(tree.bool_marginal, key[0], key[1]) == 0:
             continue   # forced zero cell: not a live parameter
         comp = cell.components[0]
         bumps = []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgm.errors import DimensionMismatch, NotPSD
-from cgm.linalg import (CovFactor, Matrix, block_diag, cov_compose,
-                        four_squares, hstack, ldlt, sum_square_scales,
-                        vstack)
+from cgm.linalg import (FLOAT, RATIONAL, CovFactor, Matrix, block_diag,
+                        cov_block, cov_compose, four_squares, hstack, ldlt,
+                        quantize_key, sum_square_scales, vstack)
 
 from oracles import reference_matmul
 
@@ -109,6 +110,45 @@ class TestMatrix:
     def test_transpose_involution(self, rows):
         m = mat(rows)
         assert m.transpose().transpose() == m
+
+
+class TestField:
+    """A constructor given the float field makes float entries, its zeros
+    the field's one shared 0.0."""
+
+    def test_fields_are_distinct_keys(self):
+        assert RATIONAL != FLOAT and len({RATIONAL, FLOAT}) == 2
+        assert type(Matrix.zeros(2, 2).entries[0]) is Fraction
+        assert type(Matrix.zeros(2, 2, FLOAT).entries[0]) is float
+
+    def test_float_constructors_hold_only_floats(self):
+        a = Matrix(2, 1, (1.5, 0.0))
+        made = [Matrix.zeros(2, 3, FLOAT), Matrix.identity(3, FLOAT),
+                block_diag(a, a, FLOAT),
+                cov_block(CovFactor.of(a), CovFactor.zero(1), FLOAT).factor,
+                Matrix.zeros(2, 0).__matmul__(Matrix.zeros(0, 3), FLOAT),
+                a.__matmul__(Matrix(1, 2, (0.0, 2.0)), FLOAT),
+                cov_compose(Matrix.zeros(2, 0), CovFactor(0, Matrix.zeros(0, 2)),
+                            CovFactor.of(a), FLOAT).factor,
+                CovFactor.zero(2).gram(FLOAT)]
+        for m in made:
+            assert m.entries and all(type(x) is float for x in m.entries)
+        assert Matrix.identity(3, FLOAT).entries[1] is FLOAT.zero
+        assert block_diag(a, a, FLOAT).entries[1] is FLOAT.zero
+
+
+class TestQuantizeKey:
+    def test_zero_keys_match_the_formatted_key(self):
+        for zero in (0.0, -0.0):
+            key = quantize_key(zero)
+            want = float(f"{zero:.12g}")
+            assert key == want and type(key) is float
+            assert math.copysign(1.0, key) == math.copysign(1.0, want)
+        assert type(quantize_key(Fraction(0))) is Fraction
+
+    def test_nonzero_floats_round_to_12_digits(self):
+        assert quantize_key(0.1 + 0.2) == 0.3
+        assert quantize_key(-1e-300) == float(f"{-1e-300:.12g}")
 
 
 class TestCovFactor:
@@ -228,7 +268,8 @@ class TestLdlt:
 
 class TestJson:
     def test_matrix_round_trip(self):
-        from cgm.linalg import matrix_from_json, matrix_to_json
+        from cgm.linalg import matrix_to_json
+        from oracles import matrix_from_json
         m = mat([[Fraction(1, 3), -2], [0, Fraction(5)]])
         encoded = matrix_to_json(m)
         assert encoded == {"rows": 2, "cols": 2,
@@ -236,7 +277,8 @@ class TestJson:
         assert matrix_from_json(encoded) == m
 
     def test_float_entries_stay_numbers(self):
-        from cgm.linalg import matrix_from_json, matrix_to_json
+        from cgm.linalg import matrix_to_json
+        from oracles import matrix_from_json
         m = Matrix.from_rows([[0.5]])
         encoded = matrix_to_json(m)
         assert encoded["entries"] == [0.5]

@@ -19,7 +19,7 @@ from cgm.normalform import (BoolKernel, CNFCell, CellComponent, NFTree,
 from cgm.randcircuit import TermSampler
 from cgm.semantics import (evaluate, mixtures_equal, max_deviation,
                            with_sorted_words)
-from oracles import subterms
+from oracles import bool_prob, subterms
 
 
 def flip(p):
@@ -35,8 +35,8 @@ def example_mixture_term(p=Fraction(3, 10)):
 class TestDisintegrate:
     def test_flip_marginal(self):
         tree = disintegrate(evaluate(flip(Fraction(3, 10))))
-        assert tree.bool_marginal.prob((1,), ()) == Fraction(3, 10)
-        assert tree.bool_marginal.prob((0,), ()) == Fraction(7, 10)
+        assert bool_prob(tree.bool_marginal, (1,), ()) == Fraction(3, 10)
+        assert bool_prob(tree.bool_marginal, (0,), ()) == Fraction(7, 10)
         for _, cell in tree.leaves:
             (c,) = cell.components
             assert c.lin.rows == 0 and c.weight == 1

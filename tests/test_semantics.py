@@ -10,11 +10,11 @@ import pytest
 from cgm import diagram, semantics
 from cgm.axioms import (CATALOG, _trial_seed, get_axiom, instantiate,
                         sample_binding)
-from cgm.diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
+from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          TypeWord, bools, flip, identity, mk_generator, par,
                          par_all, reals, seq, seq_all, to_exact_params,
                          to_float_params)
-from cgm.dsl import parse
+from cgm.dsl import parse, print_term
 from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                         TypeMismatch)
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
@@ -25,9 +25,10 @@ from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
 from cgm.semantics import (CGMixture, GaussComponent, canonicalize, compose,
                            evaluate, identity_kernel, interp_generator,
                            max_deviation, mixture_is_exact, mixture_to_json,
-                           is_trivial_kernel, mixtures_equal, moments, sample,
+                           mixtures_equal, moments, sample,
                            sample_many, swap_kernel, tensor, with_sorted_words)
-from oracles import reference_evaluate, subterms
+from oracles import (is_trivial_kernel, reference_evaluate,
+                     reference_sample_many)
 
 # SHA-256 of the rational kernels of `exactness_corpus()`; any change to an
 # exact kernel or to its JSON form changes it.
@@ -450,19 +451,28 @@ def cast_corpus() -> list:
     return terms + axiom_sides(2028)
 
 
+def scalars_of(mix: CGMixture):
+    """Every stored scalar: weights, A, mu and covariance factor entries."""
+    return (x for _, comps in mix.table for c in comps
+            for x in (c.weight, *c.lin.entries, *c.mean.entries,
+                      *c.cov.factor.entries))
+
+
 def has_float_entry(mix: CGMixture) -> bool:
-    return any(type(x) is float for _, comps in mix.table for c in comps
-               for x in (c.weight, *c.lin.entries, *c.mean.entries,
-                         *c.cov.factor.entries))
+    return any(type(x) is float for x in scalars_of(mix))
+
+
+def has_non_float_entry(mix: CGMixture) -> bool:
+    return any(type(x) is not float for x in scalars_of(mix))
 
 
 class TestBackendCastAtLeaves:
     """The backend casts each generator's parameter; every kernel evaluation
-    builds carries its exactness from its operands."""
+    builds carries its field from its operands."""
 
     def test_backends_equal_evaluation_of_cast_terms(self, monkeypatch):
         corpus = cast_corpus()
-        want = [(b, json.dumps(mixture_to_json(evaluate(cast(t))),
+        want = [(b, json.dumps(mixture_to_json(evaluate(cast(t), backend=b)),
                                sort_keys=True))
                 for t in corpus
                 for b, cast in (("rational", to_exact_params),
@@ -477,25 +487,23 @@ class TestBackendCastAtLeaves:
                for t in corpus for b in ("rational", "float")]
         assert got == want
 
-    def test_only_generator_tables_are_scanned(self, monkeypatch):
-        corpus = cast_corpus()
-        distinct = {(s.generator, type(s.generator.param))
-                    for t in corpus for cast in (to_exact_params, to_float_params)
-                    for s in subterms(cast(t)) if isinstance(s, Gen)}
-        scans = []
+    def test_no_kernel_evaluate_builds_is_scanned(self, monkeypatch):
+        calls, scans = [], []
         scan = semantics.mixture_is_exact
 
         def counted(mix):
+            calls.append(mix)
             if mix._canon is None:
                 scans.append(mix)
             return scan(mix)
 
         monkeypatch.setattr(semantics, "mixture_is_exact", counted)
         semantics._generator_kernel.cache_clear()
-        for t in corpus:
-            for backend in ("rational", "float"):
+        semantics.wiring_kernel.cache_clear()
+        for t in cast_corpus():
+            for backend in ("auto", "rational", "float"):
                 evaluate(t, backend=backend)
-        assert 0 < len(scans) <= len(distinct)
+        assert calls and scans == []
 
     def test_exactness_is_recorded_from_the_operands(self):
         for t in cast_corpus():
@@ -506,6 +514,34 @@ class TestBackendCastAtLeaves:
                 assert not floating._canon.exact
             auto = evaluate(t)
             assert auto._canon.exact is not diagram.has_float_literal(t)
+
+
+WIRING_TERMS = ("id(R)", "copyR", "swap(R,R)", "swap(B,R)", "delB",
+                "id(BR)", "copyB * delR")
+
+
+class TestFloatField:
+    """Under the float backend every scalar of every kernel is a float."""
+
+    def test_float_kernels_hold_only_floats(self):
+        corpus = cast_corpus() + [parse(text) for text in WIRING_TERMS]
+        for t in corpus:
+            mix = evaluate(t, backend="float")
+            assert not has_non_float_entry(mix), print_term(t)
+            assert not mixture_is_exact(mix)
+
+    def test_float_json_prints_numbers(self):
+        for text in WIRING_TERMS + ("zero", "one ; scal(0.0) ; copyR"):
+            encoded = mixture_to_json(evaluate(parse(text), backend="float"))
+            scalars = [x for row in encoded["table"] for c in row["components"]
+                       for x in [c["weight"]] + [v for key in ("A", "mu", "cov")
+                                                 for v in c[key]["entries"]]]
+            assert scalars and all(type(x) is float for x in scalars), text
+
+    def test_auto_with_a_float_literal_is_the_float_field(self):
+        t = parse("flip(0.5) * (one ; copyR)")
+        assert evaluate(t).table == evaluate(t, backend="float").table
+        assert not has_non_float_entry(evaluate(t))
 
 
 class TestBooleanOracle:
@@ -754,3 +790,57 @@ class TestMomentsAndSampling:
         digest.update((np.round(reals_out, 10) + 0.0).tobytes())
         assert digest.hexdigest() == (
             "c15697814d409ede44112170a9d02767536afb4795dd3dae33a4da8d16c4c810")
+
+
+def sampler_cases() -> list:
+    """(term, bits, xs): no reals, factors wider than n, one component,
+    real dimension up to 6, open kernels and random mixed circuits."""
+    rng = random.Random(707)
+
+    def dense(rows, cols):
+        return Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                  for _ in range(cols)] for _ in range(rows)],
+                                cols=cols)
+
+    def gauss_map(m, n, width):
+        return gauss_map_circuit(dense(n, m), dense(n, 1), dense(n, width))
+
+    cases = [(parse("flip(1/3) * (stdnormal ; delR)"), (), ()),
+             (parse("(stdnormal * stdnormal) ; add"), (), ()),
+             (parse("stdnormal ; scal(2)"), (), ()),
+             (parse("ite"), (1,), (Fraction(3, 2), -2)),
+             (convex_mix(Fraction(1, 3), gauss_map(2, 6, 8), gauss_map(2, 6, 3)),
+              (), (Fraction(1, 2), 1)),
+             (convex_mix(Fraction(2, 5), gauss_map(1, 4, 2), gauss_map(1, 4, 0)),
+              (), (-1,))]
+    sampler = TermSampler(random.Random(708), max_word=3, max_depth=4)
+    for _ in range(12):
+        t = sampler.closed_term() if rng.random() < 0.5 else sampler.term(
+            TypeWord.of(rng.choice(("B", "R", "BR", "RR"))),
+            TypeWord.of(rng.choice(("R", "BR", "RR", "BRR"))))
+        cases.append((t, tuple(rng.randint(0, 1) for _ in range(t.dom.n_bool)),
+                      tuple(Fraction(rng.randint(-4, 4), 2)
+                            for _ in range(t.dom.n_real))))
+    return cases
+
+
+class TestSamplerOracle:
+    """`sample_many` gives the reference sampler's draws bit for bit."""
+
+    def test_draws_equal_the_reference(self):
+        seen = set()
+        for t, bits, xs in sampler_cases():
+            for backend in ("rational", "float"):
+                mix = evaluate(t, backend=backend)
+                comps = mix.row(bits)
+                seen.add((mix.n == 0, max(c.cov.width for c in comps) > mix.n,
+                          len(comps) == 1))
+                for seed in (0, 1, 2026):
+                    for count in (0, 1, 300):
+                        got = sample_many(mix, bits, xs, count, seed)
+                        want = reference_sample_many(mix, bits, xs, count, seed)
+                        assert got[0] == want[0]
+                        assert np.array_equal(got[1], want[1])
+        assert {key[0] for key in seen} == {True, False}
+        assert {key[1] for key in seen} == {True, False}
+        assert {key[2] for key in seen} == {True, False}

@@ -4,27 +4,36 @@
 `bench/` is changed) and every function and method it patches must still
 exist where it looks for it, and a traced pipeline must still yield every
 per-layer metric, so that a cleanup in `src/cgm` cannot break
-`bench/run.py --trace 1` without a tier-1 failure.
+`bench/run.py --trace 1` without a tier-1 failure.  `bench/workloads.py`
+is loaded the same way, and one cycle of its Monte Carlo ops must pass the
+workload's own checks.
 """
 
 import json
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
+
+
+def load(path: Path, name: str):
+    # Run the source in a fresh module: no import path change and no
+    # bytecode written next to it.
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    # Run the source in a fresh module: no import path change and no
-    # bytecode written next to it.
-    module = types.ModuleType("cgm_bench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"),
-         module.__dict__)
-    return module
+    return load(TRACER, "cgm_bench_tracer")
 
 
 def test_span_functions_exist(tracer):
@@ -89,3 +98,14 @@ def test_traced_pipeline_reports_every_layer_metric(tracer):
     assert len(before) > len(names)
     assert [key for space, key, original in before
             if space[key] is not original] == []
+
+
+def test_monte_carlo_cycle_passes_its_oracle(tracer, monkeypatch):
+    # The workloads import the tracer by its module name.
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    workloads = load(WORKLOADS, "cgm_bench_workloads")
+    mc = workloads.MonteCarlo(1)
+    cycle = 3 * mc.random_kernels
+    for op in mc.ops[:cycle]:
+        assert mc.check(op, mc.run(op))
+    assert mc.finish(cycle) == set()
