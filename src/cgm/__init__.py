@@ -12,8 +12,8 @@ from .diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
 from .dsl import export_dot, export_json_ast, parse, parse_file, print_term
 from .errors import (BiasOutOfRange, CgmError, DimensionMismatch,
                      InadmissibleBinding, InputCapExceeded, InvalidPath,
-                     MissingParam, NoMatch, NotPSD, ParseError, TypeMismatch,
-                     UnexpectedParam)
+                     MissingParam, NoMatch, NonFiniteParam, NotPSD, ParseError,
+                     TypeMismatch, UnexpectedParam)
 from .gadgets import (gauss_map_circuit, gaussian_circuit, matrix_circuit,
                       mix_gate, nary_copy, permute_term, sort_boundary,
                       thick_ite)

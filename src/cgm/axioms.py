@@ -1,11 +1,15 @@
 """The equational theory as data: axiom schemas, instantiation, a randomized
 semantic soundness harness, and single-step rewriting.
 
-Each schema builds closed (lhs, rhs) terms from a binding of its scalar and
-circuit metavariables.  Several axioms are only drawn as pictures in their
-usual presentation; the encodings below fix one orientation of each picture
-(documented in the summary strings) and the soundness harness verifies the
-chosen reading semantically.
+Each schema with neither circuit metavariables nor derived weights is an
+entry ``name | summary | lhs = rhs`` of `AXIOM_TABLE`, both sides in `.cgm`
+syntax as `print_term` prints them (an indented line continues an entry).
+A scalar metavariable stands where its parameter goes: ``scal(k)`` for a
+real, ``flip(p)`` for a bias.  Sides are parsed once, at import; a
+binding's value goes in with `map_params`.  E4, E5, E10 and the SMC laws
+are builders.  Some axioms are drawn as pictures in their usual
+presentation; each text fixes one orientation (noted in its summary), and
+the soundness harness verifies the chosen reading semantically.
 
 A schema's `sample` draws one candidate binding, and its `validate` checks
 every constraint on a binding (through `check_binding`).  `sample_binding`
@@ -20,31 +24,112 @@ the catalog and can be applied explicitly.
 from __future__ import annotations
 
 import random
+import re
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .diagram import (B, Colour, EMPTY, GenKind, Par, R, Seq, Term, TypeWord,
-                      bools, children, fold, identity, mk_generator, par,
-                      par_all, reals, seq, seq_all, swap)
-from .dsl import print_term
-from .errors import InadmissibleBinding, InvalidPath, NoMatch
+                      children, flip, fold, identity, map_params, mk_generator,
+                      par, par_all, reals, seq, seq_all, swap)
+from .dsl import parse, print_term
+from .errors import InadmissibleBinding, InvalidDrawCount, InvalidPath, NoMatch
 from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
 from .linalg import format_scalar
 from .randcircuit import TermSampler
 from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, evaluate,
                         max_deviation, mixture_to_json, mixtures_equal)
 
+AXIOM_TABLE = """
+A1 | co-associativity of real copy | copyR ; id(R) * copyR = copyR ; copyR * id(R)
+A2l | left co-unit of real copy | copyR ; delR * id(R) = id(R)
+A2r | right co-unit of real copy | copyR ; id(R) * delR = id(R)
+A3 | co-commutativity of real copy | copyR ; swap(R,R) = copyR
+B1 | co-associativity of bool copy | copyB ; id(B) * copyB = copyB ; copyB * id(B)
+B2l | left co-unit of bool copy | copyB ; delB * id(B) = id(B)
+B2r | right co-unit of bool copy | copyB ; id(B) * delB = id(B)
+B3 | co-commutativity of bool copy | copyB ; swap(B,B) = copyB
+C1-zero | zero is copyable | zero ; copyR = zero * zero
+C1-add | addition is copyable
+    | add ; copyR = copyR * copyR ; id(R) * swap(R,R) * id(R) ; add * add
+C1-scal | scalar gates are copyable | scal(k) ; copyR = copyR ; scal(k) * scal(k)
+C1-one | the constant one is copyable | one ; copyR = one * one
+C2-and | conjunction is copyable
+    | and ; copyB = copyB * copyB ; id(B) * swap(B,B) * id(B) ; and * and
+C2-not | negation is copyable | not ; copyB = copyB ; not * not
+D1-zero | zero is discardable | zero ; delR = id()
+D1-add | addition is discardable | add ; delR = delR * delR
+D1-scal | scalar gates are discardable | scal(k) ; delR = delR
+D1-one | the constant one is discardable | one ; delR = id()
+D1-stdnormal | the Gaussian source is discardable | stdnormal ; delR = id()
+D2-and | conjunction is discardable | and ; delB = delB * delB
+D2-not | negation is discardable | not ; delB = delB
+D2-flip | coin flips are discardable | flip(p) ; delB = id()
+E1l | retesting a shared guard in the true branch is redundant (encoding fixes
+    one orientation of the picture) | copyB * id(RRR) ; id(B) * ite * id(R) ; ite
+    = id(B) * id(R) * delR * id(R) ; ite
+E1r | retesting a shared guard in the false branch is redundant (encoding fixes
+    one orientation of the picture) | id(B) * id(R) * delR * id(R) ; ite
+    = copyB * id(RRR) ; id(B) * swap(B,R) * id(RR) ; id(B) * id(R) * ite ; ite
+E2 | a certainly-true guard takes the then branch | flip(1) * id(RR) ; ite
+    = id(R) * delR
+E2z | a certainly-false guard takes the else branch | flip(0) * id(RR) ; ite
+    = delR * id(R)
+E3 | conditionals commute when their guards are swapped
+    | id(B) * copyB * id(RRRR) ; (id(BB) * swap(B,R) * id(RRR)
+    ; id(BBR) * swap(B,R) * id(RR)) ; id(B) * ite * ite ; ite
+    = copyB * id(B) * id(RRRR) ; (id(B) * swap(B,B) * id(R) * swap(R,R) * id(R)
+    ; swap(B,B) * swap(B,R) * id(RRR) ; id(BBR) * swap(B,R) * id(RR))
+    ; id(B) * ite * ite ; ite
+E6 | negating the guard swaps the branches
+    | not * id(RR) ; ite = id(B) * swap(R,R) ; ite
+E7 | a conjunctive guard unfolds to nested conditionals | and * id(RR) ; ite
+    = id(B) * id(B) * id(R) * copyR ; id(B) * ite * id(R) ; ite
+E8 | equal branches make the conditional trivial | id(B) * copyR ; ite = delB * id(R)
+E9 | conditionals are discardable | ite ; delR = delB * delR * delR
+"""
 
-def _g(kind, param=None):
-    return mk_generator(kind, param)
+# Documented mutants.  Discard-style axioms relate terms into the unit,
+# where all kernels are equal, so their mutants drop the final discard.
+# Scaling C1-zero's zero output is invisible, so one copy is disturbed.
+MUTANT_TABLE = """
+C1-zero | one copy of the duplicated constant replaced by one
+    | zero ; copyR = one * zero
+D1-zero | final discard dropped, sides exposed | zero = one
+D1-add | final discard dropped, sides exposed | add = delR * delR ; zero
+D1-scal | final discard dropped, sides exposed | scal(k) = delR ; zero
+D1-one | final discard dropped, sides exposed | one = zero
+D1-stdnormal | final discard dropped, sides exposed | stdnormal = zero
+D2-and | final discard dropped, sides exposed | and = delB * delB ; flip(1/2)
+D2-not | final discard dropped, sides exposed | not = delB ; flip(1/2)
+E9 | final discard dropped, sides exposed | ite = delB * delR * delR ; zero
+"""
+
+# A scalar metavariable: scal(k) stands for a real, flip(p) for a bias.
+_METAVAR = re.compile(r"\b(scal|flip)\(([a-z])\)")
 
 
-# Terms are immutable values, so each nullary wiring generator is built once.
-_COPY_R, _COPY_B = _g(GenKind.REAL_COPY), _g(GenKind.BOOL_COPY)
-_DEL_R, _DEL_B = _g(GenKind.REAL_DISCARD), _g(GenKind.BOOL_DISCARD)
-_ITE = _g(GenKind.ITE)
+def _entries(table: str):
+    """(name, summary, lhs, rhs) of each entry of a table."""
+    for entry in re.split(r"\n(?=\S)", table.strip()):
+        name, summary, equation = " ".join(entry.split()).split(" | ")
+        lhs, rhs = equation.split(" = ")
+        yield name, summary, lhs, rhs
+
+
+def _text_rule(lhs: str, rhs: str):
+    """The scalar variables of one entry and its build function.  Each side
+    is parsed once with 0 in place of the metavariable; an entry with a
+    metavariable has no other parameter, so a binding maps every one."""
+    scalars = tuple({v: "bias" if gen == "flip" else "real"
+                     for gen, v in _METAVAR.findall(f"{lhs} {rhs}")}.items())
+    sides = tuple(parse(_METAVAR.sub(r"\1(0)", side)) for side in (lhs, rhs))
+    if not scalars:
+        return scalars, lambda _b: sides
+    (var, _kind), = scalars
+    return scalars, lambda b: tuple(map_params(side, lambda _x: b[var])
+                                    for side in sides)
 
 
 @dataclass(frozen=True)
@@ -88,15 +173,6 @@ def instantiate(schema: AxiomSchema, binding: dict):
     return lhs, rhs
 
 
-def _no_sample(_sampler):
-    return {}
-
-
-def _fixed(name, summary, lhs, rhs):
-    return AxiomSchema(name, summary, build=lambda _b: (lhs, rhs),
-                       sample=_no_sample)
-
-
 def e10_weights(p, q):
     """Reassociation weights: p~ = pq and q~ = q(1-p)/(1-pq)."""
     pt = p * q
@@ -106,129 +182,19 @@ def e10_weights(p, q):
     return pt, qt
 
 
-def _copy_laws(colour, copy, delete):
-    name, tag = ("A", "real") if colour is Colour.R else ("B", "bool")
-    one = identity(TypeWord((colour,)))
-    yield _fixed(f"{name}1", f"co-associativity of {tag} copy",
-                 seq(copy, par(one, copy)), seq(copy, par(copy, one)))
-    yield _fixed(f"{name}2l", f"left co-unit of {tag} copy",
-                 seq(copy, par(delete, one)), one)
-    yield _fixed(f"{name}2r", f"right co-unit of {tag} copy",
-                 seq(copy, par(one, delete)), one)
-    yield _fixed(f"{name}3", f"co-commutativity of {tag} copy",
-                 seq(copy, swap(colour, colour)), copy)
-
-
-def _scalar_schema(name, summary, param_kind, builder, var_names=("k",)):
+def _draw_scalars(scalar_vars):
+    """A sampler of one bias or real per scalar variable, in order."""
     def sample(sampler: TermSampler):
-        draw = sampler.bias if param_kind == "bias" else sampler.scalar
-        return {v: draw() for v in var_names}
-
-    return AxiomSchema(name, summary,
-                       scalar_vars=tuple((v, param_kind) for v in var_names),
-                       build=builder, sample=sample)
-
-
-def _copyable_schemas():
-    idR, idB = identity(R), identity(B)
-    yield _fixed("C1-zero", "zero is copyable",
-                 seq(_g(GenKind.ZERO), _COPY_R),
-                 par(_g(GenKind.ZERO), _g(GenKind.ZERO)))
-    yield _fixed("C1-add", "addition is copyable",
-                 seq(_g(GenKind.ADD), _COPY_R),
-                 seq_all(par(_COPY_R, _COPY_R),
-                         par_all(idR, swap(Colour.R, Colour.R), idR),
-                         par(_g(GenKind.ADD), _g(GenKind.ADD))))
-    yield _scalar_schema(
-        "C1-scal", "scalar gates are copyable", "real",
-        lambda b: (seq(_g(GenKind.SCALAR, b["k"]), _COPY_R),
-                   seq(_COPY_R, par(_g(GenKind.SCALAR, b["k"]),
-                                    _g(GenKind.SCALAR, b["k"])))))
-    yield _fixed("C1-one", "the constant one is copyable",
-                 seq(_g(GenKind.ONE), _COPY_R),
-                 par(_g(GenKind.ONE), _g(GenKind.ONE)))
-    yield _fixed("C2-and", "conjunction is copyable",
-                 seq(_g(GenKind.AND), _COPY_B),
-                 seq_all(par(_COPY_B, _COPY_B),
-                         par_all(idB, swap(Colour.B, Colour.B), idB),
-                         par(_g(GenKind.AND), _g(GenKind.AND))))
-    yield _fixed("C2-not", "negation is copyable",
-                 seq(_g(GenKind.NOT), _COPY_B),
-                 seq(_COPY_B, par(_g(GenKind.NOT), _g(GenKind.NOT))))
-
-
-def _discard_schemas():
-    yield _fixed("D1-zero", "zero is discardable",
-                 seq(_g(GenKind.ZERO), _DEL_R), identity(EMPTY))
-    yield _fixed("D1-add", "addition is discardable",
-                 seq(_g(GenKind.ADD), _DEL_R), par(_DEL_R, _DEL_R))
-    yield _scalar_schema(
-        "D1-scal", "scalar gates are discardable", "real",
-        lambda b: (seq(_g(GenKind.SCALAR, b["k"]), _DEL_R), _DEL_R))
-    yield _fixed("D1-one", "the constant one is discardable",
-                 seq(_g(GenKind.ONE), _DEL_R), identity(EMPTY))
-    yield _fixed("D1-stdnormal", "the Gaussian source is discardable",
-                 seq(_g(GenKind.STD_NORMAL), _DEL_R), identity(EMPTY))
-    yield _fixed("D2-and", "conjunction is discardable",
-                 seq(_g(GenKind.AND), _DEL_B), par(_DEL_B, _DEL_B))
-    yield _fixed("D2-not", "negation is discardable",
-                 seq(_g(GenKind.NOT), _DEL_B), _DEL_B)
-    yield _scalar_schema(
-        "D2-flip", "coin flips are discardable", "bias",
-        lambda b: (seq(_g(GenKind.FLIP, b["p"]), _DEL_B), identity(EMPTY)),
-        var_names=("p",))
-
-
-def _ite_schemas():
-    idB, idR = identity(B), identity(R)
-    idRR, idRRR = identity(reals(2)), identity(reals(3))
-    single = seq(par_all(idB, idR, _DEL_R, idR), _ITE)
-    yield _fixed(
-        "E1l", "retesting a shared guard in the true branch is redundant "
-               "(encoding fixes one orientation of the picture)",
-        seq_all(par(_COPY_B, idRRR), par_all(idB, _ITE, idR), _ITE),
-        single)
-    yield _fixed(
-        "E1r", "retesting a shared guard in the false branch is redundant "
-               "(encoding fixes one orientation of the picture)",
-        single,
-        seq_all(par(_COPY_B, idRRR),
-                par_all(idB, swap(Colour.B, Colour.R), idRR),
-                par_all(idB, idR, _ITE), _ITE))
-    yield _fixed("E2", "a certainly-true guard takes the then branch",
-                 seq(par(_g(GenKind.FLIP, Fraction(1)), idRR), _ITE),
-                 par(idR, _DEL_R))
-    yield _fixed("E2z", "a certainly-false guard takes the else branch",
-                 seq(par(_g(GenKind.FLIP, Fraction(0)), idRR), _ITE),
-                 par(_DEL_R, idR))
-    # ite(a, ite(b,x1,x2), ite(b,x3,x4)) = ite(b, ite(a,x1,x3), ite(a,x2,x4))
-    word7 = bools(3) + reals(4)
-    lhs3 = seq_all(par_all(identity(B), _COPY_B, identity(reals(4))),
-                   permute_term(word7, (0, 1, 4, 2, 3, 5, 6)),
-                   par_all(identity(B), _ITE, _ITE), _ITE)
-    rhs3 = seq_all(par_all(_COPY_B, identity(B), identity(reals(4))),
-                   permute_term(word7, (1, 4, 0, 2, 5, 3, 6)),
-                   par_all(identity(B), _ITE, _ITE), _ITE)
-    yield _fixed("E3", "conditionals commute when their guards are swapped",
-                 lhs3, rhs3)
-    yield _fixed("E6", "negating the guard swaps the branches",
-                 seq(par(_g(GenKind.NOT), idRR), _ITE),
-                 seq(par(idB, swap(Colour.R, Colour.R)), _ITE))
-    yield _fixed("E7", "a conjunctive guard unfolds to nested conditionals",
-                 seq(par(_g(GenKind.AND), idRR), _ITE),
-                 seq_all(par_all(idB, idB, idR, _COPY_R),
-                         par_all(idB, _ITE, idR), _ITE))
-    yield _fixed("E8", "equal branches make the conditional trivial",
-                 seq(par(idB, _COPY_R), _ITE), par(_DEL_B, idR))
-    yield _fixed("E9", "conditionals are discardable",
-                 seq(_ITE, _DEL_R), par_all(_DEL_B, _DEL_R, _DEL_R))
+        return {v: (sampler.bias if kind == "bias" else sampler.scalar)()
+                for v, kind in scalar_vars}
+    return sample
 
 
 def _build_e4(binding):
     c, d = binding["c"], binding["d"]
     m = len(c.dom) - 1
     n = len(c.cod)
-    share_noise = seq(_g(GenKind.STD_NORMAL), _COPY_R)
+    share_noise = seq(mk_generator("stdnormal"), mk_generator("copyR"))
     lhs_front = par_all(identity(B), share_noise, copy_bundle(reals(m)))
     # [b, z1, z2, y, y'] -> [b, z1, y, z2, y']
     word = B + reals(2 + 2 * m)
@@ -236,7 +202,7 @@ def _build_e4(binding):
            [m + 3 + i for i in range(m)]
     lhs = seq_all(lhs_front, permute_term(word, tuple(dest)),
                   par_all(identity(B), c, d), ite_n(n))
-    own = lambda t: seq(par(_g(GenKind.STD_NORMAL), identity(reals(m))), t)
+    own = lambda t: seq(par(mk_generator("stdnormal"), identity(reals(m))), t)
     rhs = seq_all(par(identity(B), copy_bundle(reals(m))),
                   par_all(identity(B), own(c), own(d)), ite_n(n))
     return lhs, rhs
@@ -283,12 +249,15 @@ def _sample_e5(sampler: TermSampler):
     return {"c": sampler.term(reals(m), reals(n))}
 
 
+def _e10_sides(p, q, qt):
+    """Both sides of E10, reassociated with the weights p~ = pq and `qt`."""
+    return (seq(par(mix_gate(p), identity(R)), mix_gate(q)),
+            seq(par(identity(R), mix_gate(qt)), mix_gate(p * q)))
+
+
 def _build_e10(binding):
     p, q = binding["p"], binding["q"]
-    pt, qt = e10_weights(p, q)
-    lhs = seq(par(mix_gate(p), identity(R)), mix_gate(q))
-    rhs = seq(par(identity(R), mix_gate(qt)), mix_gate(pt))
-    return lhs, rhs
+    return _e10_sides(p, q, e10_weights(p, q)[1])
 
 
 def _smc_schemas():
@@ -408,11 +377,10 @@ def _sample_swap_invol(sampler: TermSampler):
 
 def _catalog() -> dict:
     schemas = []
-    schemas.extend(_copy_laws(Colour.R, _COPY_R, _DEL_R))
-    schemas.extend(_copy_laws(Colour.B, _COPY_B, _DEL_B))
-    schemas.extend(_copyable_schemas())
-    schemas.extend(_discard_schemas())
-    schemas.extend(_ite_schemas())
+    for name, summary, lhs, rhs in _entries(AXIOM_TABLE):
+        scalars, build = _text_rule(lhs, rhs)
+        schemas.append(AxiomSchema(name, summary, scalars, build=build,
+                                   sample=_draw_scalars(scalars)))
     schemas.append(AxiomSchema(
         "E4", "branches may share one Gaussian sample or draw their own "
               "(scheme over circuits with no Boolean boundary)",
@@ -427,7 +395,7 @@ def _catalog() -> dict:
         "E10", "skew-associativity of convex sums; p~ = pq, q~ = q(1-p)/(1-pq)",
         scalar_vars=(("p", "bias"), ("q", "bias")),
         build=_build_e10,
-        sample=lambda s: {"p": s.bias(), "q": s.bias()},
+        sample=_draw_scalars((("p", "bias"), ("q", "bias"))),
         validate=lambda b: e10_weights(b["p"], b["q"])))
     schemas.extend(_smc_schemas())
     return {s.name: s for s in schemas}
@@ -505,6 +473,8 @@ def check_soundness(schema: AxiomSchema, trials: int, seed: int,
 
     Failures are data, not errors.
     """
+    if trials < 0:
+        raise InvalidDrawCount(f"{schema.name}: {trials} trials")
     report = SoundnessReport(schema.name, trials)
     for index in range(trials):
         rng = random.Random(_trial_seed(seed, schema.name, index))
@@ -540,8 +510,8 @@ def _mutant_scale_output(schema: AxiomSchema):
     def build(binding):
         lhs, rhs = schema.build(binding)
         first, *rest = rhs.cod
-        change = _g(GenKind.SCALAR, Fraction(2)) if first is Colour.R \
-            else _g(GenKind.NOT)
+        change = mk_generator(GenKind.SCALAR, 2) if first is Colour.R \
+            else mk_generator(GenKind.NOT)
         keep = (identity(TypeWord((colour,))) for colour in rest)
         return lhs, seq(rhs, par_all(change, *keep))
 
@@ -564,51 +534,24 @@ def _mutant_fixed(schema, summary, build):
                        validate=schema.validate)
 
 
-def mutant_of(name: str) -> AxiomSchema:
-    """A deliberately unsound variant of the named schema.
+_TEXT_MUTANTS = {name: _mutant_fixed(get_axiom(name), summary,
+                                     _text_rule(lhs, rhs)[1])
+                 for name, summary, lhs, rhs in _entries(MUTANT_TABLE)}
 
-    Discard-style axioms relate terms into the unit object, where every
-    kernel is equal; their mutants drop the final discard so that the two
-    sides become observable again.
-    """
+
+def mutant_of(name: str) -> AxiomSchema:
+    """A deliberately unsound variant of the named schema: an entry of
+    `MUTANT_TABLE`, one of the two below, or the rhs with one output
+    disturbed."""
     schema = get_axiom(name)
-    dropped_discard = {
-        "D1-zero": lambda b: (_g(GenKind.ZERO), _g(GenKind.ONE)),
-        "D1-one": lambda b: (_g(GenKind.ONE), _g(GenKind.ZERO)),
-        "D1-stdnormal": lambda b: (_g(GenKind.STD_NORMAL), _g(GenKind.ZERO)),
-        "D1-add": lambda b: (_g(GenKind.ADD),
-                             seq(par(_DEL_R, _DEL_R), _g(GenKind.ZERO))),
-        "D1-scal": lambda b: (_g(GenKind.SCALAR, b["k"]),
-                              seq(_DEL_R, _g(GenKind.ZERO))),
-        "D2-and": lambda b: (_g(GenKind.AND),
-                             seq(par(_DEL_B, _DEL_B),
-                                 _g(GenKind.FLIP, Fraction(1, 2)))),
-        "D2-not": lambda b: (_g(GenKind.NOT),
-                             seq(_DEL_B, _g(GenKind.FLIP, Fraction(1, 2)))),
-        "D2-flip": lambda b: (_g(GenKind.FLIP, b["p"]),
-                              _g(GenKind.FLIP, (1 + b["p"]) / 2)),
-        "E9": lambda b: (_ITE,
-                         seq(par_all(_DEL_B, _DEL_R, _DEL_R),
-                             _g(GenKind.ZERO))),
-    }
-    if name in dropped_discard:
+    if name in _TEXT_MUTANTS:
+        return _TEXT_MUTANTS[name]
+    if name == "D2-flip":
         return _mutant_fixed(schema, "final discard dropped, sides exposed",
-                             dropped_discard[name])
-    if name == "C1-zero":
-        # scaling a zero output is invisible, so disturb one copy instead
-        return _mutant_fixed(
-            schema, "one copy of the duplicated constant replaced by one",
-            lambda b: (seq(_g(GenKind.ZERO), _COPY_R),
-                       par(_g(GenKind.ONE), _g(GenKind.ZERO))))
+                             lambda b: (flip(b["p"]), flip((1 + b["p"]) / 2)))
     if name == "E10":
-        def bad_weights(binding):
-            p, q = binding["p"], binding["q"]
-            pt, _qt = e10_weights(p, q)
-            lhs = seq(par(mix_gate(p), identity(R)), mix_gate(q))
-            rhs = seq(par(identity(R), mix_gate(q)), mix_gate(pt))
-            return lhs, rhs
         return _mutant_fixed(schema, "reassociated weights keep q~ := q",
-                             bad_weights)
+                             lambda b: _e10_sides(b["p"], b["q"], b["q"]))
     return _mutant_scale_output(schema)
 
 

@@ -15,11 +15,13 @@ distinct nodes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import BiasOutOfRange, MissingParam, TypeMismatch, UnexpectedParam
+from .errors import (BiasOutOfRange, MissingParam, NonFiniteParam, TypeMismatch,
+                     UnexpectedParam)
 from .linalg import Scalar, as_scalar
 
 
@@ -130,6 +132,8 @@ class Generator:
             if self.param is None:
                 raise MissingParam(f"{self.kind.value} needs a parameter")
             object.__setattr__(self, "param", as_scalar(self.param))
+            if isinstance(self.param, float) and not math.isfinite(self.param):
+                raise NonFiniteParam(f"{self.kind.value}({self.param}) is not finite")
             if self.kind is GenKind.FLIP and not 0 <= self.param <= 1:
                 raise BiasOutOfRange(f"flip bias {self.param} not in [0, 1]")
         elif self.param is not None:

@@ -9,6 +9,10 @@ class BiasOutOfRange(CgmError):
     """A flip bias outside [0, 1]."""
 
 
+class NonFiniteParam(CgmError):
+    """A float generator parameter that is infinite or NaN."""
+
+
 class MissingParam(CgmError):
     """A generator that requires a parameter was built without one."""
 
@@ -44,7 +48,7 @@ class InputCapExceeded(CgmError):
 
 
 class InvalidDrawCount(CgmError):
-    """A sampler was asked for a negative number of draws."""
+    """A sampler or the soundness harness was asked for a negative count."""
 
 
 class ParseError(CgmError):

@@ -267,25 +267,28 @@ def ldlt(sigma: Matrix, tol: float = 0.0):
 
     Natural pivot order, no row exchanges, so the factorization is a
     deterministic function of the input.  A zero pivot forces the rest of
-    its column to (near) zero; otherwise the matrix was not PSD.
+    its column to (near) zero; otherwise the matrix was not PSD.  The
+    factors hold the input's field: floats, compared within `tol`, if any
+    entry is a float; otherwise exact rationals, compared exactly.
     """
     n = sigma.rows
     if sigma.cols != n:
         raise DimensionMismatch("ldlt needs a square matrix")
+    field = FLOAT if any(isinstance(x, float) for x in sigma.entries) else RATIONAL
+    tol = tol if field is FLOAT else 0
     for i in range(n):
         for j in range(i):
             if abs(sigma.at(i, j) - sigma.at(j, i)) > tol:
                 raise NotPSD(f"asymmetric at ({i},{j})")
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
+    lower = [[field.zero] * n for _ in range(n)]
+    diag = [field.zero] * n
     for j in range(n):
         d = sigma.at(j, j) - sum(lower[j][k] * lower[j][k] * diag[k]
                                  for k in range(j))
         if d < -tol:
             raise NotPSD(f"negative pivot {float(d)} at {j}")
-        lower[j][j] = Fraction(1)
+        lower[j][j] = field.one
         if d <= tol:
-            diag[j] = Fraction(0) if isinstance(d, Fraction) else 0.0
             for i in range(j + 1, n):
                 c = sigma.at(i, j) - sum(lower[i][k] * lower[j][k] * diag[k]
                                          for k in range(j))

@@ -28,9 +28,10 @@ from operator import sub
 
 from .diagram import (EMPTY, GenKind, Term, TypeWord, bools, identity,
                       mk_generator, par, par_all, reals, seq, seq_all)
+from .dsl import parse
 from .errors import TypeMismatch
 from .gadgets import (convex_mix, copy_bundle, discard_all, gauss_map_circuit,
-                      ite_n, permute_term)
+                      ite_n)
 from .linalg import (Matrix, Scalar, ldlt, matrix_to_json, scalar_to_json,
                      sum_square_scales)
 from .semantics import (CGMixture, DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE,
@@ -132,8 +133,7 @@ def disintegrate(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> NFTree:
 
 def _noise_factor(cov: Matrix, tol: float) -> Matrix:
     """Canonical factor F with F F^T = cov; rational if cov is rational."""
-    exact = all(isinstance(x, Fraction) for x in cov.entries)
-    lower, diag = ldlt(cov, 0 if exact else tol)
+    lower, diag = ldlt(cov, tol)
     columns = []
     for i, d in enumerate(diag):
         if d != 0:
@@ -164,15 +164,9 @@ def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:
     return out
 
 
-def _mux3() -> Term:
-    """Boolean multiplexer from and/not/copy: not(not(g and x) and not(not g and y))."""
-    g = lambda kind: mk_generator(kind)
-    front = seq(par(g(GenKind.BOOL_COPY), identity(bools(2))),
-                permute_term(bools(4), (0, 2, 1, 3)))
-    arms = par(g(GenKind.AND), seq(par(g(GenKind.NOT), identity(bools(1))),
-                                   g(GenKind.AND)))
-    return seq_all(front, arms, par(g(GenKind.NOT), g(GenKind.NOT)),
-                   g(GenKind.AND), g(GenKind.NOT))
+# The Boolean multiplexer from and/not/copy: not(not(g and x) and not(not g and y)).
+_MUX3 = parse("copyB * id(BB) ; id(B) * swap(B,B) * id(B) ; and * (not * id(B) ; and)"
+              " ; not * not ; and ; not")
 
 
 def _guard_tree(leaves: list, shared: TypeWord, join: Term) -> Term:
@@ -206,7 +200,6 @@ def synth_bool(kernel: BoolKernel) -> Term:
         return sum(w for out, w in kernel.row(bits_in).items()
                    if out[:len(prefix)] == prefix)
 
-    mux = _mux3()
     stage_terms = []
     for j in range(q):
         flips = []
@@ -216,7 +209,7 @@ def synth_bool(kernel: BoolKernel) -> Term:
             bias = prefix_mass(bits_in, prefix + (1,)) / denom if denom else 0
             flips.append(mk_generator(GenKind.FLIP, bias))
         stage_terms.append(seq(copy_bundle(bools(p + j)), par(
-            identity(bools(p + j)), _guard_tree(flips, EMPTY, mux))))
+            identity(bools(p + j)), _guard_tree(flips, EMPTY, _MUX3))))
     finish = par(discard_all(bools(p)), identity(bools(q)))
     return seq_all(*stage_terms, finish)
 

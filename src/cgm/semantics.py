@@ -275,8 +275,8 @@ def _differences(left, right, eps):
     keys are tuples, scalars are numbers.  Unequal keys are a structural
     mismatch (a side that ends first has the key ``("ended",)``), yielded
     as ``(where, key, key)``; it ends the walk.  Otherwise each pair of
-    scalars more than `eps` apart is yielded with its index appended to
-    `where`.
+    scalars that is neither equal nor within `eps` (a NaN is neither) is
+    yielded with its index appended to `where`.
     """
     for (wx, kx, xs), (wy, ky, ys) in itertools.zip_longest(
             left, right, fillvalue=_ENDED):
@@ -285,7 +285,7 @@ def _differences(left, right, eps):
             return
         if xs != ys:
             for i, (x, y) in enumerate(zip(xs, ys)):
-                if abs(x - y) > eps:
+                if not (x == y or abs(x - y) <= eps):
                     yield wx + (i,), x, y
 
 
@@ -532,10 +532,11 @@ def mixtures_equal(m1: CGMixture, m2: CGMixture,
 def max_deviation(m1: CGMixture, m2: CGMixture,
                   tol: float = DEFAULT_TOLERANCE) -> float:
     """Largest parameter gap between the canonical forms; inf when their
-    structure differs, TypeMismatch when their boundary words do."""
+    structure differs or a NaN meets any value, TypeMismatch when their
+    boundary words differ."""
     worst = 0.0
     for _, x, y in _mixture_differences(m1, m2, tol, eps=0):
-        if isinstance(x, tuple):
+        if isinstance(x, tuple) or x != x or y != y:
             return float("inf")
         worst = max(worst, abs(float(x) - float(y)))
     return worst

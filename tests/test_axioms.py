@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from cgm.axioms import (CATALOG, CORE_NAMES, SMC_NAMES, assoc_normal,
-                        check_soundness, e10_weights, get_axiom, instantiate,
-                        mutant_of, replace_at, rewrite_at, sample_binding,
-                        subterm_at, _first_mismatch, _trial_seed)
+from cgm.axioms import (AXIOM_TABLE, CATALOG, CORE_NAMES, MUTANT_TABLE,
+                        SMC_NAMES, assoc_normal, check_soundness, e10_weights,
+                        get_axiom, instantiate, mutant_of, replace_at,
+                        rewrite_at, sample_binding, subterm_at, _entries,
+                        _first_mismatch, _METAVAR, _trial_seed)
 from cgm.diagram import (B, Gen, GenKind, R, Seq, identity, mk_generator,
                          par, reals, seq, seq_all, type_of)
-from cgm.dsl import print_term
-from cgm.errors import InadmissibleBinding, InvalidPath, NoMatch
+from cgm.dsl import parse, print_term
+from cgm.errors import (InadmissibleBinding, InvalidDrawCount, InvalidPath,
+                        NoMatch)
 from cgm.randcircuit import TermSampler
 from cgm.semantics import evaluate, mixtures_equal
 from oracles import subterms
@@ -41,6 +43,41 @@ class TestCatalog:
     def test_unknown_axiom(self):
         with pytest.raises(InadmissibleBinding):
             get_axiom("Z9")
+
+
+class TestCatalogText:
+    BUILDERS = ("E4", "E5", "E10") + SMC_NAMES
+    TEXT_MUTANTS = ("C1-zero", "D1-zero", "D1-add", "D1-scal", "D1-one",
+                    "D1-stdnormal", "D2-and", "D2-not", "E9")
+
+    @pytest.mark.parametrize("table", [AXIOM_TABLE, MUTANT_TABLE])
+    def test_sides_are_in_printed_form(self, table):
+        for name, _, lhs, rhs in _entries(table):
+            for side in (lhs, rhs):
+                # parsed with 0 in place of a metavariable
+                side = _METAVAR.sub(r"\1(0)", side)
+                assert print_term(parse(side)) == " ".join(side.split()), name
+
+    def test_names_follow_the_catalog(self):
+        assert [entry[0] for entry in _entries(AXIOM_TABLE)] == \
+            [name for name in CATALOG if name not in self.BUILDERS]
+        assert [entry[0] for entry in _entries(MUTANT_TABLE)] == \
+            [name for name in CATALOG if name in self.TEXT_MUTANTS]
+        for name, summary, _, _ in _entries(MUTANT_TABLE):
+            assert mutant_of(name).summary == summary
+
+    def test_metavariables(self):
+        assert get_axiom("C1-scal").scalar_vars == (("k", "real"),)
+        assert get_axiom("D2-flip").scalar_vars == (("p", "bias"),)
+        lhs, rhs = instantiate(get_axiom("C1-scal"), {"k": Fraction(-3, 2)})
+        assert (print_term(lhs), print_term(rhs)) == \
+            ("scal(-3/2) ; copyR", "copyR ; scal(-3/2) * scal(-3/2)")
+        lhs, _ = mutant_of("D1-scal").build({"k": 0.25})
+        assert lhs == mk_generator(GenKind.SCALAR, 0.25)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(InvalidDrawCount):
+            check_soundness(get_axiom("A1"), -1, seed=0)
 
 
 def test_binding_corpora_are_pinned():

@@ -50,6 +50,13 @@ class TestEval:
         assert code == EXIT_PARSE
         assert "type error" in err
 
+    def test_non_finite_literal_exit(self, tmp_path, capsys):
+        bad = tmp_path / "huge.cgm"
+        bad.write_text("stdnormal ; scal(1e400)")
+        code, out, err = run(capsys, "eval", str(bad))
+        assert code == EXIT_PARSE and out == ""
+        assert "scal(inf) is not finite" in err
+
     def test_cap_exit(self, tmp_path, capsys):
         wide = tmp_path / "wide.cgm"
         wide.write_text("id(" + "B" * 13 + ")")
@@ -144,6 +151,12 @@ class TestAxioms:
                              "2", "--backend", backend)
             assert code == EXIT_OK
         assert seen == ["float", "rational", "auto"]
+
+    def test_negative_trials(self, capsys):
+        code, out, err = run(capsys, "axioms", "--axiom", "A1",
+                             "--trials", "-5")
+        assert code == EXIT_PARSE and out == ""
+        assert "-5 trials" in err
 
 
 class TestSample:

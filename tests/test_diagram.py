@@ -9,8 +9,8 @@ from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
                          reals, seq, seq_all, swap, to_exact_params,
                          to_float_params, type_of)
 from cgm.dsl import parse, print_term
-from cgm.errors import (BiasOutOfRange, MissingParam, TypeMismatch,
-                        UnexpectedParam)
+from cgm.errors import (BiasOutOfRange, MissingParam, NonFiniteParam,
+                        TypeMismatch, UnexpectedParam)
 from cgm.gadgets import (matrix_circuit, nary_copy, permute_term, thick_ite)
 from cgm.linalg import Matrix
 from cgm.randcircuit import TermSampler
@@ -35,6 +35,17 @@ class TestGenerators:
             mk_generator(GenKind.SCALAR)
         with pytest.raises(UnexpectedParam):
             mk_generator(GenKind.ADD, 3)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("scal", float("inf")), ("scal", float("-inf")), ("scal", float("nan")),
+        ("flip", float("nan")), ("flip", float("inf"))])
+    def test_non_finite_param(self, kind, value):
+        with pytest.raises(NonFiniteParam):
+            mk_generator(kind, value)
+
+    def test_non_finite_literal(self):
+        with pytest.raises(NonFiniteParam):
+            parse("stdnormal ; scal(1e400)")
 
     def test_add_arity(self):
         assert type_of(mk_generator("add")) == (R + R, R)

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,18 @@ from cgm.errors import ParseError, TypeMismatch
 from cgm.gadgets import convex_mix, gaussian_circuit
 from cgm.linalg import Matrix
 from cgm.randcircuit import TermSampler
+from cgm.semantics import evaluate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_evaluate():
+    """Every ```cgm block of the README parses and evaluates."""
+    blocks = re.findall(r"```cgm\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.S)
+    assert blocks
+    for block in blocks:
+        evaluate(parse(block, filename="README.md"))
 
 
 class TestParse:

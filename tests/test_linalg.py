@@ -254,6 +254,16 @@ class TestLdlt:
             assert all(abs(x - y) < 1e-12
                        for x, y in zip(rebuilt.entries, sigma.entries))
 
+    def test_factors_hold_the_input_field(self):
+        # [[1, 1], [1, 2]] is the float Gram matrix of (stdnormal *
+        # stdnormal) ; (copyR * id(R)) ; (id(R) * add); the second matrix
+        # has a zero pivot
+        for rows in ([[1, 1], [1, 2]], [[1, 1], [1, 1]]):
+            lower, diag = ldlt(mat([[float(x) for x in r] for r in rows]), 1e-9)
+            assert {type(x) for x in lower.entries + diag} == {float}
+            lower, diag = ldlt(mat(rows))
+            assert {type(x) for x in lower.entries + diag} == {Fraction}
+
     def test_compose_stays_psd(self):
         rng = random.Random(4)
         for _ in range(20):

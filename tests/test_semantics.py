@@ -21,6 +21,7 @@ from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
 from cgm.linalg import CovFactor, Matrix
+from cgm.normalform import decide_equiv
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
 from cgm.semantics import (CGMixture, GaussComponent, canonicalize, compose,
                            evaluate, identity_kernel, interp_generator,
@@ -629,6 +630,17 @@ class TestEquality:
         with pytest.raises(TypeMismatch):
             mixtures_equal(evaluate(identity(reals(1))),
                            evaluate(identity(bools(1))))
+
+    def test_nan_is_never_equal(self):
+        # inf - inf gives a NaN covariance; NaN > eps is False, so a gap
+        # test of that form read it as equal to anything
+        huge = parse("stdnormal ; scal(1e300) ; scal(1e300) ; copyR"
+                     " ; id(R) * scal(-1.0) ; add")
+        five = parse("stdnormal ; scal(5.0)")
+        left, right = evaluate(huge), evaluate(five)
+        assert not mixtures_equal(left, right)
+        assert max_deviation(left, right) == float("inf")
+        assert not decide_equiv(huge, five)[0]
 
     def test_max_deviation_checks_words(self):
         # id(R) and id(RR) ; add have one row and one Dirac each; walking
