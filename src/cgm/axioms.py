@@ -418,8 +418,6 @@ def get_axiom(name: str) -> AxiomSchema:
 class Failure:
     binding: str
     deviation: float
-    lhs_semantics: dict = None
-    rhs_semantics: dict = None
 
 
 @dataclass
@@ -488,8 +486,7 @@ def check_soundness(schema: AxiomSchema, trials: int, seed: int,
             report.failures.append(
                 Failure(_dump_binding(binding),
                         max_deviation(left, right, tol)
-                        if same_words else float("inf"),
-                        mixture_to_json(left), mixture_to_json(right)))
+                        if same_words else float("inf")))
     return report
 
 

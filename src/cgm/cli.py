@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success/equivalent, 1 parse or type error, 2 Boolean input
-cap exceeded, 3 not equivalent (also axiom-suite failures), 4 boundary
+Exit codes: 0 success/equivalent, 1 usage, parse or type error, 2 Boolean
+input cap exceeded, 3 not equivalent (also axiom-suite failures), 4 boundary
 mismatch, 5 rewrite did not match.  All reports go to stdout, diagnostics
 to stderr; identical inputs and seeds produce byte-identical output.
 """
@@ -12,8 +12,8 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import SoundnessReport, get_axiom, rewrite_at, soundness_suite
@@ -24,8 +24,9 @@ from .errors import (CgmError, InputCapExceeded, InvalidPath, NoMatch,
 from .linalg import format_scalar
 from .normalform import (certificate_json, decide_equiv, disintegrate,
                          emit_nf, first_certificate_difference)
-from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, bits_to_str,
-                        evaluate, mixture_to_json, sample_many, str_to_bits)
+from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, CGMixture,
+                        bits_to_str, evaluate, mixture_to_json, sample_many,
+                        str_to_bits)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -35,38 +36,12 @@ EXIT_BOUNDARY = 4
 EXIT_NO_MATCH = 5
 
 
-@dataclass
-class Config:
-    tolerance: float = DEFAULT_TOLERANCE
-    bool_input_cap: int = DEFAULT_BOOL_CAP
-    output_format: str = "text"
-    backend: str = "auto"
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's own 2 is the Boolean-cap code here."""
 
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.bool_input_cap < 0:
-            raise ValueError("cap must be nonnegative")
-
-
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="comparison tolerance under the float backend")
-    parser.add_argument("--cap", type=int, default=DEFAULT_BOOL_CAP,
-                        help="maximum number of Boolean inputs "
-                             f"(default {DEFAULT_BOOL_CAP})")
-    parser.add_argument("--backend", choices=("auto", "rational", "float"),
-                        default="auto")
-    parser.add_argument("--format", dest="output_format",
-                        choices=("text", "json"), default="text")
-
-
-def _config(args) -> Config:
-    tol = args.tolerance
-    if tol is None:
-        tol = float(os.environ.get("CGM_TOLERANCE", DEFAULT_TOLERANCE))
-    return Config(tolerance=tol, bool_input_cap=args.cap,
-                  output_format=args.output_format, backend=args.backend)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _fmt_matrix(m) -> str:
@@ -75,13 +50,10 @@ def _fmt_matrix(m) -> str:
         for i in range(m.rows)) + "]"
 
 
-def _print_mixture(mix, only_bits=None):
+def _print_mixture(mix):
     print(f"kernel: {mix.dom_word or 'e'} -> {mix.cod_word or 'e'}")
     for bits, comps in mix.table:
-        if only_bits is not None and bits != only_bits:
-            continue
-        label = bits_to_str(bits) or "-"
-        print(f"input {label}:")
+        print(f"input {bits_to_str(bits) or '-'}:")
         for c in comps:
             print(f"  weight={format_scalar(c.weight)}"
                   f" boolOut={bits_to_str(c.bool_out) or '-'}"
@@ -94,42 +66,42 @@ def _json_out(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _evaluate_file(args) -> CGMixture:
+    """The kernel of the circuit in `args.file`, under the verb's flags."""
+    return evaluate(parse_file(args.file), cap=args.cap, tol=args.tolerance,
+                    backend=args.backend)
+
+
 def cmd_eval(args) -> int:
-    cfg = _config(args)
-    term = parse_file(args.file)
-    mix = evaluate(term, cap=cfg.bool_input_cap, tol=cfg.tolerance,
-                   backend=cfg.backend)
-    only = str_to_bits(args.input) if args.input is not None else None
-    if only is not None and len(only) != mix.p:
-        raise TypeMismatch(f"--input needs {mix.p} bits, got {len(only)}")
-    if cfg.output_format == "json":
-        payload = mixture_to_json(mix)
-        if only is not None:
-            payload["table"] = [row for row in payload["table"]
-                                if row["input"] == bits_to_str(only)]
-        _json_out(payload)
+    mix = _evaluate_file(args)
+    if args.input is not None:
+        only = str_to_bits(args.input)
+        if len(only) != mix.p:
+            raise TypeMismatch(f"--input needs {mix.p} bits, got {len(only)}")
+        mix = CGMixture(mix.dom_word, mix.cod_word,
+                        tuple(row for row in mix.table if row[0] == only))
+    if args.output_format == "json":
+        _json_out(mixture_to_json(mix))
     else:
-        _print_mixture(mix, only)
+        _print_mixture(mix)
     return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
-    cfg = _config(args)
     first = parse_file(args.first)
     second = parse_file(args.second)
     equivalent, (nf1, nf2) = decide_equiv(
-        first, second, tol=cfg.tolerance, cap=cfg.bool_input_cap,
-        backend=cfg.backend)
+        first, second, tol=args.tolerance, cap=args.cap, backend=args.backend)
     digest = hashlib.sha256(
         json.dumps(certificate_json(nf1), sort_keys=True).encode()).hexdigest()
     if equivalent:
-        if cfg.output_format == "json":
+        if args.output_format == "json":
             _json_out({"equivalent": True, "certificate": digest})
         else:
             print(f"EQUIVALENT {digest}")
         return EXIT_OK
-    reason = first_certificate_difference(nf1, nf2, cfg.tolerance)
-    if cfg.output_format == "json":
+    reason = first_certificate_difference(nf1, nf2, args.tolerance)
+    if args.output_format == "json":
         _json_out({"equivalent": False, "difference": reason})
     else:
         print(f"NOT EQUIVALENT: {reason}")
@@ -137,13 +109,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    cfg = _config(args)
-    term = parse_file(args.file)
-    mix = evaluate(term, cap=cfg.bool_input_cap, tol=cfg.tolerance,
-                   backend=cfg.backend)
-    tree = disintegrate(mix, cfg.tolerance)
-    circuit = emit_nf(tree, cfg.tolerance)
-    text = print_term(circuit)
+    tree = disintegrate(_evaluate_file(args), args.tolerance)
+    text = print_term(emit_nf(tree, args.tolerance))
     cert = certificate_json(tree)
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as handle:
@@ -152,7 +119,7 @@ def cmd_normalize(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         payload = {"circuit": text}
         if not args.cert:
             payload["certificate"] = cert
@@ -163,13 +130,12 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    cfg = _config(args)
     names = [args.axiom] if args.axiom else None
     reports = soundness_suite(args.trials, args.seed, names,
-                              tol=cfg.tolerance, cap=cfg.bool_input_cap,
-                              backend=cfg.backend)
+                              tol=args.tolerance, cap=args.cap,
+                              backend=args.backend)
     failed = [r for r in reports if not r.passed]
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _json_out({"reports": [_report_json(r) for r in reports],
                    "passed": not failed})
     else:
@@ -189,10 +155,7 @@ def _report_json(report: SoundnessReport) -> dict:
 
 
 def cmd_sample(args) -> int:
-    cfg = _config(args)
-    term = parse_file(args.file)
-    mix = evaluate(term, cap=cfg.bool_input_cap, tol=cfg.tolerance,
-                   backend=cfg.backend)
+    mix = _evaluate_file(args)
     bits = str_to_bits(args.bits) if args.bits else ()
     xs = [float(v) for v in args.reals.split(",") if v] if args.reals else []
     if len(bits) != mix.p or len(xs) != mix.m:
@@ -215,6 +178,11 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+_STEP = re.compile(r"apply\s+(\S+)\s+at\s+(\S+)\s+dir\s+(\S+)(?:\s+(.*))?")
+# A comma between bindings: not inside a braced circuit (DSL text has no braces).
+_BINDING_SEP = re.compile(r",(?![^{]*\})")
+
+
 def _parse_binding_value(text: str):
     text = text.strip()
     if text.startswith("{") and text.endswith("}"):
@@ -226,65 +194,44 @@ def _parse_binding_value(text: str):
     return Fraction(text)
 
 
-def _split_bindings(text: str) -> dict:
-    out = {}
-    depth = 0
-    current = []
-    parts = []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current))
-    for part in parts:
-        name, _, value = part.partition("=")
-        if not value:
-            raise CgmError(f"bad binding {part!r}")
-        out[name.strip()] = _parse_binding_value(value)
-    return out
+def run_rewrite_script(term: Term, script: str, tol: float, cap: int) -> Term:
+    """Apply `apply <axiom> at <path> dir <L2R|R2L> [with <bindings>]` lines.
 
-
-def run_rewrite_script(term: Term, script: str, cfg: Config) -> Term:
-    """Apply `apply <axiom> at <path> dir <L2R|R2L> [with <bindings>]` lines."""
+    Bindings are `name=value` pairs separated by commas; a circuit value is
+    braced DSL text, as in `with c={ scal(2) ; copyR }`.
+    """
     for lineno, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split(None, 6)
-        if len(tokens) < 6 or tokens[0] != "apply" or tokens[2] != "at" \
-                or tokens[4] != "dir":
+        step = _STEP.fullmatch(line)
+        if step is None:
             raise CgmError(f"line {lineno}: expected "
                            f"'apply <axiom> at <path> dir <L2R|R2L> "
                            f"[with <bindings>]'")
-        schema = get_axiom(tokens[1])
-        path = () if tokens[3] == "root" else \
-            tuple(int(k) for k in tokens[3].split("."))
-        direction = tokens[5]
+        name, where, direction, rest = step.groups()
+        if rest and not rest.startswith("with"):
+            raise CgmError(f"line {lineno}: trailing {rest!r}")
+        parts = _BINDING_SEP.split(rest[4:].strip() if rest else "")
+        if not parts[-1]:
+            parts.pop()   # no bindings, or a trailing comma
         binding = {}
-        if len(tokens) == 7:
-            rest = tokens[6]
-            if not rest.startswith("with"):
-                raise CgmError(f"line {lineno}: trailing {rest!r}")
-            binding = _split_bindings(rest[4:].strip())
-        term = rewrite_at(term, path, schema, direction, binding,
-                          tol=cfg.tolerance, cap=cfg.bool_input_cap)
+        for part in parts:
+            key, _, value = part.partition("=")
+            if not value:
+                raise CgmError(f"line {lineno}: bad binding {part!r}")
+            binding[key.strip()] = _parse_binding_value(value)
+        path = () if where == "root" else tuple(int(k) for k in where.split("."))
+        term = rewrite_at(term, path, get_axiom(name), direction, binding,
+                          tol=tol, cap=cap)
     return term
 
 
 def cmd_rewrite(args) -> int:
-    cfg = _config(args)
     term = parse_file(args.file)
     with open(args.script, "r", encoding="utf-8") as handle:
         script = handle.read()
-    result = run_rewrite_script(term, script, cfg)
-    text = print_term(result)
+    text = print_term(run_rewrite_script(term, script, args.tolerance, args.cap))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -294,42 +241,59 @@ def cmd_rewrite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Shared flags, offered only to the verbs that read them: `limits` to
+    # every verb that evaluates, `--backend` to those that choose a field,
+    # `--format` to those with a JSON report.
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--tolerance", type=float, default=None,
+                        help="comparison tolerance under the float backend")
+    limits.add_argument("--cap", type=int, default=DEFAULT_BOOL_CAP,
+                        help="maximum number of Boolean inputs "
+                             f"(default {DEFAULT_BOOL_CAP})")
+    backend = argparse.ArgumentParser(add_help=False, parents=[limits])
+    backend.add_argument("--backend", choices=("auto", "rational", "float"),
+                         default="auto")
+    report = argparse.ArgumentParser(add_help=False, parents=[backend])
+    report.add_argument("--format", dest="output_format",
+                        choices=("text", "json"), default="text")
+
+    parser = _ArgumentParser(
         prog="cgm",
         description="Conditional Gaussian mixture circuits: evaluate, "
                     "normalize, decide equivalence, check the axioms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate a circuit file")
+    p_eval = sub.add_parser("eval", parents=[report],
+                            help="evaluate a circuit file")
     p_eval.add_argument("file")
     p_eval.add_argument("--input", default=None,
                         help="Boolean input assignment, e.g. 01")
-    _common(p_eval)
     p_eval.set_defaults(run=cmd_eval)
 
-    p_equiv = sub.add_parser("equiv", help="decide semantic equivalence")
+    p_equiv = sub.add_parser("equiv", parents=[report],
+                             help="decide semantic equivalence")
     p_equiv.add_argument("first")
     p_equiv.add_argument("second")
-    _common(p_equiv)
     p_equiv.set_defaults(run=cmd_equiv)
 
-    p_norm = sub.add_parser("normalize", help="emit the canonical normal form")
+    p_norm = sub.add_parser("normalize", parents=[report],
+                            help="emit the canonical normal form")
     p_norm.add_argument("file")
     p_norm.add_argument("-o", "--output", default=None,
                         help="write the emitted circuit here")
     p_norm.add_argument("--cert", default=None,
                         help="write the certificate JSON here")
-    _common(p_norm)
     p_norm.set_defaults(run=cmd_normalize)
 
-    p_ax = sub.add_parser("axioms", help="run the soundness suite")
+    p_ax = sub.add_parser("axioms", parents=[report],
+                          help="run the soundness suite")
     p_ax.add_argument("--axiom", default=None, help="restrict to one schema")
     p_ax.add_argument("--trials", type=int, default=100)
     p_ax.add_argument("--seed", type=int, default=0)
-    _common(p_ax)
     p_ax.set_defaults(run=cmd_axioms)
 
-    p_sample = sub.add_parser("sample", help="draw seeded samples")
+    p_sample = sub.add_parser("sample", parents=[backend],
+                              help="draw seeded samples")
     p_sample.add_argument("file")
     p_sample.add_argument("-n", "--count", type=int, default=10)
     p_sample.add_argument("--seed", type=int, default=0)
@@ -337,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Boolean input assignment")
     p_sample.add_argument("--reals", default="",
                           help="comma-separated real inputs")
-    _common(p_sample)
     p_sample.set_defaults(run=cmd_sample)
 
     p_render = sub.add_parser("render", help="export DOT or the JSON AST")
@@ -346,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("dot", "json"), default="dot")
     p_render.set_defaults(run=cmd_render)
 
-    p_rw = sub.add_parser("rewrite", help="apply an axiom rewrite script")
+    p_rw = sub.add_parser("rewrite", parents=[limits],
+                          help="apply an axiom rewrite script")
     p_rw.add_argument("file")
     p_rw.add_argument("script")
     p_rw.add_argument("-o", "--output", default=None)
-    _common(p_rw)
     p_rw.set_defaults(run=cmd_rewrite)
     return parser
 
@@ -358,6 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "cap" in args:   # the verb evaluates circuits
+            if args.tolerance is None:
+                args.tolerance = float(
+                    os.environ.get("CGM_TOLERANCE", DEFAULT_TOLERANCE))
+            if args.tolerance <= 0:
+                raise ValueError("tolerance must be positive")
+            if args.cap < 0:
+                raise ValueError("cap must be nonnegative")
         return args.run(args)
     except ParseError as err:
         print(f"{err.span}: parse error: {err}", file=sys.stderr)
@@ -375,7 +346,8 @@ def main(argv=None) -> int:
             return EXIT_BOUNDARY
         return EXIT_PARSE
     except (CgmError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        where = f"{err.span}: " if getattr(err, "span", None) else ""
+        print(f"{where}error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
 

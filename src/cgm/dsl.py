@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .diagram import (Colour, Gen, GenKind, Id, Par, Seq, Swap, Term,
                       TypeWord, fold, identity, mk_generator, swap)
-from .errors import ParseError, TypeMismatch
+from .errors import CgmError, ParseError, TypeMismatch
 from .linalg import format_scalar, scalar_to_json
 
 
@@ -196,7 +196,11 @@ class _Parser:
             value = self._number()
             self.expect(")")
             kind = GenKind.FLIP if name == "flip" else GenKind.SCALAR
-            return mk_generator(kind, value)
+            try:
+                return mk_generator(kind, value)
+            except CgmError as err:
+                err.span = self.span(tok)
+                raise
         if name in _NULLARY:
             return mk_generator(_NULLARY[name])
         if name in env:

@@ -4,6 +4,8 @@
 class CgmError(Exception):
     """Base class for every error raised by this package."""
 
+    span = None   # where in the source, when raised while parsing
+
 
 class BiasOutOfRange(CgmError):
     """A flip bias outside [0, 1]."""

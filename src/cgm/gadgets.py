@@ -18,10 +18,6 @@ from .errors import DimensionMismatch
 from .linalg import Matrix, hstack
 
 
-def _gen(kind, param=None):
-    return mk_generator(kind, param)
-
-
 def seq_trim(*terms: Term) -> Term:
     """Sequential composition that drops identity stages."""
     kept = [t for t in terms if not isinstance(t, Id)]
@@ -87,10 +83,10 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
 # nary_copy(c, k), add_n(k) and ite_n(k) by k: each is built in a loop on
 # the one below and shares it, so no builder recurses once per wire.
 # `setdefault` keeps the first build of a width if two calls race.
-_FANOUTS = {Colour.B: {0: _gen(GenKind.BOOL_DISCARD), 1: identity(B)},
-            Colour.R: {0: _gen(GenKind.REAL_DISCARD), 1: identity(reals(1))}}
-_SUMS = {0: _gen(GenKind.ZERO), 1: identity(reals(1))}
-_ITES = {0: _gen(GenKind.BOOL_DISCARD), 1: _gen(GenKind.ITE)}
+_FANOUTS = {Colour.B: {0: mk_generator(GenKind.BOOL_DISCARD), 1: identity(B)},
+            Colour.R: {0: mk_generator(GenKind.REAL_DISCARD), 1: identity(reals(1))}}
+_SUMS = {0: mk_generator(GenKind.ZERO), 1: identity(reals(1))}
+_ITES = {0: mk_generator(GenKind.BOOL_DISCARD), 1: mk_generator(GenKind.ITE)}
 
 
 def nary_copy(colour: Colour, n: int) -> Term:
@@ -100,7 +96,7 @@ def nary_copy(colour: Colour, n: int) -> Term:
     built = _FANOUTS[colour]
     copy_kind = GenKind.BOOL_COPY if colour is Colour.B else GenKind.REAL_COPY
     for k in range(len(built), n + 1):
-        built.setdefault(k, seq_trim(_gen(copy_kind),
+        built.setdefault(k, seq_trim(mk_generator(copy_kind),
                                      par_trim(built[1], built[k - 1])))
     return built[n]
 
@@ -132,7 +128,7 @@ def add_n(n: int) -> Term:
         raise ValueError("negative arity")
     for k in range(len(_SUMS), n + 1):
         _SUMS.setdefault(k, seq_trim(par_trim(_SUMS[1], _SUMS[k - 1]),
-                                     _gen(GenKind.ADD)))
+                                     mk_generator(GenKind.ADD)))
     return _SUMS[n]
 
 
@@ -141,9 +137,9 @@ def ite_n(n: int) -> Term:
     if n < 0:
         raise ValueError("negative width")
     for k in range(len(_ITES), n + 1):
-        spread = seq(par(_gen(GenKind.BOOL_COPY), identity(reals(2 * k))),
+        spread = seq(par(mk_generator(GenKind.BOOL_COPY), identity(reals(2 * k))),
                      permute_term(B + B + reals(2 * k), _ite_split_dest(k)))
-        _ITES.setdefault(k, seq(spread, par(_gen(GenKind.ITE), _ITES[k - 1])))
+        _ITES.setdefault(k, seq(spread, par(mk_generator(GenKind.ITE), _ITES[k - 1])))
     return _ITES[n]
 
 
@@ -198,7 +194,8 @@ def matrix_circuit(a: Matrix) -> Term:
     scales = []
     for j, i in col_major:
         coeff = a.at(i, j)
-        scales.append(identity(reals(1)) if coeff == 1 else _gen(GenKind.SCALAR, coeff))
+        scales.append(identity(reals(1)) if coeff == 1
+                      else mk_generator(GenKind.SCALAR, coeff))
     scale_layer = par_trim(*scales) if col_major else identity(EMPTY)
     row_major = [(j, i) for i in range(n) for j in row_uses[i]]
     dest = tuple(row_major.index(pos) for pos in col_major)
@@ -216,10 +213,10 @@ def gaussian_circuit(mu, factor: Matrix) -> Term:
         raise DimensionMismatch(
             f"mean is {mu_col.rows}x{mu_col.cols}, factor has {factor.rows} rows")
     k = factor.cols
-    sources = [_gen(GenKind.STD_NORMAL)] * k
+    sources = [mk_generator(GenKind.STD_NORMAL)] * k
     coeffs = factor
     if not mu_col.is_zero():
-        sources.append(_gen(GenKind.ONE))
+        sources.append(mk_generator(GenKind.ONE))
         coeffs = hstack(factor, mu_col)
     return seq(par_all(*sources), matrix_circuit(coeffs))
 
@@ -238,7 +235,8 @@ def gauss_map_circuit(a: Matrix, mu, factor: Matrix) -> Term:
     pair = par(matrix_circuit(a), noise)
     dest = tuple(2 * i for i in range(n)) + tuple(2 * i + 1 for i in range(n))
     riffle = permute_term(reals(2 * n), dest)
-    adds = par_all(*(_gen(GenKind.ADD) for _ in range(n))) if n else identity(EMPTY)
+    adds = (par_all(*(mk_generator(GenKind.ADD) for _ in range(n))) if n
+            else identity(EMPTY))
     return seq_trim(pair, riffle, adds)
 
 
@@ -264,7 +262,8 @@ def sort_boundary(t: Term) -> Term:
 
 def mix_gate(bias) -> Term:
     """Convex sum of two real wires: bias picks the first one."""
-    return seq(par(_gen(GenKind.FLIP, bias), identity(reals(2))), _gen(GenKind.ITE))
+    return seq(par(mk_generator(GenKind.FLIP, bias), identity(reals(2))),
+               mk_generator(GenKind.ITE))
 
 
 def convex_mix(bias, first: Term, second: Term) -> Term:
@@ -276,4 +275,4 @@ def convex_mix(bias, first: Term, second: Term) -> Term:
         raise DimensionMismatch("convex_mix branches must be all-real")
     body = seq(copy_bundle(reals(m)), par(first, second)) if m \
         else par(first, second)
-    return seq(par(_gen(GenKind.FLIP, bias), body), ite_n(n))
+    return seq(par(mk_generator(GenKind.FLIP, bias), body), ite_n(n))

@@ -267,3 +267,134 @@ class TestConfig:
         monkeypatch.setenv("CGM_TOLERANCE", "1e-3")
         code, _, _ = run(capsys, "equiv", mixture_file, str(other))
         assert code == EXIT_OK
+
+
+def exit_code(capsys, *argv):
+    """The code `main` exits or returns with, and what it printed to stdout."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    return code, capsys.readouterr().out
+
+
+class TestUsage:
+    def test_usage_errors_exit_1(self, mixture_file, capsys):
+        assert exit_code(capsys, "eval", mixture_file, "--bogus") == (EXIT_PARSE, "")
+        assert exit_code(capsys) == (EXIT_PARSE, "")
+        assert exit_code(capsys, "eval", mixture_file, "--cap", "x") == (EXIT_PARSE, "")
+
+    def test_help_exits_0(self, capsys):
+        code, out = exit_code(capsys, "--help")
+        assert code == EXIT_OK and out.startswith("usage: cgm")
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--tolerance", "0"), ("eval", "--tolerance=-1e-9"),
+        ("sample", "--cap", "-1"), ("normalize", "--cap", "-1")])
+    def test_bad_limits_exit_1(self, mixture_file, capsys, argv):
+        verb, *flags = argv
+        assert exit_code(capsys, verb, mixture_file, *flags) == (EXIT_PARSE, "")
+
+    def test_bad_tolerance_env_exits_1(self, mixture_file, capsys, monkeypatch):
+        monkeypatch.setenv("CGM_TOLERANCE", "abc")
+        code, out = exit_code(capsys, "equiv", mixture_file, mixture_file)
+        assert (code, out) == (EXIT_PARSE, "")
+        # render evaluates nothing, so it does not read the tolerance
+        code, out = exit_code(capsys, "render", mixture_file)
+        assert code == EXIT_OK and out.startswith("digraph circuit")
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--format", "json"), ("rewrite", "--format", "json"),
+        ("rewrite", "--backend", "float"), ("render", "--cap", "3")])
+    def test_flags_a_verb_does_not_read_are_refused(self, mixture_file,
+                                                     tmp_path, capsys, argv):
+        verb, *flags = argv
+        script = tmp_path / "steps.txt"
+        script.write_text("apply A1 at root dir L2R\n")
+        files = [mixture_file, str(script)] if verb == "rewrite" else [mixture_file]
+        assert exit_code(capsys, verb, *files, *flags) == (EXIT_PARSE, "")
+
+
+class TestSingleInput:
+    def test_text_and_json_show_the_same_row(self, tmp_path, capsys):
+        path = tmp_path / "gate.cgm"
+        path.write_text("flip(1/3) * id(B) ; and")
+        code, text, _ = run(capsys, "eval", str(path), "--input", "1")
+        assert code == EXIT_OK
+        assert text.splitlines() == [
+            "kernel: B -> B", "input 1:",
+            "  weight=2/3 boolOut=0 A=[] mu=[] cov=[]",
+            "  weight=1/3 boolOut=1 A=[] mu=[] cov=[]"]
+        code, out, _ = run(capsys, "eval", str(path), "--input", "1",
+                           "--format", "json")
+        assert code == EXIT_OK
+        table = json.loads(out)["table"]
+        assert [row["input"] for row in table] == ["1"]
+        assert [(c["weight"], c["boolOut"]) for c in table[0]["components"]] \
+            == [("2/3", "0"), ("1/3", "1")]
+
+    def test_wrong_width_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "gate.cgm"
+        path.write_text("not")
+        code, out, err = run(capsys, "eval", str(path), "--input", "10")
+        assert code == EXIT_PARSE and out == ""
+        assert "--input needs 1 bits, got 2" in err
+
+
+class TestRewriteScriptSyntax:
+    CIRCUIT = "(flip(1/2) * id(RR) ; ite) * id(R) ; (flip(1/2) * id(RR) ; ite)"
+
+    def rewrite(self, tmp_path, capsys, circuit, script):
+        path = tmp_path / "c.cgm"
+        path.write_text(circuit)
+        steps = tmp_path / "steps.txt"
+        steps.write_text(script)
+        return run(capsys, "rewrite", str(path), str(steps))
+
+    def test_malformed_binding_names_its_line(self, tmp_path, capsys):
+        code, out, err = self.rewrite(
+            tmp_path, capsys, self.CIRCUIT,
+            "# bindings below\napply E10 at root dir L2R with p=1/2, q\n")
+        assert code == EXIT_PARSE and out == ""
+        assert "line 2: bad binding ' q'" in err
+
+    def test_malformed_line_names_its_line(self, tmp_path, capsys):
+        code, out, err = self.rewrite(
+            tmp_path, capsys, self.CIRCUIT,
+            "apply E10 at root dir L2R with p=1/2, q=1/2\napply A1 at root\n")
+        assert code == EXIT_PARSE and out == ""
+        assert "line 2: expected 'apply <axiom> at <path>" in err
+
+    def test_trailing_words_name_their_line(self, tmp_path, capsys):
+        code, _, err = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
+                                    "apply A1 at root dir L2R junk\n")
+        assert code == EXIT_PARSE
+        assert "line 1: trailing 'junk'" in err
+
+    def test_trailing_comma_is_accepted(self, tmp_path, capsys):
+        code, out, _ = self.rewrite(
+            tmp_path, capsys, self.CIRCUIT,
+            "apply E10 at root dir L2R with p=1/2, q=1/2,\n")
+        assert code == EXIT_OK
+        assert "flip(1/4)" in out and "flip(1/3)" in out
+
+    def test_braced_circuit_may_hold_commas(self, tmp_path, capsys):
+        code, out, _ = self.rewrite(
+            tmp_path, capsys, "ite ; (copyR ; swap(R,R))",
+            "apply E5 at root dir R2L with c={ copyR ; swap(R,R) }\n")
+        assert code == EXIT_OK
+        assert out.startswith(
+            "id(B) * (copyR ; swap(R,R)) * (copyR ; swap(R,R)) ; ")
+
+
+class TestGeneratorSpans:
+    @pytest.mark.parametrize("text, where, message", [
+        ("flip(3/2)", "1:1", "flip bias 3/2 not in [0, 1]"),
+        ("stdnormal ;\n  scal(1e400)", "2:3", "scal(inf) is not finite")])
+    def test_bad_parameter_reports_its_place(self, tmp_path, capsys, text,
+                                             where, message):
+        path = tmp_path / "bad.cgm"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"{path}:{where}: error: {message}\n"

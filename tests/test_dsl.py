@@ -242,3 +242,10 @@ class TestExports:
         text = json_ast_text(parse("flip(1/3)" + " ; (not" * 600 + ")" * 600))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "4e6ab1c30e1174789e9dae8bd71a63c51a03ea97b5a595fe8e97c0125aaad5f7"
+
+
+def test_generator_errors_carry_their_span():
+    from cgm.errors import BiasOutOfRange
+    with pytest.raises(BiasOutOfRange) as err:
+        parse("flip(1/2) ;\n  flip(3/2)", filename="f.cgm")
+    assert str(err.value.span) == "f.cgm:2:3"
