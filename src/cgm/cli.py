@@ -210,20 +210,25 @@ def run_rewrite_script(term: Term, script: str, tol: float, cap: int) -> Term:
                            f"'apply <axiom> at <path> dir <L2R|R2L> "
                            f"[with <bindings>]'")
         name, where, direction, rest = step.groups()
-        if rest and not rest.startswith("with"):
-            raise CgmError(f"line {lineno}: trailing {rest!r}")
-        parts = _BINDING_SEP.split(rest[4:].strip() if rest else "")
-        if not parts[-1]:
-            parts.pop()   # no bindings, or a trailing comma
-        binding = {}
-        for part in parts:
-            key, _, value = part.partition("=")
-            if not value:
-                raise CgmError(f"line {lineno}: bad binding {part!r}")
-            binding[key.strip()] = _parse_binding_value(value)
-        path = () if where == "root" else tuple(int(k) for k in where.split("."))
-        term = rewrite_at(term, path, get_axiom(name), direction, binding,
-                          tol=tol, cap=cap)
+        try:
+            if rest and not rest.startswith("with"):
+                raise CgmError(f"trailing {rest!r}")
+            parts = _BINDING_SEP.split(rest[4:].strip() if rest else "")
+            if not parts[-1]:
+                parts.pop()   # no bindings, or a trailing comma
+            binding = {}
+            for part in parts:
+                key, _, value = part.partition("=")
+                if not value:
+                    raise CgmError(f"bad binding {part!r}")
+                binding[key.strip()] = _parse_binding_value(value)
+            path = () if where == "root" else tuple(int(k) for k in where.split("."))
+            term = rewrite_at(term, path, get_axiom(name), direction, binding,
+                              tol=tol, cap=cap)
+        except (CgmError, ValueError) as err:
+            # Same type, so the same exit code; the message names the line.
+            err.args = (f"line {lineno}: {err}",)
+            raise
     return term
 
 

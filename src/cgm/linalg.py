@@ -8,7 +8,8 @@ own (zeros, identities, block-diagonal padding, product accumulators) take
 it, so a float kernel holds only floats.  Matrices are small, dense and
 immutable.  Covariances are kept in factored form ``Sigma = L L^T``
 so that kernel composition stays square-root free and exact whenever the
-inputs are rational.
+inputs are rational; a factor that composition or a wiring builds holds no
+all-zero column.
 
 Exact products of more than two scalar terms are computed over integers: each
 operand is put on the lcm of its denominators, each entry is one integer dot
@@ -148,8 +149,8 @@ class Matrix:
         n, k, m = self.rows, self.cols, other.cols
         if not (n and k and m):
             return Matrix.zeros(n, m, field)
-        a = n * k * m > 2 and _over_common_den(self.entries)
-        b = a and _over_common_den(other.entries)
+        a = n * k * m > 2 and over_common_den(self.entries)
+        b = a and over_common_den(other.entries)
         if b:
             den, cols = a[0] * b[0], [b[1][j::m] for j in range(m)]
             dots = (sum(map(mul, a[1][i:i + k], col))
@@ -173,7 +174,7 @@ class Matrix:
         return all(x == 0 for x in self.entries)
 
 
-def _over_common_den(entries):
+def over_common_den(entries):
     """``(lcm of denominators, numerators over it)``; None unless all are Fractions."""
     if not all(type(x) is Fraction for x in entries):
         return None
@@ -233,7 +234,7 @@ class CovFactor:
     def gram(self, field: Field = RATIONAL) -> Matrix:
         """``L L^T``; for an exact L, one integer dot product per pair i <= j."""
         f, n, k = self.factor, self.dim, self.width
-        exact = n * n * k > 2 and _over_common_den(f.entries)
+        exact = n * n * k > 2 and over_common_den(f.entries)
         if not exact:
             return f.__matmul__(f.transpose(), field)
         den, nums = exact
@@ -245,15 +246,31 @@ class CovFactor:
                                   for i in range(n) for j in range(n)))
 
 
+def drop_zero_columns(factor: Matrix) -> Matrix:
+    """`factor` without its all-zero columns, which add nothing to ``L L^T``.
+
+    Gram matrices are unchanged bit for bit: a zero's denominator is 1, and
+    the float product skips zero terms."""
+    k, entries = factor.cols, factor.entries
+    if not k:
+        return factor
+    keep = [j for j in range(k) if any(entries[j::k])]
+    if len(keep) == k:
+        return factor
+    return Matrix(factor.rows, len(keep), tuple(
+        entries[i + j] for i in range(0, len(entries), k) for j in keep))
+
+
 def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor,
                 field: Field = RATIONAL) -> CovFactor:
-    """Factor of ``B Sigma B^T + Theta`` without leaving factored form."""
+    """Factor of ``B Sigma B^T + Theta`` without leaving factored form, less
+    its all-zero columns (those of Sigma's that ``B`` maps to zero)."""
     if b.cols != sigma.dim:
         raise DimensionMismatch(f"B has {b.cols} cols, sigma dim {sigma.dim}")
     if b.rows != theta.dim:
         raise DimensionMismatch(f"B has {b.rows} rows, theta dim {theta.dim}")
-    return CovFactor(b.rows,
-                     hstack(b.__matmul__(sigma.factor, field), theta.factor))
+    return CovFactor(b.rows, drop_zero_columns(
+        hstack(b.__matmul__(sigma.factor, field), theta.factor)))
 
 
 def cov_block(sigma: CovFactor, theta: CovFactor,

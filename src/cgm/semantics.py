@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import add
+from operator import add, mul, truediv
 from typing import NamedTuple
 import numpy as np
 
@@ -41,14 +41,14 @@ from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      TypeMismatch)
 from .linalg import (FLOAT, RATIONAL, CovFactor, Field, Matrix, Scalar,
-                     block_diag, cov_block, cov_compose, matrix_to_json,
+                     block_diag, cov_block, cov_compose, drop_zero_columns,
+                     matrix_to_json, over_common_den,
                      quantize_key, scalar_to_json, vstack)
 
 BitVec = tuple
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_BOOL_CAP = 12
-_ZERO = RATIONAL.zero
 
 
 def all_bitvecs(p: int) -> list:
@@ -319,7 +319,6 @@ def _build(dom, cod, rows, field: Field, tol) -> CGMixture:
     weights dropped, equal components merged, sorted by key.  Callers read
     `field` from their operands' records; the rows are not scanned."""
     exact = field is RATIONAL
-    merge_tol = 0 if exact else tol
     out = []
     for bits, comps in rows:
         keyed = []
@@ -331,7 +330,9 @@ def _build(dom, cod, rows, field: Field, tol) -> CGMixture:
         keyed.sort(key=lambda item: item[0])
         merged = []
         for key, g, c in keyed:
-            if merged and _params_close(merged[-1][2], merged[-1][1], c, g, merge_tol):
+            # An exact key holds every parameter but the weight.
+            if merged and (merged[-1][0] == key if exact else _params_close(
+                    merged[-1][2], merged[-1][1], c, g, tol)):
                 key, prev_g, prev = merged[-1]
                 merged[-1] = (key, prev_g, replace(prev, weight=prev.weight + c.weight))
             else:
@@ -428,7 +429,8 @@ def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
     rows = [(bits, [GaussComponent(
                 c.weight, tuple(c.bool_out[i] for i in w.bits),
                 _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
-                CovFactor(n, _rows_of(c.cov.factor, w.reals))) for c in comps])
+                CovFactor(n, drop_zero_columns(_rows_of(c.cov.factor, w.reals))))
+                for c in comps])
             for bits, comps in f.table]
     # A discard can make two components equal, so merge again.
     return _build(f.dom_word, w.cod, rows, _field(f), tol)
@@ -560,28 +562,56 @@ def _input_point(mix: CGMixture, bits: BitVec, xs):
 
 
 def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
-    """Exact Boolean marginal and real mean/covariance at one input point;
-    each centre is computed once, the covariance over its upper half."""
+    """Exact Boolean marginal and real mean/covariance at one input point.
+
+    By the law of total variance the covariance is ``sum w F F^T`` with
+    ``F = [L | C - mean]``, each component's factor L beside its centre's
+    deviation.  The weights, the input point, and every component's A, mu
+    and L are each put over one common denominator (all over 1, as floats,
+    unless every entry is a Fraction), so the centres, the mean and those
+    sums are integer arithmetic, with one quotient per output entry.
+    """
     comps, x = _input_point(mix, bits, xs)
-    n = mix.n
-    marg, centres, mean = {}, [], [_ZERO] * n
-    for c in comps:
-        marg[c.bool_out] = marg.get(c.bool_out, _ZERO) + c.weight
-        centre = [sum([a * v for a, v in zip(c.lin.row(i), x) if a and v], _ZERO)
-                  + mu for i, mu in enumerate(c.mean.entries)]
-        mean = [acc + c.weight * v for acc, v in zip(mean, centre)]
-        centres.append(centre)
-    cov = [_ZERO] * (n * n)
-    for c, centre in zip(comps, centres):
-        w, g = c.weight, c.gram().entries
-        dev = [v - mu for v, mu in zip(centre, mean)]
-        for i, di in enumerate(dev):
-            for j in range(i, n):
-                dd = di * dev[j] if di and dev[j] else _ZERO
-                cov[i * n + j] += w * (g[i * n + j] + dd)
-    return Moments(tuple(sorted(marg.items())), Matrix(n, 1, tuple(mean)),
-                   Matrix(n, n, tuple(cov[min(i, j) * n + max(i, j)]
-                                      for i in range(n) for j in range(n))))
+    n, m = mix.n, mix.m
+    parts = ([c.weight for c in comps], x,
+             [v for c in comps for v in c.lin.entries],
+             [v for c in comps for v in c.mean.entries],
+             [v for c in comps for v in c.cov.factor.entries])
+    over = [over_common_den(part) for part in parts]
+    exact = all(over)
+    if not exact:
+        over = [(1, [float(v) for v in part]) for part in parts]
+    (d_w, ws), (d_x, xn), (d_a, an), (d_m, mn), (d_l, ln) = over
+    quotient = Fraction if exact else truediv
+    marg = {}
+    for c, w in zip(comps, ws):
+        marg[c.bool_out] = marg.get(c.bool_out, 0) + w
+    # Centres over d_c = d_a d_x d_m, one list over the components per row;
+    # d_w d_c (C - mean) is the integer d_w C - sum w C.
+    d_c, shift = d_a * d_x * d_m, d_a * d_x
+    centres = [[d_m * sum(map(mul, an[(ci * n + i) * m:(ci * n + i + 1) * m], xn))
+                + shift * mn[ci * n + i] for ci in range(len(comps))]
+               for i in range(n)]
+    sums = [sum(map(mul, ws, row)) for row in centres]
+    # Row i of every F end to end, all over d_w d_c d_l, and weighted.
+    rows, weighted = [[] for _ in range(n)], [[] for _ in range(n)]
+    start, scale = 0, d_w * d_c
+    for ci, (c, w) in enumerate(zip(comps, ws)):
+        k = c.cov.width
+        for i in range(n):
+            row = [scale * v for v in ln[start + i * k:start + (i + 1) * k]]
+            row.append(d_l * (d_w * centres[i][ci] - sums[i]))
+            rows[i] += row
+            weighted[i] += [w * v for v in row]
+        start += n * k
+    den = d_w * (scale * d_l) ** 2
+    upper = {(i, j): quotient(sum(map(mul, weighted[i], rows[j])), den)
+             for i in range(n) for j in range(i, n)}
+    return Moments(
+        tuple(sorted((b, quotient(w, d_w)) for b, w in marg.items())),
+        Matrix(n, 1, tuple(quotient(v, scale) for v in sums)),
+        Matrix(n, n, tuple(upper[min(i, j), max(i, j)]
+                           for i in range(n) for j in range(n))))
 
 
 def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):

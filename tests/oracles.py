@@ -11,8 +11,9 @@ structure.  The reference comparisons at the end are the four loops that
 `reference_matmul` is the entrywise ``Fraction`` loop that ``Matrix.@``
 was before exact products moved to integer numerators, and
 `reference_sample_many` is the sampler as it was before it read float
-entries directly and gathered each drawn factor once.  The last helpers
-are small readers that only tests use.
+entries directly and gathered each drawn factor once, and
+`reference_moments` is `moments` as it was before it summed integer
+numerators.  The last helpers are small readers that only tests use.
 """
 
 import itertools
@@ -22,12 +23,15 @@ import numpy as np
 
 from cgm.diagram import Gen, GenKind, Id, Par, Seq, Swap
 from cgm.errors import TypeMismatch
-from cgm.linalg import Matrix, as_scalar, block_diag, cov_block, vstack
+from cgm.linalg import (RATIONAL, Matrix, as_scalar, block_diag, cov_block,
+                        vstack)
 from cgm.normalform import NFTree
-from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
-                           _input_point, bits_to_str, canonicalize, compose,
-                           identity_kernel, interp_generator,
-                           mixture_is_exact, swap_kernel)
+from cgm.semantics import (DEFAULT_TOLERANCE, BitVec, CGMixture,
+                           GaussComponent, Moments, _input_point, bits_to_str,
+                           canonicalize, compose, identity_kernel,
+                           interp_generator, mixture_is_exact, swap_kernel)
+
+_ZERO = RATIONAL.zero
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -338,6 +342,31 @@ def reference_sample_many(mix: CGMixture, bits, xs, count: int, seed: int):
         reals_out[:, i] += np.einsum("dk,dk->d", fac[idx, i, :], z)
     outs = [c.bool_out for c in comps]
     return [outs[i] for i in idx.tolist()], reals_out
+
+
+def reference_moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
+    """Exact Boolean marginal and real mean/covariance at one input point;
+    each centre is computed once, the covariance over its upper half."""
+    comps, x = _input_point(mix, bits, xs)
+    n = mix.n
+    marg, centres, mean = {}, [], [_ZERO] * n
+    for c in comps:
+        marg[c.bool_out] = marg.get(c.bool_out, _ZERO) + c.weight
+        centre = [sum([a * v for a, v in zip(c.lin.row(i), x) if a and v], _ZERO)
+                  + mu for i, mu in enumerate(c.mean.entries)]
+        mean = [acc + c.weight * v for acc, v in zip(mean, centre)]
+        centres.append(centre)
+    cov = [_ZERO] * (n * n)
+    for c, centre in zip(comps, centres):
+        w, g = c.weight, c.gram().entries
+        dev = [v - mu for v, mu in zip(centre, mean)]
+        for i, di in enumerate(dev):
+            for j in range(i, n):
+                dd = di * dev[j] if di and dev[j] else _ZERO
+                cov[i * n + j] += w * (g[i * n + j] + dd)
+    return Moments(tuple(sorted(marg.items())), Matrix(n, 1, tuple(mean)),
+                   Matrix(n, n, tuple(cov[min(i, j) * n + max(i, j)]
+                                      for i in range(n) for j in range(n))))
 
 
 def is_trivial_kernel(mix: CGMixture) -> bool:

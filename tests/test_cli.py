@@ -386,6 +386,27 @@ class TestRewriteScriptSyntax:
         assert out.startswith(
             "id(B) * (copyR ; swap(R,R)) * (copyR ; swap(R,R)) ; ")
 
+    # A matched line's later errors keep their exit code and name the line.
+    @pytest.mark.parametrize("step, code, message", [
+        ("apply E10 at root dir L2R with p=abc, q=1/2",
+         EXIT_PARSE, "error: line 2: Invalid literal for Fraction: 'abc'"),
+        ("apply E5 at root dir R2L with c={ copyR ; }",
+         EXIT_PARSE, "parse error: line 2: expected a circuit"),
+        ("apply A1 at 0.x dir L2R",
+         EXIT_PARSE, "error: line 2: invalid literal for int()"),
+        ("apply A1 at root dir sideways",
+         EXIT_PARSE, "error: line 2: direction must be 'L2R' or 'R2L'"),
+        ("apply A1 at 5 dir L2R",
+         EXIT_NO_MATCH, "error: line 2: child index 5 out of range"),
+        ("apply A1 at root dir R2L",
+         EXIT_NO_MATCH, "error: line 2: A1 R2L: subterm does not match")])
+    def test_step_errors_name_their_line(self, tmp_path, capsys, step, code,
+                                         message):
+        got, out, err = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
+                                     "# one step\n" + step + "\n")
+        assert (got, out) == (code, "")
+        assert message in err
+
 
 class TestGeneratorSpans:
     @pytest.mark.parametrize("text, where, message", [

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cgm.errors import DimensionMismatch, NotPSD
 from cgm.linalg import (FLOAT, RATIONAL, CovFactor, Matrix, block_diag,
-                        cov_block, cov_compose, four_squares, hstack, ldlt,
-                        quantize_key, sum_square_scales, vstack)
+                        cov_block, cov_compose, drop_zero_columns, four_squares,
+                        hstack, ldlt, quantize_key, sum_square_scales, vstack)
 
 from oracles import reference_matmul
 
@@ -47,6 +47,18 @@ def same_entries(out: Matrix, want: Matrix) -> bool:
 
 def mat(rows):
     return Matrix.from_rows(rows)
+
+
+@st.composite
+def padded_factors(draw, entries, field, zeros):
+    """``(factor, the factor with zero columns inserted, field)``; each
+    inserted column repeats one of `zeros`."""
+    factor = draw(matrices(entries))
+    cols = [factor.entries[j::factor.cols] for j in range(factor.cols)]
+    for zero in draw(st.lists(st.sampled_from(zeros), max_size=3)):
+        cols.insert(draw(st.integers(0, len(cols))), (zero,) * factor.rows)
+    return factor, Matrix(factor.rows, len(cols), tuple(
+        col[i] for i in range(factor.rows) for col in cols)), field
 
 
 class TestMatrix:
@@ -178,6 +190,35 @@ class TestCovFactor:
     def test_gram_matches_reference(self, factor):
         assert same_entries(CovFactor.of(factor).gram(),
                             reference_matmul(factor, factor.transpose()))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(padded_factors(exact_entries, RATIONAL,
+                                    (Fraction(0), 0.0, -0.0)),
+                     padded_factors(float_entries, FLOAT, (0.0, -0.0))))
+    def test_zero_columns_leave_gram_unchanged(self, case):
+        factor, padded, field = case
+        want = CovFactor.of(factor).gram(field)
+        dropped = drop_zero_columns(padded)
+        for got in (CovFactor.of(padded).gram(field),
+                    CovFactor.of(dropped).gram(field)):
+            assert same_entries(got, want)
+            assert list(map(repr, got.entries)) == list(map(repr, want.entries))
+        assert dropped == drop_zero_columns(factor)
+        assert all(any(dropped.entries[j::dropped.cols])
+                   for j in range(dropped.cols))
+
+    def test_drop_zero_columns(self):
+        assert drop_zero_columns(mat([[0, 1, 0], [0, 2, -3]])) == mat([[1, 0], [2, -3]])
+        assert drop_zero_columns(Matrix(1, 2, (-0.0, 0.5))) == Matrix(1, 1, (0.5,))
+        assert drop_zero_columns(mat([[0], [0]])) == Matrix.zeros(2, 0)
+        compact = mat([[1, 0], [0, 1]])
+        assert drop_zero_columns(compact) is compact
+
+    def test_compose_drops_the_columns_it_zeroes(self):
+        # [I | 0] keeps the first block of a block diagonal factor.
+        sigma = cov_block(CovFactor.of(mat([[2]])), CovFactor.of(mat([[3, 1]])))
+        out = cov_compose(mat([[1, 0]]), sigma, CovFactor.of(mat([[5]])))
+        assert out.factor == mat([[2, 5]])
 
     def test_gram_orthogonal_invariance(self):
         rng = random.Random(3)

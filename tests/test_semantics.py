@@ -23,12 +23,12 @@ from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
 from cgm.linalg import CovFactor, Matrix
 from cgm.normalform import decide_equiv
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
-from cgm.semantics import (CGMixture, GaussComponent, canonicalize, compose,
-                           evaluate, identity_kernel, interp_generator,
+from cgm.semantics import (CGMixture, GaussComponent, all_bitvecs, canonicalize,
+                           compose, evaluate, identity_kernel, interp_generator,
                            max_deviation, mixture_is_exact, mixture_to_json,
                            mixtures_equal, moments, sample,
                            sample_many, swap_kernel, tensor, with_sorted_words)
-from oracles import (is_trivial_kernel, reference_evaluate,
+from oracles import (is_trivial_kernel, reference_evaluate, reference_moments,
                      reference_sample_many)
 
 # SHA-256 of the rational kernels of `exactness_corpus()`; any change to an
@@ -420,7 +420,36 @@ def random_mixed_terms() -> list:
     return [sampler.closed_term() for _ in range(300)]
 
 
+def dense_cascade_term(seed: int = 12):
+    """A convex_mix cascade of three dense Gaussian maps R^2 -> R^3, then a
+    dense 3 x 3 map: the shape whose factors `ite` pads with zero columns."""
+    rng = random.Random(seed)
+
+    def dense(rows, cols):
+        return Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                  for _ in range(cols)] for _ in range(rows)],
+                                cols=cols)
+
+    leaves = [gauss_map_circuit(dense(3, 2), dense(3, 1), dense(3, width))
+              for width in (2, 3, 1)]
+    cascade = convex_mix(Fraction(1, 3), leaves[0],
+                         convex_mix(Fraction(1, 2), leaves[1], leaves[2]))
+    return seq(cascade, matrix_circuit(dense(3, 3)))
+
+
+def zero_columns(factor: Matrix) -> list:
+    return [j for j in range(factor.cols)
+            if all(factor.at(i, j) == 0 for i in range(factor.rows))]
+
+
 class TestExactness:
+    def test_factors_hold_no_zero_column(self):
+        for t in random_mixed_terms() + exactness_corpus() + [dense_cascade_term()]:
+            for backend in ("rational", "float"):
+                mix = evaluate(t, backend=backend)
+                assert [z for _, comps in mix.table for c in comps
+                        if (z := zero_columns(c.cov.factor))] == []
+
     def test_rational_kernels_are_pinned(self):
         digest = hashlib.sha256()
         for t in exactness_corpus():
@@ -595,6 +624,16 @@ class TestCanonicalize:
         assert first.mean.entries[0] == 0   # N(0,4) sorts before N(3,1)
         assert second.mean.entries[0] == 3
 
+    @pytest.mark.parametrize("cast", [Fraction, float])
+    def test_merge_needs_every_parameter(self, cast):
+        half, zero = cast(Fraction(1, 2)), cast(0)
+        # Equal but for the covariance: both stay.
+        apart = canonicalize(self._mix([(half, zero, cast(1)), (half, zero, cast(2))]))
+        assert len(apart.row(())) == 2
+        # Two factors of one covariance: one component.
+        same = canonicalize(self._mix([(half, zero, cast(1)), (half, zero, cast(-1))]))
+        assert [c.weight for c in same.row(())] == [1]
+
     def test_drops_zero_weights(self):
         m = canonicalize(self._mix([(Fraction(0), 5, 1), (Fraction(1), 0, 1)]))
         assert len(m.row(())) == 1
@@ -747,7 +786,8 @@ class TestMomentsAndSampling:
     def test_discarded_noise_leaves_no_reals(self):
         m = evaluate(parse("stdnormal ; delR"))
         (c,) = m.row(())
-        assert (c.cov.dim, c.cov.width) == (0, 1)
+        # The discarded noise leaves a zero column, which is dropped.
+        assert (c.cov.dim, c.cov.width) == (0, 0)
         bools_out, reals_out = sample_many(m, (), (), 7, 0)
         assert bools_out == [()] * 7 and reals_out.shape == (7, 0)
 
@@ -771,10 +811,11 @@ class TestMomentsAndSampling:
 
     def _beside_wide(self, narrow):
         """Half `narrow`, half a 2-dimensional Gaussian of factor width 3;
-        the mixture pads both factors wider than 2, so both are QR-reduced."""
+        the sampler pads both factors to width 3, wider than 2, so both are
+        QR-reduced."""
         wide = gaussian_circuit([1, -2], Matrix.from_rows([[1, 2, 0], [0, 1, 3]]))
         m = evaluate(convex_mix(Fraction(1, 2), narrow, wide))
-        assert all(c.cov.width > m.n for c in m.row(()))
+        assert max(c.cov.width for c in m.row(())) > m.n
         n_draws = 20000
         _, reals_out = sample_many(m, (), (), n_draws, 6)
         return reals_out, 2.5 * n_draws ** 0.5
@@ -791,7 +832,8 @@ class TestMomentsAndSampling:
         assert abs(at_centre.sum() - len(reals_out) / 2) < five_se
 
     def test_draw_stream_is_pinned(self):
-        """A change to the draws a seed gives must be deliberate."""
+        """A change to the draws a seed gives must be deliberate.  Its
+        factors are 2 x 2, so the draws are not QR-reduced."""
         m = evaluate(parse(
             "let n31 = (stdnormal * one) ; (id(R) * scal(3)) ; add in "
             "let n04 = stdnormal ; scal(2) in "
@@ -801,7 +843,7 @@ class TestMomentsAndSampling:
         digest = hashlib.sha256(repr(bools_out).encode())
         digest.update((np.round(reals_out, 10) + 0.0).tobytes())
         assert digest.hexdigest() == (
-            "c15697814d409ede44112170a9d02767536afb4795dd3dae33a4da8d16c4c810")
+            "9b6ef318dfd97818b0893aeb413b8e50d3d8ae20a634b322d539a23e65701ef6")
 
 
 def sampler_cases() -> list:
@@ -856,3 +898,51 @@ class TestSamplerOracle:
         assert {key[0] for key in seen} == {True, False}
         assert {key[1] for key in seen} == {True, False}
         assert {key[2] for key in seen} == {True, False}
+
+
+def assert_moments_close(got, want, eps):
+    assert [bits for bits, _ in got.bool_marginal] == \
+        [bits for bits, _ in want.bool_marginal]
+    for mine, theirs in ((tuple(w for _, w in got.bool_marginal),
+                          tuple(w for _, w in want.bool_marginal)),
+                         (got.mean.entries, want.mean.entries),
+                         (got.cov.entries, want.cov.entries)):
+        assert len(mine) == len(theirs)
+        assert all(abs(x - y) <= eps for x, y in zip(mine, theirs))
+
+
+class TestMomentsOracle:
+    """`moments` equals the entrywise reference: exactly on rational kernels,
+    within 1e-9 on float kernels and at float input points."""
+
+    def cases(self):
+        cases = [(t, xs) for t, _, xs in sampler_cases()]
+        cases.append((dense_cascade_term(), (Fraction(3, 2), Fraction(-5, 2))))
+        cases.append((parse("flip(1/3) * id(B) ; and ; copyB"), ()))
+        return cases
+
+    def test_rational_moments_equal_the_reference(self):
+        seen = set()
+        for t, xs in self.cases():
+            mix = evaluate(t, backend="rational")
+            for bits in all_bitvecs(mix.p):
+                got, want = moments(mix, bits, xs), reference_moments(mix, bits, xs)
+                assert got == want
+                assert all(type(x) is Fraction for x in (
+                    *(w for _, w in got.bool_marginal), *got.mean.entries,
+                    *got.cov.entries))
+                seen.add((mix.p > 0, mix.n > 0, any(xs)))
+        assert {(True, True, True), (False, False, False)} <= seen
+
+    def test_float_moments_are_close_to_the_reference(self):
+        for t, xs in self.cases():
+            kernels = [(evaluate(t, backend="float"), xs)]
+            if xs:   # a float point makes a rational kernel's moments floats
+                kernels.append((evaluate(t, backend="rational"),
+                                tuple(float(v) for v in xs)))
+            for mix, point in kernels:
+                for bits in all_bitvecs(mix.p):
+                    got = moments(mix, bits, point)
+                    assert all(type(x) is float for x in got.cov.entries)
+                    assert_moments_close(got, reference_moments(mix, bits, point),
+                                         1e-9)

@@ -5,8 +5,8 @@
 exist where it looks for it, and a traced pipeline must still yield every
 per-layer metric, so that a cleanup in `src/cgm` cannot break
 `bench/run.py --trace 1` without a tier-1 failure.  `bench/workloads.py`
-is loaded the same way, and one cycle of its Monte Carlo ops must pass the
-workload's own checks.
+is loaded the same way: one cycle of its Monte Carlo ops, and one pass over
+its dense-mixture ops, must pass the workload's own checks.
 """
 
 import json
@@ -109,3 +109,13 @@ def test_monte_carlo_cycle_passes_its_oracle(tracer, monkeypatch):
     for op in mc.ops[:cycle]:
         assert mc.check(op, mc.run(op))
     assert mc.finish(cycle) == set()
+
+
+def test_dense_mixture_ops_pass_their_oracle(tracer, monkeypatch):
+    # Each op's mean and covariance must equal the exact closed form.
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    workloads = load(WORKLOADS, "cgm_bench_workloads")
+    dense = workloads.DenseMixture(1)
+    for op in dense.ops:
+        assert dense.check(op, dense.run(op))
+    assert dense.finish(len(dense.ops)) == set()
