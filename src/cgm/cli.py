@@ -183,10 +183,14 @@ _STEP = re.compile(r"apply\s+(\S+)\s+at\s+(\S+)\s+dir\s+(\S+)(?:\s+(.*))?")
 _BINDING_SEP = re.compile(r",(?![^{]*\})")
 
 
-def _parse_binding_value(text: str):
-    text = text.strip()
+def _parse_binding_value(value: str, filename: str, lineno: int, col: int):
+    """A binding's value; a braced circuit sits at 0-based column `col` of
+    line `lineno` of `filename`, and is parsed behind that many newlines and
+    spaces so that its errors name their place in the script."""
+    text = value.strip()
     if text.startswith("{") and text.endswith("}"):
-        return parse(text[1:-1], filename="<binding>")
+        col += len(value) - len(value.lstrip()) + 1
+        return parse("\n" * (lineno - 1) + " " * col + text[1:-1], filename=filename)
     if text in ("B", "R"):
         return Colour(text)
     if "." in text or "e" in text or "E" in text:
@@ -194,14 +198,18 @@ def _parse_binding_value(text: str):
     return Fraction(text)
 
 
-def run_rewrite_script(term: Term, script: str, tol: float, cap: int) -> Term:
+def run_rewrite_script(term: Term, script: str, tol: float, cap: int,
+                       filename: str = "<script>") -> Term:
     """Apply `apply <axiom> at <path> dir <L2R|R2L> [with <bindings>]` lines.
 
     Bindings are `name=value` pairs separated by commas; a circuit value is
-    braced DSL text, as in `with c={ scal(2) ; copyR }`.
+    braced DSL text, as in `with c={ scal(2) ; copyR }`.  Errors name the
+    script line; a parse error in a braced circuit names its place in
+    `filename`.
     """
     for lineno, raw in enumerate(script.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         step = _STEP.fullmatch(line)
@@ -213,15 +221,21 @@ def run_rewrite_script(term: Term, script: str, tol: float, cap: int) -> Term:
         try:
             if rest and not rest.startswith("with"):
                 raise CgmError(f"trailing {rest!r}")
-            parts = _BINDING_SEP.split(rest[4:].strip() if rest else "")
+            bindings = rest[4:].strip() if rest else ""
+            parts = _BINDING_SEP.split(bindings)
             if not parts[-1]:
                 parts.pop()   # no bindings, or a trailing comma
+            # Column of the next part in `raw`: the bindings end the line,
+            # and parts are one comma apart.
+            col = len(code.rstrip()) - len(bindings)
             binding = {}
             for part in parts:
                 key, _, value = part.partition("=")
                 if not value:
                     raise CgmError(f"bad binding {part!r}")
-                binding[key.strip()] = _parse_binding_value(value)
+                binding[key.strip()] = _parse_binding_value(
+                    value, filename, lineno, col + len(key) + 1)
+                col += len(part) + 1
             path = () if where == "root" else tuple(int(k) for k in where.split("."))
             term = rewrite_at(term, path, get_axiom(name), direction, binding,
                               tol=tol, cap=cap)
@@ -236,7 +250,8 @@ def cmd_rewrite(args) -> int:
     term = parse_file(args.file)
     with open(args.script, "r", encoding="utf-8") as handle:
         script = handle.read()
-    text = print_term(run_rewrite_script(term, script, args.tolerance, args.cap))
+    text = print_term(run_rewrite_script(term, script, args.tolerance, args.cap,
+                                         filename=args.script))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

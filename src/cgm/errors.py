@@ -53,6 +53,11 @@ class InvalidDrawCount(CgmError):
     """A sampler or the soundness harness was asked for a negative count."""
 
 
+class InvalidWeight(CgmError):
+    """A mixture weight is negative, or a row's weights have no positive
+    finite sum to draw from."""
+
+
 class ParseError(CgmError):
     """Syntax error in circuit text; carries a span and the expected tokens."""
 

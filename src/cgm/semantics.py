@@ -39,7 +39,7 @@ import numpy as np
 from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
                       fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                     TypeMismatch)
+                     InvalidWeight, NonFiniteParam, TypeMismatch)
 from .linalg import (FLOAT, RATIONAL, CovFactor, Field, Matrix, Scalar,
                      block_diag, cov_block, cov_compose, drop_zero_columns,
                      matrix_to_json, over_common_den,
@@ -614,6 +614,56 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
                            for i in range(n) for j in range(n))))
 
 
+def _pick_components(rng, weights, count: int):
+    """`count` component indices drawn by `weights`: NumPy's
+    ``Generator.choice(len(weights), size=count, p=weights / weights.sum())``
+    bit for bit, from the same `count` uniforms of `rng`.
+
+    Both invert the cdf at each uniform u.  A guide table (Chen and Asau,
+    1974) splits [0, 1) into `cells`, a power of two at least 4 times the
+    number of components, and holds for each cell the first component whose
+    cdf point lies past the cell's left edge.  Scaling by a power of two is
+    exact, so ``u * cells`` and ``cdf * cells`` compare as u and the cdf do.
+    A draw in a cell holding at most one cdf point is then settled by one
+    comparison; a cell holding more starts at the sentinel `size`, and its
+    draws (at most 1/8 of them in expectation, as at most size / 2 cells
+    are crowded) go to one `searchsorted`.  ``cdf[-1]`` is exactly 1 and
+    ``u < 1``, so no draw passes the last component of positive weight.
+
+    Raises `NonFiniteParam` for a NaN or infinite weight and
+    `InvalidWeight` for a negative weight or a total that is zero or
+    overflows.
+    """
+    finite = np.isfinite(weights)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteParam(f"component {i} has weight {weights[i]}, "
+                             "which is not finite")
+    negative = weights < 0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise InvalidWeight(f"component {i} has negative weight {weights[i]}")
+    total = weights.sum()
+    if not 0 < total < np.inf:
+        raise InvalidWeight(f"the weights sum to {total}, "
+                            "not to a positive finite total")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    size = len(cdf)
+    cells = 1 << (4 * size - 1).bit_length()
+    scaled = cdf * cells
+    guide = scaled.searchsorted(np.arange(cells + 1), side="right")
+    start = guide[:-1]
+    start[np.diff(guide) > 1] = size
+    x = rng.random(count)
+    x *= cells
+    idx = start.take(x.astype(np.intp))
+    idx += np.append(scaled, np.inf).take(idx) <= x
+    crowded = np.flatnonzero(idx == size)
+    idx[crowded] = scaled.searchsorted(x[crowded], side="right")
+    return idx
+
+
 def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     """`count` seeded draws; returns (list of Boolean outputs, (count, n) array).
 
@@ -621,16 +671,22 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     ``F F^T = Sigma``.  Factors wider than n are replaced by the n x n
     ``R^T`` of a QR decomposition of ``F^T``, so every draw takes at most n
     standard normals.  The draws are a deterministic function of the seed.
+    Components are picked through a guide table (`_pick_components`), which
+    gives NumPy's ``Generator.choice`` indices from the same uniforms.
     Entries go into NumPy as they are; factor rows and outputs are
     gathered with `np.take`, one (count, k) block per output coordinate.
+
+    Raises `InvalidDrawCount` for a negative count, `NonFiniteParam` for a
+    NaN or infinite weight in the row and `InvalidWeight` for a negative
+    weight or a total that is zero or overflows.
     """
     comps, x = _input_point(mix, bits, xs)
     if count < 0:
         raise InvalidDrawCount(f"cannot draw {count} samples: the count is negative")
     n, m, size = mix.n, mix.m, len(comps)
     rng = np.random.default_rng(seed)
-    weights = np.array([c.weight for c in comps], dtype=float)
-    idx = rng.choice(size, size=count, p=weights / weights.sum())
+    idx = _pick_components(rng, np.array([c.weight for c in comps], dtype=float),
+                           count)
     lin = np.array([c.lin.entries for c in comps], dtype=float).reshape(size, n, m)
     mu = np.array([c.mean.entries for c in comps], dtype=float).reshape(size, n)
     width = max(c.cov.width for c in comps)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,14 @@ class TestSample:
         _, third, _ = run(capsys, "sample", mixture_file, "-n", "10",
                           "--seed", "6")
         assert first != third
+
+    def test_draws_are_pinned(self, mixture_file, capsys):
+        """The printed draws of a seed change only on purpose."""
+        code, out, _ = run(capsys, "sample", mixture_file, "-n", "1000",
+                           "--seed", "5")
+        assert code == EXIT_OK and len(out.splitlines()) == 1000
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6056d410f40ffb2a12f002832f1c46a6f2b7abc7df87ffd6ae1ec45a1463a7fa")
 
     def test_requires_matching_inputs(self, tmp_path, capsys):
         path = tmp_path / "gate.cgm"
@@ -385,6 +394,21 @@ class TestRewriteScriptSyntax:
         assert code == EXIT_OK
         assert out.startswith(
             "id(B) * (copyR ; swap(R,R)) * (copyR ; swap(R,R)) ; ")
+
+    # A parse error in a braced circuit names its file, line and column in
+    # the script.
+    @pytest.mark.parametrize("step, where, message", [
+        ("apply E5 at root dir R2L with c={ copyR ; }",
+         "2:43", "expected a circuit, found ''"),
+        ("  apply E5 at root dir R2L with  c = { copyR }, d={ copyR ;; }",
+         "2:60", "expected a circuit, found ';'")])
+    def test_braced_parse_error_names_its_place(self, tmp_path, capsys, step,
+                                                where, message):
+        got, out, err = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
+                                     "# one step\n" + step + "\n")
+        steps = tmp_path / "steps.txt"
+        assert (got, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"{steps}:{where}: parse error: line 2: {message}")
 
     # A matched line's later errors keep their exit code and name the line.
     @pytest.mark.parametrize("step, code, message", [

@@ -2,10 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgm import diagram, semantics
 from cgm.axioms import (CATALOG, _trial_seed, get_axiom, instantiate,
@@ -16,14 +19,15 @@ from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          to_float_params)
 from cgm.dsl import parse, print_term
 from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                        TypeMismatch)
+                        InvalidWeight, NonFiniteParam, TypeMismatch)
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
 from cgm.linalg import CovFactor, Matrix
 from cgm.normalform import decide_equiv
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
-from cgm.semantics import (CGMixture, GaussComponent, all_bitvecs, canonicalize,
+from cgm.semantics import (CGMixture, GaussComponent, _pick_components,
+                           all_bitvecs, canonicalize,
                            compose, evaluate, identity_kernel, interp_generator,
                            max_deviation, mixture_is_exact, mixture_to_json,
                            mixtures_equal, moments, sample,
@@ -898,6 +902,88 @@ class TestSamplerOracle:
         assert {key[0] for key in seen} == {True, False}
         assert {key[1] for key in seen} == {True, False}
         assert {key[2] for key in seen} == {True, False}
+
+
+@st.composite
+def pick_cases(draw):
+    """(weights, count, seed): 1 to 512 random weights, some of them
+    raised to a power so that a few dominate, with runs of zero weights at
+    the start, in the middle or at the end, or one heavy weight beside many
+    tiny ones."""
+    size = draw(st.integers(min_value=1, max_value=512))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        weights = np.full(size, draw(st.sampled_from((1e-12, 1e-6, 1e-3))) / size)
+        weights[rng.integers(size)] = 0.999
+    else:
+        weights = rng.random(size) ** draw(st.integers(min_value=1, max_value=8))
+        run = size // 4   # three runs of zeros leave a quarter of the weights
+        for at in draw(st.sets(st.sampled_from((0, size // 3, size - run)))):
+            weights[at:at + run] = 0
+    count = draw(st.sampled_from((0, 1, 7, 50000)))
+    return weights, count, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestComponentPick:
+    """The guide table gives NumPy's `Generator.choice` indices and leaves
+    the generator where `choice` leaves it."""
+
+    TAIL = np.array([0.999] + [0.001 / 255] * 255)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pick_cases())
+    @example((np.array([1.0]), 50000, 1))
+    @example((np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0]), 50000, 2))
+    @example((np.array([3.0, 0.0, 0.0, 1.0]), 1, 3))
+    @example((TAIL, 50000, 4))
+    @example((TAIL[::-1].copy(), 50000, 5))
+    @example((np.arange(512.0), 50000, 6))
+    @example((np.ones(2), 0, 7))
+    def test_indices_equal_choice(self, case):
+        weights, count, seed = case
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _pick_components(mine, weights, count)
+        want = theirs.choice(len(weights), size=count, p=weights / weights.sum())
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        assert mine.standard_normal() == theirs.standard_normal()
+
+    def test_uniform_on_a_cdf_point_picks_the_next_component(self):
+        """A uniform equal to a cdf point is past it, as in `searchsorted`
+        with side="right"; zero weights are never picked."""
+        class Uniforms:
+            def random(self, count):
+                return np.array(u[:count])
+
+        below_one = np.nextafter(1.0, 0.0)
+        u = [0.0, 0.25, np.nextafter(0.25, 0.0), 0.5, 0.75, below_one]
+        picked = _pick_components(Uniforms(), np.array([1.0, 1.0, 2.0]), len(u))
+        assert picked.tolist() == [0, 1, 0, 2, 2, 2]
+        u = [0.0, 0.5, np.nextafter(0.5, 0.0), below_one]
+        picked = _pick_components(Uniforms(), np.array([0.0, 1.0, 0.0, 1.0, 0.0]),
+                                  len(u))
+        assert picked.tolist() == [1, 3, 1, 3]
+        # 1/3 lies inside a cell, so the comparison, not the table, decides.
+        u = [1 / 3, np.nextafter(1 / 3, 0.0), np.nextafter(1 / 3, 1.0)]
+        picked = _pick_components(Uniforms(), np.array([1.0, 2.0]), len(u))
+        assert picked.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("weights, error, message", [
+        ((float("nan"), 1.0), NonFiniteParam, "component 0 has weight nan"),
+        ((0.5, float("inf")), NonFiniteParam, "component 1 has weight inf"),
+        ((1.5, -0.5), InvalidWeight, "component 1 has negative weight -0.5"),
+        ((-1.0, -1.0), InvalidWeight, "component 0 has negative weight"),
+        ((0.0, 0.0), InvalidWeight, "the weights sum to 0.0"),
+        ((1e308, 1e308), InvalidWeight, "the weights sum to inf")])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_bad_weights_are_typed(self, weights, error, message):
+        parts = tuple(GaussComponent(w, (), Matrix.zeros(1, 0), Matrix.column([mu]),
+                                     CovFactor.of(Matrix.from_rows([[1.0]])))
+                      for mu, w in enumerate(weights))
+        mix = CGMixture(TypeWord(), reals(1), (((), parts),))
+        for count in (0, 10):
+            with pytest.raises(error, match=re.escape(message)):
+                sample_many(mix, (), (), count, 0)
 
 
 def assert_moments_close(got, want, eps):
