@@ -195,7 +195,10 @@ def _parse_binding_value(value: str, filename: str, lineno: int, col: int):
         return Colour(text)
     if "." in text or "e" in text or "E" in text:
         return float(text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CgmError(f"zero denominator in {text!r}") from None
 
 
 def run_rewrite_script(term: Term, script: str, tol: float, cap: int,

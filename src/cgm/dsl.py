@@ -96,10 +96,11 @@ class _Parser:
         self.src, self.filename, self.i = src, filename, 0
         self.tokens = _tokenize(src, filename)
 
-    def span(self, tok: Token) -> SourceSpan:
-        """Where `tok` is; the end of input is one column past the last character."""
-        shift = tok.kind == "eof"
-        (sl, sc), (el, ec) = _locate(self.src, tok.start), _locate(self.src, tok.end)
+    def span(self, tok: Token, last: Token | None = None) -> SourceSpan:
+        """Where `tok` (through `last`) is; the end of input is one column
+        past the last character."""
+        shift, last = tok.kind == "eof", last or tok
+        (sl, sc), (el, ec) = _locate(self.src, tok.start), _locate(self.src, last.end)
         return SourceSpan(self.filename, sl, sc + shift, el, ec + shift)
 
     def peek(self) -> Token:
@@ -216,8 +217,9 @@ class _Parser:
         return Colour(tok.text)
 
     def _number(self):
+        first = self.peek()
         sign = 1
-        if self.peek().kind == "-":
+        if first.kind == "-":
             self.next()
             sign = -1
         tok = self.peek()
@@ -230,6 +232,10 @@ class _Parser:
             if self.peek().kind == "/":
                 self.next()
                 den_tok = self.expect("int")
+                if int(den_tok.text) == 0:
+                    text = self.src[first.start:den_tok.end + 1]
+                    raise ParseError(f"zero denominator in {text!r}",
+                                     self.span(first, den_tok))
                 return Fraction(sign * num, int(den_tok.text))
             return Fraction(sign * num)
         raise ParseError(f"expected a number, found {tok.text!r}",

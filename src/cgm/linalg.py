@@ -5,15 +5,16 @@ floats; arithmetic between the two promotes to float, which is exactly
 Python's own behaviour, so no wrapper type is needed.  A `Field` names one
 of the two with its 0 and 1: the constructors that make entries of their
 own (zeros, identities, block-diagonal padding, product accumulators) take
-it, so a float kernel holds only floats.  Matrices are small, dense and
-immutable.  Covariances are kept in factored form ``Sigma = L L^T``
-so that kernel composition stays square-root free and exact whenever the
-inputs are rational; a factor that composition or a wiring builds holds no
-all-zero column.
+it, so a float kernel holds only floats.  Covariances are kept in factored
+form ``Sigma = L L^T``, square-root free and exact for rational inputs; a
+factor that composition or a wiring builds holds no all-zero column.
 
-Exact products of more than two scalar terms are computed over integers: each
-operand is put on the lcm of its denominators, each entry is one integer dot
-product and one reduced ``Fraction``.  Smaller and float products loop entrywise.
+Matrices are small, dense and immutable.  A rational one holds integer
+`nums` over one positive `den`, reduced (a zero matrix is over 1), so equal
+values are equal matrices and its arithmetic is on integers with one
+reduction per result; a float one holds its floats, `den` None, and a sum,
+scaling or stack with one is float.  `entries` makes `Fraction`s; `floats`
+divides as ``n / den``, correctly rounded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NotPSD
@@ -42,7 +43,6 @@ class Field:
 # One shared 0 per field: padding costs a reference, not an object.
 RATIONAL = Field(Fraction, Fraction(0), Fraction(1))
 FLOAT = Field(float, 0.0, 1.0)
-_ZERO = RATIONAL.zero
 
 
 def as_scalar(x) -> Scalar:
@@ -77,20 +77,55 @@ def quantize_key(x: Scalar):
     return float(f"{float(x):.12g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Matrix:
-    """Immutable dense matrix, row-major.  0xn and nx0 shapes are legal."""
+    """Immutable dense matrix, row-major.  0xn and nx0 shapes are legal.
+
+    Built from scalars, it holds floats if some entry is a nonzero float or
+    all are floats; otherwise it is rational, float zeros read as 0."""
 
     rows: int
     cols: int
-    entries: tuple
+    nums: tuple
+    den: int | None   # None: a float matrix, its entries in `nums`
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}")
+                f"entry count {len(entries)} != {rows}x{cols}")
+        floats = [x for x in entries if isinstance(x, float)]
+        if floats and (len(floats) == len(entries) or any(floats)):
+            nums, den = tuple(map(float, entries)), None
+        else:   # over the lcm of reduced denominators: in reduced form
+            ratios = [(0, 1) if isinstance(x, float)
+                      else (int(x.numerator), int(x.denominator)) for x in entries]
+            den = math.lcm(*[d for _, d in ratios])
+            nums = tuple(n * (den // d) for n, d in ratios)
+        _matrix(rows, cols, nums, den, self)
+
+    @staticmethod
+    def over(rows: int, cols: int, nums, den) -> "Matrix":
+        """The matrix of integer `nums` over a positive `den`, reduced here,
+        or of float `nums` if `den` is None; unchecked."""
+        nums = tuple(nums)
+        if den is not None and (g := math.gcd(den, *nums)) > 1:
+            nums, den = tuple(x // g for x in nums), den // g
+        return _matrix(rows, cols, nums, den)
+
+    @property
+    def entries(self) -> tuple:   # the scalars, row-major, made on each call
+        den = self.den
+        return self.nums if den is None else tuple(Fraction(x, den) for x in self.nums)
+
+    @property
+    def exact(self) -> bool:   # rational, as is a matrix with no entries
+        return self.den is not None
+
+    def floats(self) -> tuple:
+        return self.nums if self.den is None else tuple(x / self.den for x in self.nums)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -120,91 +155,131 @@ class Matrix:
         return Matrix(len(entries), 1, entries)
 
     def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
+        x, den = self.nums[i * self.cols + j], self.den
+        return x if den is None else Fraction(x, den)
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.at(i, j) for j in range(self.cols)
-                            for i in range(self.rows)))
+        nums, cols = self.nums, self.cols
+        return _matrix(cols, self.rows,
+                       tuple(x for j in range(cols) for x in nums[j::cols]), self.den)
 
     def scale(self, k) -> "Matrix":
         k = as_scalar(k)
-        return Matrix(self.rows, self.cols, tuple(k * x for x in self.entries))
+        if self.exact and isinstance(k, Fraction):
+            return Matrix.over(self.rows, self.cols,
+                               (k.numerator * x for x in self.nums),
+                               k.denominator * self.den)
+        return _matrix(self.rows, self.cols, tuple(k * x for x in self.floats()), None)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
                 f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den, x, y, _ = _aligned(self, other)
+        return Matrix.over(self.rows, self.cols, map(add, x, y), den)
 
     def __matmul__(self, other: "Matrix", field: Field = RATIONAL) -> "Matrix":
-        """The product; its entries with no nonzero term are `field`'s 0."""
+        """The product; its entries with no nonzero term are `field`'s 0.
+        Over the rationals, one integer dot product per entry; otherwise
+        entrywise, skipping zero terms."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
         if not (n and k and m):
             return Matrix.zeros(n, m, field)
-        a = n * k * m > 2 and over_common_den(self.entries)
-        b = a and over_common_den(other.entries)
-        if b:
-            den, cols = a[0] * b[0], [b[1][j::m] for j in range(m)]
-            dots = (sum(map(mul, a[1][i:i + k], col))
-                    for i in range(0, n * k, k) for col in cols)
-            return Matrix(n, m, tuple(Fraction(d, den) if d else _ZERO for d in dots))
+        if field is RATIONAL and self.exact and other.exact:
+            a, b = self.nums, other.nums
+            cols = [b[j::m] for j in range(m)]
+            return Matrix.over(n, m, [sum(map(mul, a[i:i + k], col))
+                                      for i in range(0, n * k, k) for col in cols],
+                               self.den * other.den)
+        a, b = self.entries, other.entries
         out = [field.zero] * (n * m)
         for i in range(n):
             base = i * k
             for t in range(k):
-                a = self.entries[base + t]
-                if a == 0:
+                x = a[base + t]
+                if x == 0:
                     continue
                 ob = t * m
                 for j in range(m):
-                    b = other.entries[ob + j]
-                    if b != 0:
-                        out[i * m + j] += a * b
-        return Matrix(n, m, tuple(out))
+                    y = b[ob + j]
+                    if y != 0:
+                        out[i * m + j] += x * y
+        return Matrix(n, m, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.nums)
 
 
-def over_common_den(entries):
-    """``(lcm of denominators, numerators over it)``; None unless all are Fractions."""
-    if not all(type(x) is Fraction for x in entries):
-        return None
-    ratios = [x.as_integer_ratio() for x in entries]
-    den = math.lcm(*[d for _, d in ratios])
-    return den, [num * (den // d) for num, d in ratios]
+def _matrix(rows: int, cols: int, nums: tuple, den, m=None) -> Matrix:
+    """`m`, or a new matrix, holding `nums` over `den` as they are; one with
+    no entries is rational, over 1.  It sets the slots through their own
+    descriptors, twice as fast as `object.__setattr__`."""
+    m = object.__new__(Matrix) if m is None else m
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_nums(m, nums)
+    _set_den(m, den if nums else 1)
+    return m
+
+
+_set_rows, _set_cols, _set_nums, _set_den = (
+    getattr(Matrix, name).__set__ for name in ("rows", "cols", "nums", "den"))
+
+
+def _over(m: Matrix, den: int) -> tuple:
+    """The numerators of rational `m` over `den`, a multiple of its own."""
+    return m.nums if m.den == den else tuple(x * (den // m.den) for x in m.nums)
+
+
+def common_denominator(mats) -> tuple:
+    """``(den, nums)``: the lcm of the rational matrices' denominators, and
+    each one's numerators over it."""
+    den = math.lcm(*[m.den for m in mats])
+    return den, [_over(m, den) for m in mats]
+
+
+def _aligned(a: Matrix, b: Matrix, field: Field = RATIONAL) -> tuple:
+    """``(den, x, y, zero)``: the numerators x of `a` and y of `b` over one
+    `den`, and `field`'s 0 for padding; floats over None if either is float.
+    Stacks of reduced matrices over the lcm of their denominators are reduced."""
+    if a.den is None or b.den is None or field is FLOAT:
+        return None, a.floats(), b.floats(), FLOAT.zero
+    den = math.lcm(a.den, b.den)
+    return den, _over(a, den), _over(b, den), 0
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise DimensionMismatch(f"hstack rows {a.rows} != {b.rows}")
-    entries = tuple(x for i in range(a.rows) for x in (a.row(i) + b.row(i)))
-    return Matrix(a.rows, a.cols + b.cols, entries)
+    den, x, y, _ = _aligned(a, b)
+    ca, cb = a.cols, b.cols
+    rows = (x[i * ca:(i + 1) * ca] + y[i * cb:(i + 1) * cb] for i in range(a.rows))
+    return _matrix(a.rows, ca + cb, tuple(v for row in rows for v in row), den)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionMismatch(f"vstack cols {a.cols} != {b.cols}")
-    return Matrix(a.rows + b.rows, a.cols, a.entries + b.entries)
+    den, x, y, _ = _aligned(a, b)
+    return _matrix(a.rows + b.rows, a.cols, x + y, den)
 
 
 def block_diag(a: Matrix, b: Matrix, field: Field = RATIONAL) -> Matrix:
     """``[[a, 0], [0, b]]``, its entries built in one pass."""
-    pad_a, pad_b = (field.zero,) * a.cols, (field.zero,) * b.cols
-    entries = []
+    den, x, y, zero = _aligned(a, b, field)
+    ca, cb = a.cols, b.cols
+    pad_a, pad_b, entries = (zero,) * ca, (zero,) * cb, []
     for i in range(a.rows):
-        entries += a.row(i) + pad_b
+        entries += x[i * ca:(i + 1) * ca] + pad_b
     for i in range(b.rows):
-        entries += pad_a + b.row(i)
-    return Matrix(a.rows + b.rows, a.cols + b.cols, tuple(entries))
+        entries += pad_a + y[i * cb:(i + 1) * cb]
+    return _matrix(a.rows + b.rows, ca + cb, tuple(entries), den)
 
 
 @dataclass(frozen=True)
@@ -232,33 +307,23 @@ class CovFactor:
         return self.factor.cols
 
     def gram(self, field: Field = RATIONAL) -> Matrix:
-        """``L L^T``; for an exact L, one integer dot product per pair i <= j."""
-        f, n, k = self.factor, self.dim, self.width
-        exact = n * n * k > 2 and over_common_den(f.entries)
-        if not exact:
-            return f.__matmul__(f.transpose(), field)
-        den, nums = exact
-        rows = [nums[i * k:(i + 1) * k] for i in range(n)]
-        low = [[Fraction(d, den * den) if d else _ZERO
-                for d in (sum(map(mul, r, s)) for s in rows[:i + 1])]
-               for i, r in enumerate(rows)]
-        return Matrix(n, n, tuple(low[max(i, j)][min(i, j)]
-                                  for i in range(n) for j in range(n)))
+        """``L L^T``."""
+        return self.factor.__matmul__(self.factor.transpose(), field)
 
 
 def drop_zero_columns(factor: Matrix) -> Matrix:
     """`factor` without its all-zero columns, which add nothing to ``L L^T``.
 
-    Gram matrices are unchanged bit for bit: a zero's denominator is 1, and
-    the float product skips zero terms."""
-    k, entries = factor.cols, factor.entries
+    Gram matrices are unchanged bit for bit: a zero numerator adds nothing
+    to an integer dot product, and the float product skips zero terms."""
+    k, nums = factor.cols, factor.nums
     if not k:
         return factor
-    keep = [j for j in range(k) if any(entries[j::k])]
+    keep = [j for j in range(k) if any(nums[j::k])]
     if len(keep) == k:
         return factor
-    return Matrix(factor.rows, len(keep), tuple(
-        entries[i + j] for i in range(0, len(entries), k) for j in keep))
+    return _matrix(factor.rows, len(keep), tuple(
+        nums[i + j] for i in range(0, len(nums), k) for j in keep), factor.den)
 
 
 def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor,
@@ -291,7 +356,7 @@ def ldlt(sigma: Matrix, tol: float = 0.0):
     n = sigma.rows
     if sigma.cols != n:
         raise DimensionMismatch("ldlt needs a square matrix")
-    field = FLOAT if any(isinstance(x, float) for x in sigma.entries) else RATIONAL
+    field = RATIONAL if sigma.exact else FLOAT
     tol = tol if field is FLOAT else 0
     for i in range(n):
         for j in range(i):
@@ -304,21 +369,17 @@ def ldlt(sigma: Matrix, tol: float = 0.0):
                                  for k in range(j))
         if d < -tol:
             raise NotPSD(f"negative pivot {float(d)} at {j}")
-        lower[j][j] = field.one
-        if d <= tol:
-            for i in range(j + 1, n):
-                c = sigma.at(i, j) - sum(lower[i][k] * lower[j][k] * diag[k]
-                                         for k in range(j))
-                if abs(c) > tol:
-                    raise NotPSD(f"zero pivot with nonzero column at ({i},{j})")
-        else:
+        lower[j][j], zero_pivot = field.one, d <= tol
+        if not zero_pivot:
             diag[j] = d
-            for i in range(j + 1, n):
-                c = sigma.at(i, j) - sum(lower[i][k] * lower[j][k] * diag[k]
-                                         for k in range(j))
+        for i in range(j + 1, n):
+            c = sigma.at(i, j) - sum(lower[i][k] * lower[j][k] * diag[k]
+                                     for k in range(j))
+            if not zero_pivot:
                 lower[i][j] = c / d
-    l_mat = Matrix.from_rows(lower, cols=n)
-    return l_mat, tuple(diag)
+            elif abs(c) > tol:
+                raise NotPSD(f"zero pivot with nonzero column at ({i},{j})")
+    return Matrix.from_rows(lower, cols=n), tuple(diag)
 
 
 def _is_three_square(n: int) -> bool:

@@ -134,13 +134,9 @@ def disintegrate(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> NFTree:
 def _noise_factor(cov: Matrix, tol: float) -> Matrix:
     """Canonical factor F with F F^T = cov; rational if cov is rational."""
     lower, diag = ldlt(cov, tol)
-    columns = []
-    for i, d in enumerate(diag):
-        if d != 0:
-            col = Matrix.column([lower.at(r, i) for r in range(cov.rows)])
-            columns += (col.scale(s).entries for s in sum_square_scales(d))
-    return Matrix(len(columns), cov.rows,
-                  tuple(x for col in columns for x in col)).transpose()
+    columns = [[s * lower.at(r, i) for r in range(cov.rows)]
+               for i, d in enumerate(diag) for s in sum_square_scales(d)]
+    return Matrix(len(columns), cov.rows, [x for col in columns for x in col]).transpose()
 
 
 def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:
@@ -253,8 +249,9 @@ def _tree_blocks(tree: NFTree):
 
 
 def tree_is_exact(tree: NFTree) -> bool:
-    return all(isinstance(x, Fraction)
-               for _, _, xs in _tree_blocks(tree) for x in xs)
+    return all(xs.exact if isinstance(xs, Matrix) else
+               all(isinstance(x, Fraction) for x in xs)
+               for _, _, xs in _tree_blocks(tree))
 
 
 def _tree_differences(a: NFTree, b: NFTree, tol):

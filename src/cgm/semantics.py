@@ -41,9 +41,9 @@ from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      InvalidWeight, NonFiniteParam, TypeMismatch)
 from .linalg import (FLOAT, RATIONAL, CovFactor, Field, Matrix, Scalar,
-                     block_diag, cov_block, cov_compose, drop_zero_columns,
-                     matrix_to_json, over_common_den,
-                     quantize_key, scalar_to_json, vstack)
+                     block_diag, common_denominator, cov_block, cov_compose,
+                     drop_zero_columns, matrix_to_json, quantize_key,
+                     scalar_to_json, vstack)
 
 BitVec = tuple
 
@@ -247,22 +247,26 @@ def mixture_is_exact(mix: CGMixture) -> bool:
     """Whether the kernel is rational: its record, or a scan if it has none."""
     if mix._canon is not None:
         return mix._canon.exact
-    return all(isinstance(x, Fraction) for _, comps in mix.table for c in comps
-               for x in (c.weight, *c.lin.entries, *c.mean.entries,
-                         *c.cov.factor.entries))
+    return all(isinstance(c.weight, Fraction) and c.lin.exact and c.mean.exact
+               and c.cov.factor.exact for _, comps in mix.table for c in comps)
 
 
 def _field(*mixes: CGMixture) -> Field:
     return RATIONAL if all(mixture_is_exact(m) for m in mixes) else FLOAT
 
 
-def _comp_key(c: GaussComponent, gram: Matrix, exact: bool):
-    if exact:
-        return (c.bool_out, c.lin.entries, c.mean.entries, gram.entries)
-    return (c.bool_out,
-            tuple(quantize_key(x) for x in c.lin.entries),
-            tuple(quantize_key(x) for x in c.mean.entries),
-            tuple(quantize_key(x) for x in gram.entries))
+def _sort_keys(comps: list, grams: list, exact: bool) -> list:
+    """Each component's sort key: outputs, A, mu and the Gram matrix.  Exact,
+    every matrix of the row is numerators over one denominator, so keys
+    order (and are equal) as the values do, compared as integers; otherwise
+    each is its entries' `quantize_key`s."""
+    if exact and len(comps) == 1:   # nothing to order: its own numerators
+        (c,), (g,) = comps, grams
+        return [(c.bool_out, c.lin.nums, c.mean.nums, g.nums)]
+    mats = [m for c, g in zip(comps, grams) for m in (c.lin, c.mean, g)]
+    fields = common_denominator(mats)[1] if exact else \
+        [tuple(map(quantize_key, m.entries)) for m in mats]
+    return [(c.bool_out, *fields[3 * i:3 * i + 3]) for i, c in enumerate(comps)]
 
 
 _ENDED = ((), ("ended",), ())
@@ -276,7 +280,8 @@ def _differences(left, right, eps):
     mismatch (a side that ends first has the key ``("ended",)``), yielded
     as ``(where, key, key)``; it ends the walk.  Otherwise each pair of
     scalars that is neither equal nor within `eps` (a NaN is neither) is
-    yielded with its index appended to `where`.
+    yielded with its index appended to `where`.  Scalars come as a tuple or
+    as a `Matrix`, whose entries are read only when it is unequal.
     """
     for (wx, kx, xs), (wy, ky, ys) in itertools.zip_longest(
             left, right, fillvalue=_ENDED):
@@ -284,7 +289,8 @@ def _differences(left, right, eps):
             yield wx or wy, kx, ky
             return
         if xs != ys:
-            for i, (x, y) in enumerate(zip(xs, ys)):
+            for i, (x, y) in enumerate(zip(getattr(xs, "entries", xs),
+                                           getattr(ys, "entries", ys))):
                 if not (x == y or abs(x - y) <= eps):
                     yield wx + (i,), x, y
 
@@ -292,9 +298,9 @@ def _differences(left, right, eps):
 def _component_blocks(where, weight, lin, mean, cov) -> tuple:
     """The blocks of one component: weight, A, mu and the Gram matrix cov."""
     return ((where + ("weight",), (), (weight,)),
-            (where + ("A",), (lin.rows, lin.cols), lin.entries),
-            (where + ("mu",), (mean.rows, mean.cols), mean.entries),
-            (where + ("cov",), (cov.rows, cov.cols), cov.entries))
+            (where + ("A",), (lin.rows, lin.cols), lin),
+            (where + ("mu",), (mean.rows, mean.cols), mean),
+            (where + ("cov",), (cov.rows, cov.cols), cov))
 
 
 def _mixture_blocks(mix: CGMixture):
@@ -321,13 +327,10 @@ def _build(dom, cod, rows, field: Field, tol) -> CGMixture:
     exact = field is RATIONAL
     out = []
     for bits, comps in rows:
-        keyed = []
-        for c in comps:
-            if c.weight == 0:
-                continue
-            g = c.gram()
-            keyed.append((_comp_key(c, g, exact), g, c))
-        keyed.sort(key=lambda item: item[0])
+        comps = [c for c in comps if c.weight != 0]
+        grams = [c.gram() for c in comps]
+        keys = _sort_keys(comps, grams, exact)
+        keyed = sorted(zip(keys, grams, comps), key=lambda item: item[0])
         merged = []
         for key, g, c in keyed:
             # An exact key holds every parameter but the weight.
@@ -418,9 +421,9 @@ def _generator_kernel(gen: Generator, field: Field, tol: float) -> CGMixture:
 
 
 def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
-    cols = mat.cols
-    return Matrix(len(picks), cols, tuple(
-        x for i in picks for x in mat.entries[i * cols:(i + 1) * cols]))
+    cols, nums = mat.cols, mat.nums
+    return Matrix.over(len(picks), cols, (
+        x for i in picks for x in nums[i * cols:(i + 1) * cols]), mat.den)
 
 
 def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
@@ -439,19 +442,23 @@ def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
 def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     """``w ; g``: the row at the wired bits, ``A`` columns summed by ``reals``."""
     m, field = w.dom.n_real, _field(g)
+    exact = field is RATIONAL
     rows = []
     for bits in all_bitvecs(w.dom.n_bool):
         out = []
         for c in g.row(tuple(bits[i] for i in w.bits)):
             lin = c.lin
-            acc = [field.zero] * (lin.rows * m)
+            # An exact kernel's A sums numerators over its denominator.
+            vals = lin.nums if exact else lin.floats()
+            acc = [0 if exact else field.zero] * (lin.rows * m)
             for i in range(lin.rows):
                 base = i * lin.cols
                 for j, src in enumerate(w.reals):
-                    x = lin.entries[base + j]
+                    x = vals[base + j]
                     if x != 0:
                         acc[i * m + src] += x
-            out.append(replace(c, lin=Matrix(lin.rows, m, tuple(acc))))
+            out.append(replace(c, lin=Matrix.over(lin.rows, m, acc,
+                                                  lin.den if exact else None)))
         rows.append((bits, out))
     return _build(w.dom, g.cod_word, rows, field, tol)
 
@@ -552,13 +559,13 @@ class Moments:
 
 
 def _input_point(mix: CGMixture, bits: BitVec, xs):
-    """The table row at `bits` and the entries of the input point `xs`."""
+    """The table row at `bits` and the input point `xs` as a column."""
     x = xs if isinstance(xs, Matrix) else Matrix.column(xs)
     if (x.rows, x.cols) != (mix.m, 1):
         raise DimensionMismatch(f"input is {x.rows}x{x.cols}, kernel wants {mix.m}x1")
     if len(bits) != mix.p or any(b not in (0, 1) for b in bits):
         raise DimensionMismatch(f"bits {bits!r}: kernel wants {mix.p} bits of 0 or 1")
-    return mix.row(tuple(bits)), x.entries
+    return mix.row(tuple(bits)), x
 
 
 def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
@@ -568,21 +575,19 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     ``F = [L | C - mean]``, each component's factor L beside its centre's
     deviation.  The weights, the input point, and every component's A, mu
     and L are each put over one common denominator (all over 1, as floats,
-    unless every entry is a Fraction), so the centres, the mean and those
-    sums are integer arithmetic, with one quotient per output entry.
+    unless every one is rational), so the centres, the mean and those sums
+    are integer arithmetic, with one reduction per output matrix.
     """
     comps, x = _input_point(mix, bits, xs)
     n, m = mix.n, mix.m
-    parts = ([c.weight for c in comps], x,
-             [v for c in comps for v in c.lin.entries],
-             [v for c in comps for v in c.mean.entries],
-             [v for c in comps for v in c.cov.factor.entries])
-    over = [over_common_den(part) for part in parts]
-    exact = all(over)
-    if not exact:
-        over = [(1, [float(v) for v in part]) for part in parts]
+    parts = ([Matrix(1, len(comps), [c.weight for c in comps])], [x],
+             [c.lin for c in comps], [c.mean for c in comps],
+             [c.cov.factor for c in comps])
+    exact = all(mat.exact for part in parts for mat in part)
+    over = [(den, [v for vs in nums for v in vs])
+            for den, nums in map(common_denominator, parts)] if exact else \
+        [(1, [v for mat in part for v in mat.floats()]) for part in parts]
     (d_w, ws), (d_x, xn), (d_a, an), (d_m, mn), (d_l, ln) = over
-    quotient = Fraction if exact else truediv
     marg = {}
     for c, w in zip(comps, ws):
         marg[c.bool_out] = marg.get(c.bool_out, 0) + w
@@ -605,13 +610,16 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
             weighted[i] += [w * v for v in row]
         start += n * k
     den = d_w * (scale * d_l) ** 2
-    upper = {(i, j): quotient(sum(map(mul, weighted[i], rows[j])), den)
+    upper = {(i, j): sum(map(mul, weighted[i], rows[j]))
              for i in range(n) for j in range(i, n)}
-    return Moments(
-        tuple(sorted((b, quotient(w, d_w)) for b, w in marg.items())),
-        Matrix(n, 1, tuple(quotient(v, scale) for v in sums)),
-        Matrix(n, n, tuple(upper[min(i, j), max(i, j)]
-                           for i in range(n) for j in range(n))))
+    cov = [upper[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
+    marginal = tuple(sorted((b, (Fraction if exact else truediv)(w, d_w))
+                            for b, w in marg.items()))
+    if exact:
+        return Moments(marginal, Matrix.over(n, 1, sums, scale),
+                       Matrix.over(n, n, cov, den))
+    return Moments(marginal, Matrix(n, 1, [v / scale for v in sums]),
+                   Matrix(n, n, [v / den for v in cov]))
 
 
 def _pick_components(rng, weights, count: int):
@@ -673,7 +681,7 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     standard normals.  The draws are a deterministic function of the seed.
     Components are picked through a guide table (`_pick_components`), which
     gives NumPy's ``Generator.choice`` indices from the same uniforms.
-    Entries go into NumPy as they are; factor rows and outputs are
+    Entries go into NumPy as floats (`Matrix.floats`); factor rows and outputs are
     gathered with `np.take`, one (count, k) block per output coordinate.
 
     Raises `InvalidDrawCount` for a negative count, `NonFiniteParam` for a
@@ -687,16 +695,16 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     rng = np.random.default_rng(seed)
     idx = _pick_components(rng, np.array([c.weight for c in comps], dtype=float),
                            count)
-    lin = np.array([c.lin.entries for c in comps], dtype=float).reshape(size, n, m)
-    mu = np.array([c.mean.entries for c in comps], dtype=float).reshape(size, n)
+    lin = np.array([c.lin.floats() for c in comps], dtype=float).reshape(size, n, m)
+    mu = np.array([c.mean.floats() for c in comps], dtype=float).reshape(size, n)
     width = max(c.cov.width for c in comps)
     fac = np.zeros((size, n, width))
     for ci, c in enumerate(comps):
         k = c.cov.width
-        fac[ci, :, :k] = np.array(c.cov.factor.entries, dtype=float).reshape(n, k)
+        fac[ci, :, :k] = np.array(c.cov.factor.floats(), dtype=float).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
-    centres = lin @ np.array(x, dtype=float) + mu
+    centres = lin @ np.array(x.floats(), dtype=float) + mu
     z = rng.standard_normal((count, fac.shape[2]))
     reals_out = np.take(centres, idx, axis=0)
     for i in range(n):

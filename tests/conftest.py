@@ -2,9 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 # make the shared test helpers importable regardless of rootdir
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every property draws the same examples on every run, so a tier-1 result
+# does not depend on the run.  Loaded before the test modules are imported,
+# so each test's own `settings` inherit it.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

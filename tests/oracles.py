@@ -10,9 +10,13 @@ structure.  The reference comparisons at the end are the four loops that
 `first_certificate_difference` were before they shared one walker.
 `reference_matmul` is the entrywise ``Fraction`` loop that ``Matrix.@``
 was before exact products moved to integer numerators, and
-`reference_sample_many` is the sampler as it was before it read float
-entries directly and gathered each drawn factor once, and
-`reference_moments` is `moments` as it was before it summed integer
+`reference_product_entries` its scalars before a `Matrix` holds them; the other
+``reference_`` matrix operations likewise work on `Fraction` entries and
+build their results from scalars.  `reference_build` is the exact sort and
+merge of `semantics._build` on `Fraction` keys, as it was before keys held
+integer numerators.  `reference_sample_many` is the sampler as it was
+before it read float entries directly and gathered each drawn factor once,
+and `reference_moments` is `moments` as it was before it summed integer
 numerators.  The last helpers are small readers that only tests use.
 """
 
@@ -36,6 +40,13 @@ _ZERO = RATIONAL.zero
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     """``a @ b`` by entrywise scalar arithmetic, skipping zero factors."""
+    return Matrix(a.rows, b.cols, reference_product_entries(a, b))
+
+
+def reference_product_entries(a: Matrix, b: Matrix) -> list:
+    """The scalars of ``a @ b``, row-major, before any `Matrix` holds them: an
+    entry with no nonzero term is ``Fraction(0)``, the others Python's own
+    sums of products."""
     n, k, m = a.rows, a.cols, b.cols
     out = [Fraction(0)] * (n * m)
     for i in range(n):
@@ -49,7 +60,64 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
                 y = b.entries[ob + j]
                 if y != 0:
                     out[i * m + j] += x * y
-    return Matrix(n, m, tuple(out))
+    return out
+
+
+def reference_transpose(a: Matrix) -> Matrix:
+    return Matrix(a.cols, a.rows, tuple(a.entries[i * a.cols + j]
+                                        for j in range(a.cols) for i in range(a.rows)))
+
+
+def reference_add(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def reference_scale(a: Matrix, k) -> Matrix:
+    return Matrix(a.rows, a.cols, tuple(k * x for x in a.entries))
+
+
+def reference_hstack(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, a.cols + b.cols,
+                  tuple(x for i in range(a.rows) for x in a.row(i) + b.row(i)))
+
+
+def reference_vstack(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def reference_block_diag(a: Matrix, b: Matrix) -> Matrix:
+    return reference_vstack(reference_hstack(a, Matrix.zeros(a.rows, b.cols)),
+                            reference_hstack(Matrix.zeros(b.rows, a.cols), b))
+
+
+def reference_rows(a: Matrix, picks) -> Matrix:
+    return Matrix(len(picks), a.cols, tuple(x for i in picks for x in a.row(i)))
+
+
+def reference_drop_zero_columns(a: Matrix) -> Matrix:
+    keep = [j for j in range(a.cols) if any(a.at(i, j) for i in range(a.rows))]
+    return Matrix(a.rows, len(keep), tuple(a.at(i, j) for i in range(a.rows)
+                                           for j in keep))
+
+
+def reference_build(rows) -> list:
+    """The sort and merge of `semantics._build` on an exact kernel's rows
+    with keys of `Fraction`s: each component's outputs and the entries of
+    A, mu and its Gram matrix, compared as values.  Each row as sorted
+    ``(bits, [(weight, outputs, A, mu, Gram entries), ...])``."""
+    out = []
+    for bits, comps in rows:
+        keyed = sorted((((c.bool_out, c.lin.entries, c.mean.entries,
+                          c.gram().entries), c) for c in comps if c.weight != 0),
+                       key=lambda item: item[0])
+        merged = []
+        for key, c in keyed:
+            if merged and merged[-1][0] == key:
+                merged[-1][1] += c.weight
+            else:
+                merged.append([key, c.weight])
+        out.append((bits, [(w, *key) for key, w in merged]))
+    return sorted(out, key=lambda row: row[0])
 
 
 def subterms(t):
@@ -322,7 +390,7 @@ def reference_sample_many(mix: CGMixture, bits, xs, count: int, seed: int):
     """`sample_many` with each entry converted in Python and each output
     coordinate's factor rows gathered on their own."""
     comps, x = _input_point(mix, bits, xs)
-    n, m, size = mix.n, mix.m, len(comps)
+    x, n, m, size = x.entries, mix.n, mix.m, len(comps)
     rng = np.random.default_rng(seed)
     weights = np.array(_floats(c.weight for c in comps))
     idx = rng.choice(size, size=count, p=weights / weights.sum())
@@ -348,7 +416,7 @@ def reference_moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     """Exact Boolean marginal and real mean/covariance at one input point;
     each centre is computed once, the covariance over its upper half."""
     comps, x = _input_point(mix, bits, xs)
-    n = mix.n
+    x, n = x.entries, mix.n
     marg, centres, mean = {}, [], [_ZERO] * n
     for c in comps:
         marg[c.bool_out] = marg.get(c.bool_out, _ZERO) + c.weight

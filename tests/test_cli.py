@@ -51,6 +51,13 @@ class TestEval:
         assert code == EXIT_PARSE
         assert "type error" in err
 
+    def test_zero_denominator_exit(self, tmp_path, capsys):
+        path = tmp_path / "z.cgm"
+        path.write_text("stdnormal ;\n  scal(1/0)")
+        code, out, err = run(capsys, "eval", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"{path}:2:8: parse error: zero denominator in '1/0'\n"
+
     def test_non_finite_literal_exit(self, tmp_path, capsys):
         bad = tmp_path / "huge.cgm"
         bad.write_text("stdnormal ; scal(1e400)")
@@ -401,7 +408,9 @@ class TestRewriteScriptSyntax:
         ("apply E5 at root dir R2L with c={ copyR ; }",
          "2:43", "expected a circuit, found ''"),
         ("  apply E5 at root dir R2L with  c = { copyR }, d={ copyR ;; }",
-         "2:60", "expected a circuit, found ';'")])
+         "2:60", "expected a circuit, found ';'"),
+        ("apply E5 at root dir R2L with c={ scal(1/0) }",
+         "2:40", "zero denominator in '1/0'")])
     def test_braced_parse_error_names_its_place(self, tmp_path, capsys, step,
                                                 where, message):
         got, out, err = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
@@ -414,6 +423,8 @@ class TestRewriteScriptSyntax:
     @pytest.mark.parametrize("step, code, message", [
         ("apply E10 at root dir L2R with p=abc, q=1/2",
          EXIT_PARSE, "error: line 2: Invalid literal for Fraction: 'abc'"),
+        ("apply E10 at root dir L2R with p=1/0, q=1/2",
+         EXIT_PARSE, "error: line 2: zero denominator in '1/0'"),
         ("apply E5 at root dir R2L with c={ copyR ; }",
          EXIT_PARSE, "parse error: line 2: expected a circuit"),
         ("apply A1 at 0.x dir L2R",

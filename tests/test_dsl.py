@@ -50,6 +50,21 @@ class TestParse:
         assert err.value.span.start_line == 1
         assert "flip" in err.value.expected
 
+    # A literal over 0 is a parse error that spans the literal, sign
+    # included; it used to escape as ZeroDivisionError.
+    @pytest.mark.parametrize("text, start, end, literal", [
+        ("stdnormal ; scal(1/0)", (1, 18), (1, 20), "1/0"),
+        ("flip(0/0)", (1, 6), (1, 8), "0/0"),
+        ("stdnormal ;\n  scal(-12/0)", (2, 8), (2, 12), "-12/0")])
+    def test_zero_denominator(self, text, start, end, literal):
+        with pytest.raises(ParseError) as err:
+            parse(text, filename="z.cgm")
+        span = err.value.span
+        assert str(err.value) == f"zero denominator in {literal!r}"
+        assert span.file == "z.cgm"
+        assert ((span.start_line, span.start_col),
+                (span.end_line, span.end_col)) == (start, end)
+
     def test_let_binding(self):
         t = parse("let g = stdnormal ; scal(2) in g * g")
         assert type_of(t) == (TypeWord(), R + R)

@@ -1,8 +1,11 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +14,22 @@ from cgm.errors import DimensionMismatch, NotPSD
 from cgm.linalg import (FLOAT, RATIONAL, CovFactor, Matrix, block_diag,
                         cov_block, cov_compose, drop_zero_columns, four_squares,
                         hstack, ldlt, quantize_key, sum_square_scales, vstack)
+from cgm.semantics import _rows_of
 
-from oracles import reference_matmul
+from oracles import (reference_add, reference_block_diag,
+                     reference_drop_zero_columns, reference_hstack,
+                     reference_matmul, reference_product_entries,
+                     reference_rows, reference_scale,
+                     reference_transpose, reference_vstack)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
-# Zero, negative and mixed-denominator entries for the product kernels.
+# Zero, negative, mixed-denominator and large-denominator entries for the
+# product kernels.
 exact_entries = st.one_of(st.just(Fraction(0)),
                           st.fractions(min_value=-20, max_value=20,
-                                       max_denominator=12))
+                                       max_denominator=12),
+                          st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                       max_denominator=10 ** 15))
 float_entries = st.one_of(st.just(0.0), st.just(-0.0),
                           st.floats(min_value=-20, max_value=20))
 mixed_entries = st.one_of(exact_entries, float_entries)
@@ -33,10 +44,37 @@ def matrices(draw, entries, rows=dims, cols=dims):
 
 
 @st.composite
-def products(draw, entries):
-    n, k, m = draw(dims), draw(dims), draw(dims)
+def products(draw, entries, inner=dims):
+    n, k, m = draw(dims), draw(inner), draw(dims)
     return (draw(matrices(entries, st.just(n), st.just(k))),
             draw(matrices(entries, st.just(k), st.just(m))))
+
+
+@st.composite
+def raw_products(draw, entries):
+    """``((n, k, xs), (m, ys))``: the scalars of an n x k and a k x m matrix."""
+    n, k, m = draw(dims), draw(dims), draw(dims)
+    return ((n, k, draw(st.lists(entries, min_size=n * k, max_size=n * k))),
+            (m, draw(st.lists(entries, min_size=k * m, max_size=k * m))))
+
+
+@st.composite
+def exact_cases(draw):
+    """``(a, b, c, s, picks)``: an n x k times k x m product, with one- and
+    two-term products (k of 1 or 2) drawn often, a second n x k matrix, a
+    scalar and a pick of a's rows."""
+    a, b = draw(st.one_of(products(exact_entries),
+                          products(exact_entries, st.integers(1, 2))))
+    c = draw(matrices(exact_entries, st.just(a.rows), st.just(a.cols)))
+    picks = draw(st.lists(st.integers(0, a.rows - 1), max_size=4)) if a.rows else []
+    return a, b, c, draw(exact_entries), tuple(picks)
+
+
+def reduced(m: Matrix) -> bool:
+    """The rational form: a positive denominator coprime to the numerators,
+    so a zero matrix is over 1."""
+    return (m.exact and m.den > 0 and math.gcd(m.den, *m.nums) == 1
+            and all(type(x) is int for x in m.nums))
 
 
 def same_entries(out: Matrix, want: Matrix) -> bool:
@@ -91,6 +129,11 @@ class TestMatrix:
         with pytest.raises(DimensionMismatch):
             hstack(Matrix.zeros(2, 1), Matrix.zeros(3, 1))
 
+    def test_integral_entries(self):
+        # Any rational scalar goes over its own denominator, numpy's too.
+        m = Matrix(1, 3, (np.int64(3), True, Fraction(1, 2)))
+        assert (m.nums, m.den) == ((6, 2, 1), 2) and type(m.nums[0]) is int
+
     def test_mismatched_mul(self):
         with pytest.raises(DimensionMismatch):
             mat([[1, 2]]) @ mat([[1, 2]])
@@ -102,16 +145,54 @@ class TestMatrix:
         assert (wide @ Matrix.zeros(3, 2)).rows == 0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(products(exact_entries))
-    def test_exact_product_matches_reference(self, pair):
-        a, b = pair
-        assert same_entries(a @ b, reference_matmul(a, b))
+    @given(exact_cases())
+    def test_exact_product_matches_reference(self, case):
+        """Every operation on rational matrices gives its reference's
+        `Fraction` entries, in reduced form; rebuilt from its entries, each
+        result is an equal matrix with an equal hash."""
+        a, b, c, s, picks = case
+        sigma, theta = CovFactor.of(b), CovFactor.of(c)
+        for got, want in (
+                (a @ b, reference_matmul(a, b)),
+                (CovFactor.of(a).gram(), reference_matmul(a, reference_transpose(a))),
+                (a.transpose(), reference_transpose(a)),
+                (a + c, reference_add(a, c)),
+                (a.scale(s), reference_scale(a, s)),
+                (hstack(a, c), reference_hstack(a, c)),
+                (vstack(a, c), reference_vstack(a, c)),
+                (block_diag(a, b), reference_block_diag(a, b)),
+                (cov_block(CovFactor.of(a), sigma).factor, reference_block_diag(a, b)),
+                (cov_compose(a, sigma, theta).factor, reference_drop_zero_columns(
+                    reference_hstack(reference_matmul(a, b), c))),
+                (drop_zero_columns(a), reference_drop_zero_columns(a)),
+                (_rows_of(a, picks), reference_rows(a, picks))):
+            assert same_entries(got, want)
+            assert all(type(x) is Fraction for x in got.entries)
+            assert reduced(got)
+            rebuilt = Matrix(got.rows, got.cols, got.entries)
+            assert rebuilt == got and hash(rebuilt) == hash(got)
+            assert pickle.loads(pickle.dumps(got)) == got == copy.deepcopy(got)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.one_of(products(float_entries), products(mixed_entries)))
-    def test_float_and_mixed_product_matches_reference(self, pair):
-        a, b = pair
-        assert same_entries(a @ b, reference_matmul(a, b))
+    @given(st.one_of(raw_products(float_entries), raw_products(mixed_entries)))
+    def test_float_and_mixed_product_matches_reference(self, case):
+        (n, k, xs), (m, ys) = case
+        a, b = Matrix(n, k, xs), Matrix(k, m, ys)
+        got = a @ b
+        assert same_entries(got, reference_matmul(a, b))
+        # Each field is read off the raw scalars, before a `Matrix` holds
+        # them: float if some one is a nonzero float or all are floats, its
+        # entries converted; else reduced and rational, a float zero an
+        # exact 0.
+        for made, raw in ((a, xs), (b, ys), (got, reference_product_entries(a, b))):
+            floats = [x for x in raw if type(x) is float]
+            if floats and (len(floats) == len(raw) or any(floats)):
+                assert made.den is None and made.nums is made.entries
+                assert made.nums == tuple(map(float, raw))
+                assert all(type(x) is float for x in made.nums)
+            else:
+                assert reduced(made) and made.entries == tuple(Fraction(x) for x in raw)
+            assert pickle.loads(pickle.dumps(made)) == made
 
     @given(rationals, rationals)
     def test_rational_arithmetic_exact(self, a, b):

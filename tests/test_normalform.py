@@ -215,6 +215,15 @@ class TestEmit:
             assert max_deviation(sorted_mix, back) == 0.0
             done += 1
 
+    def test_emitted_literals_hold_the_certificate_field(self):
+        # Equal rational and float matrices are distinct cache keys of
+        # `matrix_circuit`, so emitting one never reuses the other's gates.
+        term = seq(mk_generator(GenKind.STD_NORMAL), mk_generator(GenKind.SCALAR, 3))
+        for backend, text in (("rational", "stdnormal ; scal(3)"),
+                              ("float", "stdnormal ; scal(3.0)")):
+            tree = disintegrate(evaluate(term, backend=backend))
+            assert print_term(emit_nf(tree)) == text
+
     def test_certificate_stability(self):
         mix = evaluate(example_mixture_term())
         tree = disintegrate(mix)

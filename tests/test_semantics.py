@@ -23,17 +23,17 @@ from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
-from cgm.linalg import CovFactor, Matrix
+from cgm.linalg import RATIONAL, CovFactor, Matrix
 from cgm.normalform import decide_equiv
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
-from cgm.semantics import (CGMixture, GaussComponent, _pick_components,
-                           all_bitvecs, canonicalize,
+from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
+                           _pick_components, all_bitvecs, canonicalize,
                            compose, evaluate, identity_kernel, interp_generator,
                            max_deviation, mixture_is_exact, mixture_to_json,
                            mixtures_equal, moments, sample,
                            sample_many, swap_kernel, tensor, with_sorted_words)
-from oracles import (is_trivial_kernel, reference_evaluate, reference_moments,
-                     reference_sample_many)
+from oracles import (is_trivial_kernel, reference_build, reference_evaluate,
+                     reference_moments, reference_sample_many)
 
 # SHA-256 of the rational kernels of `exactness_corpus()`; any change to an
 # exact kernel or to its JSON form changes it.
@@ -606,7 +606,53 @@ class TestGaussianOracle:
             assert (c.lin, c.mean, c.gram()) == (a, b, sigma)
 
 
+@st.composite
+def exact_rows(draw):
+    """``(dom, cod, rows)``: exact components with zero, negative and
+    large-denominator entries, drawn from a small pool so that rows repeat
+    components; a factor may be negated, which leaves its Gram matrix."""
+    p, q, m, n = (draw(st.integers(0, 1)), draw(st.integers(0, 1)),
+                  draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    value = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                   max_denominator=10 ** 12))
+
+    def matrix(rows, cols):
+        return Matrix(rows, cols, draw(st.lists(value, min_size=rows * cols,
+                                                max_size=rows * cols)))
+
+    pool = [(tuple(draw(st.integers(0, 1)) for _ in range(q)), matrix(n, m),
+             matrix(n, 1), matrix(n, draw(st.integers(0, 2))))
+            for _ in range(draw(st.integers(1, 4)))]
+    rows = []
+    for bits in all_bitvecs(p):
+        comps = []
+        for _ in range(draw(st.integers(0, 6))):
+            out, lin, mean, factor = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                factor = factor.scale(-1)
+            weight = draw(st.fractions(min_value=0, max_value=1,
+                                       max_denominator=10 ** 9))
+            comps.append(GaussComponent(weight, out, lin, mean, CovFactor.of(factor)))
+        rows.append((bits, comps))
+    return bools(p) + reals(m), bools(q) + reals(n), rows
+
+
 class TestCanonicalize:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(exact_rows())
+    def test_exact_sort_and_merge_match_fraction_keys(self, case):
+        """Keys of integer numerators sort and merge exact components as
+        keys of their `Fraction` values do, and stay strictly increasing."""
+        dom, cod, rows = case
+        got = semantics._build(dom, cod, rows, RATIONAL, DEFAULT_TOLERANCE)
+        assert [(bits, [(c.weight, c.bool_out, c.lin.entries, c.mean.entries,
+                         c.gram().entries) for c in comps])
+                for bits, comps in got.table] == reference_build(rows)
+        for keys in got._canon.keys:
+            assert all(x < y for x, y in zip(keys, keys[1:]))
+
     def _mix(self, comps):
         from cgm.semantics import GaussComponent
         parts = tuple(
