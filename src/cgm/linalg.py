@@ -3,18 +3,19 @@
 Scalars are either exact rationals (``fractions.Fraction``) or binary
 floats; arithmetic between the two promotes to float, which is exactly
 Python's own behaviour, so no wrapper type is needed.  A `Field` names one
-of the two with its 0 and 1: the constructors that make entries of their
-own (zeros, identities, block-diagonal padding, product accumulators) take
-it, so a float kernel holds only floats.  Covariances are kept in factored
-form ``Sigma = L L^T``, square-root free and exact for rational inputs; a
-factor that composition or a wiring builds holds no all-zero column.
+of the two with its 0 and 1.  Only the constructors that make scalars of
+their own, zeros and identities, take one; every operation reads it off
+its operands, a result being float exactly when an operand is, so a float
+kernel holds only floats.  Covariances are kept in factored form
+``Sigma = L L^T``, square-root free and exact for rational inputs; a factor
+that composition or a wiring builds holds no all-zero column.
 
 Matrices are small, dense and immutable.  A rational one holds integer
 `nums` over one positive `den`, reduced (a zero matrix is over 1), so equal
 values are equal matrices and its arithmetic is on integers with one
-reduction per result; a float one holds its floats, `den` None, and a sum,
-scaling or stack with one is float.  `entries` makes `Fraction`s; `floats`
-divides as ``n / den``, correctly rounded.
+reduction per result; a float one, empty ones included, holds its floats
+over `den` None.  `entries` makes `Fraction`s; `floats` divides as
+``n / den``, correctly rounded.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Matrix:
         return self.nums if den is None else tuple(Fraction(x, den) for x in self.nums)
 
     @property
-    def exact(self) -> bool:   # rational, as is a matrix with no entries
+    def exact(self) -> bool:   # rational; an empty float matrix has `den` None
         return self.den is not None
 
     def floats(self) -> tuple:
@@ -142,12 +143,16 @@ class Matrix:
     @staticmethod
     @lru_cache(maxsize=1024)
     def zeros(rows: int, cols: int, field: Field = RATIONAL) -> "Matrix":
-        return Matrix(rows, cols, (field.zero,) * (rows * cols))
+        exact = field is RATIONAL
+        return _matrix(rows, cols, (0 if exact else field.zero,) * (rows * cols),
+                       1 if exact else None)
 
     @staticmethod
     def identity(n: int, field: Field = RATIONAL) -> "Matrix":
-        return Matrix(n, n, tuple(field.one if i == j else field.zero
-                                  for i in range(n) for j in range(n)))
+        zero = Matrix.zeros(n, n, field)
+        nums = list(zero.nums)
+        nums[::n + 1] = [1 if zero.exact else field.one] * n
+        return _matrix(n, n, tuple(nums), zero.den)
 
     @staticmethod
     def column(entries: Sequence) -> "Matrix":
@@ -181,24 +186,25 @@ class Matrix:
         den, x, y, _ = _aligned(self, other)
         return Matrix.over(self.rows, self.cols, map(add, x, y), den)
 
-    def __matmul__(self, other: "Matrix", field: Field = RATIONAL) -> "Matrix":
-        """The product; its entries with no nonzero term are `field`'s 0.
-        Over the rationals, one integer dot product per entry; otherwise
-        entrywise, skipping zero terms."""
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, float if an operand is.  Over the rationals, one
+        integer dot product per entry; otherwise entrywise in floats,
+        skipping zero terms."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        exact = self.exact and other.exact
         if not (n and k and m):
-            return Matrix.zeros(n, m, field)
-        if field is RATIONAL and self.exact and other.exact:
+            return Matrix.zeros(n, m, RATIONAL if exact else FLOAT)
+        if exact:
             a, b = self.nums, other.nums
             cols = [b[j::m] for j in range(m)]
             return Matrix.over(n, m, [sum(map(mul, a[i:i + k], col))
                                       for i in range(0, n * k, k) for col in cols],
                                self.den * other.den)
-        a, b = self.entries, other.entries
-        out = [field.zero] * (n * m)
+        a, b = self.floats(), other.floats()
+        out = [0.0] * (n * m)
         for i in range(n):
             base = i * k
             for t in range(k):
@@ -210,21 +216,21 @@ class Matrix:
                     y = b[ob + j]
                     if y != 0:
                         out[i * m + j] += x * y
-        return Matrix(n, m, out)
+        return _matrix(n, m, tuple(out), None)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
 
 
 def _matrix(rows: int, cols: int, nums: tuple, den, m=None) -> Matrix:
-    """`m`, or a new matrix, holding `nums` over `den` as they are; one with
-    no entries is rational, over 1.  It sets the slots through their own
-    descriptors, twice as fast as `object.__setattr__`."""
+    """`m`, or a new matrix, holding `nums` over `den` as they are, `den`
+    None for floats at every shape, empty ones included.  It sets the slots
+    through their own descriptors, twice as fast as `object.__setattr__`."""
     m = object.__new__(Matrix) if m is None else m
     _set_rows(m, rows)
     _set_cols(m, cols)
     _set_nums(m, nums)
-    _set_den(m, den if nums else 1)
+    _set_den(m, den)
     return m
 
 
@@ -244,11 +250,11 @@ def common_denominator(mats) -> tuple:
     return den, [_over(m, den) for m in mats]
 
 
-def _aligned(a: Matrix, b: Matrix, field: Field = RATIONAL) -> tuple:
+def _aligned(a: Matrix, b: Matrix) -> tuple:
     """``(den, x, y, zero)``: the numerators x of `a` and y of `b` over one
-    `den`, and `field`'s 0 for padding; floats over None if either is float.
+    `den`, and the 0 for padding; floats over None if either is float.
     Stacks of reduced matrices over the lcm of their denominators are reduced."""
-    if a.den is None or b.den is None or field is FLOAT:
+    if a.den is None or b.den is None:
         return None, a.floats(), b.floats(), FLOAT.zero
     den = math.lcm(a.den, b.den)
     return den, _over(a, den), _over(b, den), 0
@@ -270,9 +276,9 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return _matrix(a.rows + b.rows, a.cols, x + y, den)
 
 
-def block_diag(a: Matrix, b: Matrix, field: Field = RATIONAL) -> Matrix:
+def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """``[[a, 0], [0, b]]``, its entries built in one pass."""
-    den, x, y, zero = _aligned(a, b, field)
+    den, x, y, zero = _aligned(a, b)
     ca, cb = a.cols, b.cols
     pad_a, pad_b, entries = (zero,) * ca, (zero,) * cb, []
     for i in range(a.rows):
@@ -306,9 +312,9 @@ class CovFactor:
     def width(self) -> int:
         return self.factor.cols
 
-    def gram(self, field: Field = RATIONAL) -> Matrix:
+    def gram(self) -> Matrix:
         """``L L^T``."""
-        return self.factor.__matmul__(self.factor.transpose(), field)
+        return self.factor @ self.factor.transpose()
 
 
 def drop_zero_columns(factor: Matrix) -> Matrix:
@@ -326,8 +332,7 @@ def drop_zero_columns(factor: Matrix) -> Matrix:
         nums[i + j] for i in range(0, len(nums), k) for j in keep), factor.den)
 
 
-def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor,
-                field: Field = RATIONAL) -> CovFactor:
+def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor) -> CovFactor:
     """Factor of ``B Sigma B^T + Theta`` without leaving factored form, less
     its all-zero columns (those of Sigma's that ``B`` maps to zero)."""
     if b.cols != sigma.dim:
@@ -335,13 +340,11 @@ def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor,
     if b.rows != theta.dim:
         raise DimensionMismatch(f"B has {b.rows} rows, theta dim {theta.dim}")
     return CovFactor(b.rows, drop_zero_columns(
-        hstack(b.__matmul__(sigma.factor, field), theta.factor)))
+        hstack(b @ sigma.factor, theta.factor)))
 
 
-def cov_block(sigma: CovFactor, theta: CovFactor,
-              field: Field = RATIONAL) -> CovFactor:
-    return CovFactor(sigma.dim + theta.dim,
-                     block_diag(sigma.factor, theta.factor, field))
+def cov_block(sigma: CovFactor, theta: CovFactor) -> CovFactor:
+    return CovFactor(sigma.dim + theta.dim, block_diag(sigma.factor, theta.factor))
 
 
 def ldlt(sigma: Matrix, tol: float = 0.0):

@@ -18,12 +18,12 @@ of each result, and a result is exact when its operands are, so only
 kernels a caller built are scanned for floats.
 
 `evaluate` is a `diagram.fold` over one field, rational or float: each
-parameter is cast to it and every leaf is built from its 0 and 1, so a
-float kernel holds only floats.  Identities, swaps, copies and discards
-only move wires: it keeps them, and any Seq/Par of them, as a `Wiring`
-(two index maps) and applies one to a kernel by gathering or scattering
-indices instead of composing with a 0/1 kernel; the result is the same
-canonical kernel.
+parameter is cast to it and every leaf is built in it, and `linalg` reads
+it off the operands from there, so a float kernel holds only floats.
+Identities, swaps, copies and discards only move wires: it keeps them, and
+any Seq/Par of them, as a `Wiring` (two index maps) and applies one to a
+kernel by gathering or scattering indices instead of composing with a 0/1
+kernel; the result is the same canonical kernel.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class GaussComponent:
     cov: CovFactor         # n-dimensional
 
     def gram(self) -> Matrix:
-        return self.cov.gram(FLOAT if type(self.weight) is float else RATIONAL)
+        return self.cov.gram()
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def _component(weight, bool_out, lin, mean, cov) -> GaussComponent:
 def _dirac(bool_out, lin: Matrix, field: Field) -> GaussComponent:
     n = lin.rows
     return _component(field.one, bool_out, lin, Matrix.zeros(n, 1, field),
-                      CovFactor.zero(n))
+                      CovFactor.of(Matrix.zeros(n, 0, field)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,7 @@ GENERATOR_WIRINGS = {
 @lru_cache(maxsize=4096)
 def wiring_kernel(w: Wiring, field: Field = RATIONAL) -> CGMixture:
     """The kernel of a wiring, canonical: one weight-1 Dirac per input row."""
-    m, one, zero = w.dom.n_real, field.one, field.zero
-    lin = Matrix(len(w.reals), m, tuple(one if j == src else zero
-                                        for src in w.reals for j in range(m)))
+    lin = _rows_of(Matrix.identity(w.dom.n_real, field), w.reals)
     rows = [(bits, (_dirac(tuple(bits[i] for i in w.bits), lin, field),))
             for bits in all_bitvecs(w.dom.n_bool)]
     return _build(w.dom, w.cod, rows, field, DEFAULT_TOLERANCE)
@@ -206,10 +204,10 @@ def interp_generator(gen: Generator, field: Field = RATIONAL) -> CGMixture:
         return wiring_kernel(GENERATOR_WIRINGS[kind], field)
     dom, cod = gen.dom, gen.cod
     rows = {}
-    empty, line = Matrix.zeros(0, 0), Matrix.zeros(1, 0)
+    empty, line = Matrix.zeros(0, 0, field), Matrix.zeros(1, 0, field)
     if kind is GenKind.FLIP:
-        rows[()] = tuple(_component(w, (b,), empty, Matrix.zeros(0, 1),
-                                    CovFactor.zero(0))
+        rows[()] = tuple(_component(w, (b,), empty, Matrix.zeros(0, 1, field),
+                                    CovFactor.of(empty))
                          for w, b in ((param, 1), (one - param, 0)))
     elif kind is GenKind.AND:
         rows = {(a, b): (_dirac((a & b,), empty, field),) for a, b in all_bitvecs(2)}
@@ -226,7 +224,7 @@ def interp_generator(gen: Generator, field: Field = RATIONAL) -> CGMixture:
         rows[()] = (_dirac((), Matrix(1, 1, (param,)), field),)
     elif kind is GenKind.ONE:
         rows[()] = (_component(one, (), line, Matrix(1, 1, (one,)),
-                               CovFactor.zero(1)),)
+                               CovFactor.of(line)),)
     elif kind is GenKind.ITE:
         rows[(1,)] = (_dirac((), Matrix(1, 2, (one, zero)), field),)
         rows[(0,)] = (_dirac((), Matrix(1, 2, (zero, one)), field),)
@@ -366,7 +364,6 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
         raise TypeMismatch(
             f"compose: {f.cod_word} does not match {g.dom_word}",
             expected=f.cod_word, actual=g.dom_word)
-    field = _field(f, g)
     rows = []
     for bits, comps in f.table:
         out = []
@@ -375,13 +372,11 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
                 w = ci.weight * cj.weight
                 if w == 0:
                     continue
-                out.append(_component(
-                    w, cj.bool_out,
-                    cj.lin.__matmul__(ci.lin, field),
-                    cj.lin.__matmul__(ci.mean, field) + cj.mean,
-                    cov_compose(cj.lin, ci.cov, cj.cov, field)))
+                out.append(_component(w, cj.bool_out, cj.lin @ ci.lin,
+                                      cj.lin @ ci.mean + cj.mean,
+                                      cov_compose(cj.lin, ci.cov, cj.cov)))
         rows.append((bits, out))
-    return _build(f.dom_word, g.cod_word, rows, field, tol)
+    return _build(f.dom_word, g.cod_word, rows, _field(f, g), tol)
 
 
 def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
@@ -396,8 +391,8 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
     for (bits_f, comps_f), keys_f in zip(f.table, f._canon.keys):
         for (bits_g, comps_g), keys_g in zip(g.table, g._canon.keys):
             out = [(tuple(map(add, ki, kj)), GaussComponent(
-                       w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin, field),
-                       vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov, field)))
+                       w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin),
+                       vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov)))
                    for ci, ki in zip(comps_f, keys_f)
                    for cj, kj in zip(comps_g, keys_g)
                    if (w := ci.weight * cj.weight) != 0]   # 0: a float underflow
@@ -441,26 +436,24 @@ def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
 
 def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     """``w ; g``: the row at the wired bits, ``A`` columns summed by ``reals``."""
-    m, field = w.dom.n_real, _field(g)
-    exact = field is RATIONAL
-    rows = []
+    m, rows = w.dom.n_real, []
     for bits in all_bitvecs(w.dom.n_bool):
         out = []
         for c in g.row(tuple(bits[i] for i in w.bits)):
+            # A's numerators summed over its own denominator, or its floats.
             lin = c.lin
-            # An exact kernel's A sums numerators over its denominator.
-            vals = lin.nums if exact else lin.floats()
-            acc = [0 if exact else field.zero] * (lin.rows * m)
+            nums, den = lin.nums, lin.den
+            acc = [0.0 if den is None else 0] * (lin.rows * m)
             for i in range(lin.rows):
                 base = i * lin.cols
                 for j, src in enumerate(w.reals):
-                    x = vals[base + j]
+                    x = nums[base + j]
                     if x != 0:
                         acc[i * m + src] += x
-            out.append(replace(c, lin=Matrix.over(lin.rows, m, acc,
-                                                  lin.den if exact else None)))
+            out.append(GaussComponent(c.weight, c.bool_out,
+                                      Matrix.over(lin.rows, m, acc, den), c.mean, c.cov))
         rows.append((bits, out))
-    return _build(w.dom, g.cod_word, rows, field, tol)
+    return _build(w.dom, g.cod_word, rows, _field(g), tol)
 
 
 def _as_kernel(k, field: Field) -> CGMixture:

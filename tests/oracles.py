@@ -45,10 +45,10 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def reference_product_entries(a: Matrix, b: Matrix) -> list:
     """The scalars of ``a @ b``, row-major, before any `Matrix` holds them: an
-    entry with no nonzero term is ``Fraction(0)``, the others Python's own
-    sums of products."""
+    entry with no nonzero term is ``0.0`` when an operand is float and
+    ``Fraction(0)`` otherwise, the others Python's own sums of products."""
     n, k, m = a.rows, a.cols, b.cols
-    out = [Fraction(0)] * (n * m)
+    out = [0.0 if a.den is None or b.den is None else Fraction(0)] * (n * m)
     for i in range(n):
         base = i * k
         for t in range(k):

@@ -88,15 +88,19 @@ def mat(rows):
 
 
 @st.composite
-def padded_factors(draw, entries, field, zeros):
-    """``(factor, the factor with zero columns inserted, field)``; each
-    inserted column repeats one of `zeros`."""
+def padded_factors(draw, entries, zeros):
+    """``(factor, the factor with zero columns inserted)``; each inserted
+    column repeats one of `zeros`.  When float zero columns make a factor
+    with no entries a float matrix, the factor is the float one too."""
     factor = draw(matrices(entries))
     cols = [factor.entries[j::factor.cols] for j in range(factor.cols)]
     for zero in draw(st.lists(st.sampled_from(zeros), max_size=3)):
         cols.insert(draw(st.integers(0, len(cols))), (zero,) * factor.rows)
-    return factor, Matrix(factor.rows, len(cols), tuple(
-        col[i] for i in range(factor.rows) for col in cols)), field
+    padded = Matrix(factor.rows, len(cols), tuple(
+        col[i] for i in range(factor.rows) for col in cols))
+    if factor.exact and not padded.exact:
+        factor = Matrix.zeros(factor.rows, factor.cols, FLOAT)
+    return factor, padded
 
 
 class TestMatrix:
@@ -180,13 +184,20 @@ class TestMatrix:
         a, b = Matrix(n, k, xs), Matrix(k, m, ys)
         got = a @ b
         assert same_entries(got, reference_matmul(a, b))
-        # Each field is read off the raw scalars, before a `Matrix` holds
-        # them: float if some one is a nonzero float or all are floats, its
-        # entries converted; else reduced and rational, a float zero an
-        # exact 0.
-        for made, raw in ((a, xs), (b, ys), (got, reference_product_entries(a, b))):
+
+        # Each operand's field is read off its raw scalars, before a
+        # `Matrix` holds them: float if some one is a nonzero float or all
+        # are floats, its entries converted; else reduced and rational, a
+        # float zero an exact 0.  The product is float iff an operand is.
+        def float_scalars(raw) -> bool:
             floats = [x for x in raw if type(x) is float]
-            if floats and (len(floats) == len(raw) or any(floats)):
+            return bool(floats) and (len(floats) == len(raw) or any(floats))
+
+        float_a, float_b = float_scalars(xs), float_scalars(ys)
+        for made, raw, is_float in ((a, xs, float_a), (b, ys, float_b),
+                                    (got, reference_product_entries(a, b),
+                                     float_a or float_b)):
+            if is_float:
                 assert made.den is None and made.nums is made.entries
                 assert made.nums == tuple(map(float, raw))
                 assert all(type(x) is float for x in made.nums)
@@ -206,8 +217,9 @@ class TestMatrix:
 
 
 class TestField:
-    """A constructor given the float field makes float entries, its zeros
-    the field's one shared 0.0."""
+    """A constructor given the float field makes float entries, and an
+    operation with a float operand a float result, empty ones included;
+    float zeros are the field's one shared 0.0."""
 
     def test_fields_are_distinct_keys(self):
         assert RATIONAL != FLOAT and len({RATIONAL, FLOAT}) == 2
@@ -217,17 +229,21 @@ class TestField:
     def test_float_constructors_hold_only_floats(self):
         a = Matrix(2, 1, (1.5, 0.0))
         made = [Matrix.zeros(2, 3, FLOAT), Matrix.identity(3, FLOAT),
-                block_diag(a, a, FLOAT),
-                cov_block(CovFactor.of(a), CovFactor.zero(1), FLOAT).factor,
-                Matrix.zeros(2, 0).__matmul__(Matrix.zeros(0, 3), FLOAT),
-                a.__matmul__(Matrix(1, 2, (0.0, 2.0)), FLOAT),
+                block_diag(a, a),
+                cov_block(CovFactor.of(a), CovFactor.zero(1)).factor,
+                Matrix.zeros(2, 0, FLOAT) @ Matrix.zeros(0, 3),
+                a @ Matrix(1, 2, (0.0, 2.0)),
                 cov_compose(Matrix.zeros(2, 0), CovFactor(0, Matrix.zeros(0, 2)),
-                            CovFactor.of(a), FLOAT).factor,
-                CovFactor.zero(2).gram(FLOAT)]
+                            CovFactor.of(a)).factor,
+                # An all-zero product, and results built from empty floats.
+                Matrix(1, 1, (1.0,)) @ Matrix(1, 1, (0.0,)),
+                CovFactor.of(Matrix.zeros(2, 0, FLOAT)).gram(),
+                block_diag(Matrix.zeros(1, 0, FLOAT), Matrix.zeros(0, 1, FLOAT))]
         for m in made:
             assert m.entries and all(type(x) is float for x in m.entries)
+            assert m.den is None
         assert Matrix.identity(3, FLOAT).entries[1] is FLOAT.zero
-        assert block_diag(a, a, FLOAT).entries[1] is FLOAT.zero
+        assert block_diag(a, a).entries[1] is FLOAT.zero
 
 
 class TestQuantizeKey:
@@ -273,15 +289,13 @@ class TestCovFactor:
                             reference_matmul(factor, factor.transpose()))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.one_of(padded_factors(exact_entries, RATIONAL,
-                                    (Fraction(0), 0.0, -0.0)),
-                     padded_factors(float_entries, FLOAT, (0.0, -0.0))))
+    @given(st.one_of(padded_factors(exact_entries, (Fraction(0), 0.0, -0.0)),
+                     padded_factors(float_entries, (0.0, -0.0))))
     def test_zero_columns_leave_gram_unchanged(self, case):
-        factor, padded, field = case
-        want = CovFactor.of(factor).gram(field)
+        factor, padded = case
+        want = CovFactor.of(factor).gram()
         dropped = drop_zero_columns(padded)
-        for got in (CovFactor.of(padded).gram(field),
-                    CovFactor.of(dropped).gram(field)):
+        for got in (CovFactor.of(padded).gram(), CovFactor.of(dropped).gram()):
             assert same_entries(got, want)
             assert list(map(repr, got.entries)) == list(map(repr, want.entries))
         assert dropped == drop_zero_columns(factor)

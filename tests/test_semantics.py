@@ -492,6 +492,13 @@ def scalars_of(mix: CGMixture):
                       *c.cov.factor.entries))
 
 
+def matrices_of(mix: CGMixture):
+    """Every matrix of every component: A, mu, the covariance factor and its
+    Gram matrix, empty ones included."""
+    return (m for _, comps in mix.table for c in comps
+            for m in (c.lin, c.mean, c.cov.factor, c.gram()))
+
+
 def has_float_entry(mix: CGMixture) -> bool:
     return any(type(x) is float for x in scalars_of(mix))
 
@@ -552,17 +559,26 @@ class TestBackendCastAtLeaves:
 
 WIRING_TERMS = ("id(R)", "copyR", "swap(R,R)", "swap(B,R)", "delB",
                 "id(BR)", "copyB * delR")
+# Kernels whose A, mu or factor have no entries.
+EMPTY_TERMS = ("stdnormal ; delR ; zero", "flip(0.5)", "flip(1/2) ; delB")
 
 
 class TestFloatField:
-    """Under the float backend every scalar of every kernel is a float."""
+    """Under the float backend every scalar of every kernel is a float, and
+    every matrix is float, empty ones included; under the rational backend
+    every matrix is rational."""
 
     def test_float_kernels_hold_only_floats(self):
-        corpus = cast_corpus() + [parse(text) for text in WIRING_TERMS]
+        corpus = cast_corpus() + [parse(text)
+                                  for text in WIRING_TERMS + EMPTY_TERMS]
         for t in corpus:
             mix = evaluate(t, backend="float")
             assert not has_non_float_entry(mix), print_term(t)
             assert not mixture_is_exact(mix)
+            assert all(m.den is None for m in matrices_of(mix)), print_term(t)
+            exact = evaluate(t, backend="rational")
+            assert all(type(m.den) is int for m in matrices_of(exact)), \
+                print_term(t)
 
     def test_float_json_prints_numbers(self):
         for text in WIRING_TERMS + ("zero", "one ; scal(0.0) ; copyR"):

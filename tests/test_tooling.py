@@ -5,8 +5,10 @@
 exist where it looks for it, and a traced pipeline must still yield every
 per-layer metric, so that a cleanup in `src/cgm` cannot break
 `bench/run.py --trace 1` without a tier-1 failure.  `bench/workloads.py`
-is loaded the same way: one cycle of its Monte Carlo ops, and one pass over
-its dense-mixture ops, must pass the workload's own checks.
+is loaded the same way: one cycle of its Monte Carlo ops, one pass over its
+dense-mixture ops, nf-roundtrip's anchor ops (whose certificates the
+workload pins by digest) and the first 600 axiom-suite ops must pass the
+workload's own checks.
 """
 
 import json
@@ -119,3 +121,25 @@ def test_dense_mixture_ops_pass_their_oracle(tracer, monkeypatch):
     for op in dense.ops:
         assert dense.check(op, dense.run(op))
     assert dense.finish(len(dense.ops)) == set()
+
+
+def test_nf_roundtrip_anchors_match_the_pinned_digest(tracer, monkeypatch):
+    # The anchor circuits' certificates must hash to the digest that every
+    # nf-roundtrip run checks in `finish`.
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    workloads = load(WORKLOADS, "cgm_bench_workloads")
+    nf = workloads.NfRoundtrip(1)
+    for op in nf.ops[:nf.anchors]:
+        assert nf.check(op, nf.run(op))
+    assert nf.finish(nf.anchors) == set()
+
+
+def test_axiom_suite_ops_pass_their_oracle(tracer, monkeypatch):
+    # Each sound instance compares equal and each mutant unequal, on both
+    # backends.
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    workloads = load(WORKLOADS, "cgm_bench_workloads")
+    suite = workloads.AxiomSuite(1)
+    failed = [(op[0], op[4]) for op in suite.ops[:600]
+              if not suite.check(op, suite.run(op))]
+    assert failed == []
