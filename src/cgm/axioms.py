@@ -39,7 +39,7 @@ from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
 from .linalg import format_scalar
 from .randcircuit import TermSampler
 from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, evaluate,
-                        max_deviation, mixture_to_json, mixtures_equal)
+                        max_deviation, mixtures_equal)
 
 AXIOM_TABLE = """
 A1 | co-associativity of real copy | copyR ; id(R) * copyR = copyR ; copyR * id(R)

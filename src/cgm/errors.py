@@ -15,6 +15,10 @@ class NonFiniteParam(CgmError):
     """A float generator parameter that is infinite or NaN."""
 
 
+class NonFiniteResult(CgmError):
+    """Float arithmetic gave an infinite or NaN matrix entry."""
+
+
 class MissingParam(CgmError):
     """A generator that requires a parameter was built without one."""
 

@@ -15,7 +15,9 @@ Matrices are small, dense and immutable.  A rational one holds integer
 values are equal matrices and its arithmetic is on integers with one
 reduction per result; a float one, empty ones included, holds its floats
 over `den` None.  `entries` makes `Fraction`s; `floats` divides as
-``n / den``, correctly rounded.
+``n / den``, correctly rounded.  A product has one body for both: a dot
+product per entry, of numerators or of floats.  A float sum or product
+that leaves the float range raises `NonFiniteResult`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Sequence, Union
 
-from .errors import DimensionMismatch, NotPSD
+from .errors import DimensionMismatch, NonFiniteResult, NotPSD
 
 Scalar = Union[Fraction, float]
 
@@ -171,52 +173,36 @@ class Matrix:
         return _matrix(cols, self.rows,
                        tuple(x for j in range(cols) for x in nums[j::cols]), self.den)
 
-    def scale(self, k) -> "Matrix":
-        k = as_scalar(k)
-        if self.exact and isinstance(k, Fraction):
-            return Matrix.over(self.rows, self.cols,
-                               (k.numerator * x for x in self.nums),
-                               k.denominator * self.den)
-        return _matrix(self.rows, self.cols, tuple(k * x for x in self.floats()), None)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
                 f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         den, x, y, _ = _aligned(self, other)
-        return Matrix.over(self.rows, self.cols, map(add, x, y), den)
+        nums = map(add, x, y)
+        return Matrix.over(self.rows, self.cols,
+                           nums if den is not None else _finite(nums), den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, float if an operand is.  Over the rationals, one
-        integer dot product per entry; otherwise entrywise in floats,
-        skipping zero terms."""
+        """The product, float if an operand is: one dot product per entry,
+        of both operands' integer numerators when both are rational, with
+        one reduction, otherwise of their floats.  A float sum starts at +0,
+        so adding a zero term (either sign) leaves it as it is: zero columns
+        and 0/1 maps change no bit of a finite result (Python 3.12+
+        compensates float `sum`, so there the last bits may differ).
+        Raises `NonFiniteResult` if a float entry is infinite or NaN."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        exact = self.exact and other.exact
+        exact = self.den is not None and other.den is not None
         if not (n and k and m):
             return Matrix.zeros(n, m, RATIONAL if exact else FLOAT)
+        a, b = (self.nums, other.nums) if exact else (self.floats(), other.floats())
+        nums = [sum(map(mul, a[i:i + k], b[j::m]))
+                for i in range(0, n * k, k) for j in range(m)]
         if exact:
-            a, b = self.nums, other.nums
-            cols = [b[j::m] for j in range(m)]
-            return Matrix.over(n, m, [sum(map(mul, a[i:i + k], col))
-                                      for i in range(0, n * k, k) for col in cols],
-                               self.den * other.den)
-        a, b = self.floats(), other.floats()
-        out = [0.0] * (n * m)
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                x = a[base + t]
-                if x == 0:
-                    continue
-                ob = t * m
-                for j in range(m):
-                    y = b[ob + j]
-                    if y != 0:
-                        out[i * m + j] += x * y
-        return _matrix(n, m, tuple(out), None)
+            return Matrix.over(n, m, nums, self.den * other.den)
+        return _matrix(n, m, _finite(nums), None)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -236,6 +222,16 @@ def _matrix(rows: int, cols: int, nums: tuple, den, m=None) -> Matrix:
 
 _set_rows, _set_cols, _set_nums, _set_den = (
     getattr(Matrix, name).__set__ for name in ("rows", "cols", "nums", "den"))
+
+
+def _finite(nums) -> tuple:
+    """Float `nums` as a tuple; `NonFiniteResult` if one is inf or NaN."""
+    nums = tuple(nums)
+    if not all(map(math.isfinite, nums)):
+        bad = next(x for x in nums if not math.isfinite(x))
+        raise NonFiniteResult(
+            f"float arithmetic gave {bad}: a value left the float range")
+    return nums
 
 
 def _over(m: Matrix, den: int) -> tuple:
@@ -301,10 +297,6 @@ class CovFactor:
                 f"factor has {self.factor.rows} rows for dimension {self.dim}")
 
     @staticmethod
-    def zero(n: int) -> "CovFactor":
-        return CovFactor(n, Matrix.zeros(n, 0))
-
-    @staticmethod
     def of(factor: Matrix) -> "CovFactor":
         return CovFactor(factor.rows, factor)
 
@@ -320,8 +312,8 @@ class CovFactor:
 def drop_zero_columns(factor: Matrix) -> Matrix:
     """`factor` without its all-zero columns, which add nothing to ``L L^T``.
 
-    Gram matrices are unchanged bit for bit: a zero numerator adds nothing
-    to an integer dot product, and the float product skips zero terms."""
+    Gram matrices are unchanged bit for bit: a zero term adds nothing to a
+    dot product, of integers or of floats (see `Matrix.__matmul__`)."""
     k, nums = factor.cols, factor.nums
     if not k:
         return factor
@@ -382,7 +374,9 @@ def ldlt(sigma: Matrix, tol: float = 0.0):
                 lower[i][j] = c / d
             elif abs(c) > tol:
                 raise NotPSD(f"zero pivot with nonzero column at ({i},{j})")
-    return Matrix.from_rows(lower, cols=n), tuple(diag)
+    flat = [x for row in lower for x in row]
+    return (Matrix.over(n, n, flat, None) if field is FLOAT
+            else Matrix(n, n, flat)), tuple(diag)
 
 
 def _is_three_square(n: int) -> bool:

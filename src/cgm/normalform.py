@@ -97,13 +97,6 @@ class NFTree:
     bool_marginal: BoolKernel
     leaves: tuple   # sorted (((a_out, a_in), CNFCell), ...), complete
 
-    def leaf(self, a_out, a_in) -> CNFCell:
-        key = (tuple(a_out), tuple(a_in))
-        for k, cell in self.leaves:
-            if k == key:
-                return cell
-        raise KeyError(key)
-
 
 def disintegrate(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> NFTree:
     """Split a kernel into Boolean marginal and normalized conditionals."""
@@ -136,7 +129,9 @@ def _noise_factor(cov: Matrix, tol: float) -> Matrix:
     lower, diag = ldlt(cov, tol)
     columns = [[s * lower.at(r, i) for r in range(cov.rows)]
                for i, d in enumerate(diag) for s in sum_square_scales(d)]
-    return Matrix(len(columns), cov.rows, [x for col in columns for x in col]).transpose()
+    flat = [x for col in columns for x in col]
+    return (Matrix(len(columns), cov.rows, flat) if cov.exact
+            else Matrix.over(len(columns), cov.rows, flat, None)).transpose()
 
 
 def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:

@@ -21,9 +21,10 @@ kernels a caller built are scanned for floats.
 parameter is cast to it and every leaf is built in it, and `linalg` reads
 it off the operands from there, so a float kernel holds only floats.
 Identities, swaps, copies and discards only move wires: it keeps them, and
-any Seq/Par of them, as a `Wiring` (two index maps) and applies one to a
-kernel by gathering or scattering indices instead of composing with a 0/1
-kernel; the result is the same canonical kernel.
+any Seq/Par of them, as a `Wiring` (two index maps).  After a kernel it
+gathers the kernel's outputs; before one it picks each input row and
+multiplies each ``A`` by the wiring's 0/1 real map, instead of composing
+with a 0/1 kernel.  The result is the same canonical kernel.
 """
 
 from __future__ import annotations
@@ -191,10 +192,15 @@ GENERATOR_WIRINGS = {
 @lru_cache(maxsize=4096)
 def wiring_kernel(w: Wiring, field: Field = RATIONAL) -> CGMixture:
     """The kernel of a wiring, canonical: one weight-1 Dirac per input row."""
-    lin = _rows_of(Matrix.identity(w.dom.n_real, field), w.reals)
+    lin = _real_map(w, field)
     rows = [(bits, (_dirac(tuple(bits[i] for i in w.bits), lin, field),))
             for bits in all_bitvecs(w.dom.n_bool)]
     return _build(w.dom, w.cod, rows, field, DEFAULT_TOLERANCE)
+
+
+def _real_map(w: Wiring, field: Field) -> Matrix:
+    """The 0/1 matrix of the wiring's reals: row j is the unit row ``reals[j]``."""
+    return _rows_of(Matrix.identity(w.dom.n_real, field), w.reals)
 
 
 def interp_generator(gen: Generator, field: Field = RATIONAL) -> CGMixture:
@@ -435,25 +441,14 @@ def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
 
 
 def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
-    """``w ; g``: the row at the wired bits, ``A`` columns summed by ``reals``."""
-    m, rows = w.dom.n_real, []
-    for bits in all_bitvecs(w.dom.n_bool):
-        out = []
-        for c in g.row(tuple(bits[i] for i in w.bits)):
-            # A's numerators summed over its own denominator, or its floats.
-            lin = c.lin
-            nums, den = lin.nums, lin.den
-            acc = [0.0 if den is None else 0] * (lin.rows * m)
-            for i in range(lin.rows):
-                base = i * lin.cols
-                for j, src in enumerate(w.reals):
-                    x = nums[base + j]
-                    if x != 0:
-                        acc[i * m + src] += x
-            out.append(GaussComponent(c.weight, c.bool_out,
-                                      Matrix.over(lin.rows, m, acc, den), c.mean, c.cov))
-        rows.append((bits, out))
-    return _build(w.dom, g.cod_word, rows, _field(g), tol)
+    """``w ; g``: the row at the wired bits, each ``A`` times the real map."""
+    field = _field(g)
+    real_map = _real_map(w, field)
+    rows = [(bits, [GaussComponent(c.weight, c.bool_out, c.lin @ real_map,
+                                   c.mean, c.cov)
+                    for c in g.row(tuple(bits[i] for i in w.bits))])
+            for bits in all_bitvecs(w.dom.n_bool)]
+    return _build(w.dom, g.cod_word, rows, field, tol)
 
 
 def _as_kernel(k, field: Field) -> CGMixture:
@@ -611,8 +606,8 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     if exact:
         return Moments(marginal, Matrix.over(n, 1, sums, scale),
                        Matrix.over(n, n, cov, den))
-    return Moments(marginal, Matrix(n, 1, [v / scale for v in sums]),
-                   Matrix(n, n, [v / den for v in cov]))
+    return Moments(marginal, Matrix.over(n, 1, [v / scale for v in sums], None),
+                   Matrix.over(n, n, [v / den for v in cov], None))
 
 
 def _pick_components(rng, weights, count: int):

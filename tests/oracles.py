@@ -72,10 +72,6 @@ def reference_add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
 
 
-def reference_scale(a: Matrix, k) -> Matrix:
-    return Matrix(a.rows, a.cols, tuple(k * x for x in a.entries))
-
-
 def reference_hstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols + b.cols,
                   tuple(x for i in range(a.rows) for x in a.row(i) + b.row(i)))

@@ -65,6 +65,13 @@ class TestEval:
         assert code == EXIT_PARSE and out == ""
         assert "scal(inf) is not finite" in err
 
+    def test_float_overflow_exit(self, tmp_path, capsys):
+        huge = tmp_path / "overflow.cgm"
+        huge.write_text("stdnormal ; scal(1e300) ; scal(1e300) ; scal(0.0)")
+        code, out, err = run(capsys, "eval", str(huge))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: float arithmetic gave inf: a value left the float range\n"
+
     def test_cap_exit(self, tmp_path, capsys):
         wide = tmp_path / "wide.cgm"
         wide.write_text("id(" + "B" * 13 + ")")

@@ -14,13 +14,14 @@ from cgm.errors import DimensionMismatch, NotPSD
 from cgm.linalg import (FLOAT, RATIONAL, CovFactor, Matrix, block_diag,
                         cov_block, cov_compose, drop_zero_columns, four_squares,
                         hstack, ldlt, quantize_key, sum_square_scales, vstack)
-from cgm.semantics import _rows_of
+from cgm.dsl import parse
+from cgm.normalform import _noise_factor
+from cgm.semantics import _rows_of, evaluate, moments
 
 from oracles import (reference_add, reference_block_diag,
                      reference_drop_zero_columns, reference_hstack,
                      reference_matmul, reference_product_entries,
-                     reference_rows, reference_scale,
-                     reference_transpose, reference_vstack)
+                     reference_rows, reference_transpose, reference_vstack)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 # Zero, negative, mixed-denominator and large-denominator entries for the
@@ -60,14 +61,14 @@ def raw_products(draw, entries):
 
 @st.composite
 def exact_cases(draw):
-    """``(a, b, c, s, picks)``: an n x k times k x m product, with one- and
-    two-term products (k of 1 or 2) drawn often, a second n x k matrix, a
-    scalar and a pick of a's rows."""
+    """``(a, b, c, picks)``: an n x k times k x m product, with one- and
+    two-term products (k of 1 or 2) drawn often, a second n x k matrix and
+    a pick of a's rows."""
     a, b = draw(st.one_of(products(exact_entries),
                           products(exact_entries, st.integers(1, 2))))
     c = draw(matrices(exact_entries, st.just(a.rows), st.just(a.cols)))
     picks = draw(st.lists(st.integers(0, a.rows - 1), max_size=4)) if a.rows else []
-    return a, b, c, draw(exact_entries), tuple(picks)
+    return a, b, c, tuple(picks)
 
 
 def reduced(m: Matrix) -> bool:
@@ -154,14 +155,13 @@ class TestMatrix:
         """Every operation on rational matrices gives its reference's
         `Fraction` entries, in reduced form; rebuilt from its entries, each
         result is an equal matrix with an equal hash."""
-        a, b, c, s, picks = case
+        a, b, c, picks = case
         sigma, theta = CovFactor.of(b), CovFactor.of(c)
         for got, want in (
                 (a @ b, reference_matmul(a, b)),
                 (CovFactor.of(a).gram(), reference_matmul(a, reference_transpose(a))),
                 (a.transpose(), reference_transpose(a)),
                 (a + c, reference_add(a, c)),
-                (a.scale(s), reference_scale(a, s)),
                 (hstack(a, c), reference_hstack(a, c)),
                 (vstack(a, c), reference_vstack(a, c)),
                 (block_diag(a, b), reference_block_diag(a, b)),
@@ -230,7 +230,7 @@ class TestField:
         a = Matrix(2, 1, (1.5, 0.0))
         made = [Matrix.zeros(2, 3, FLOAT), Matrix.identity(3, FLOAT),
                 block_diag(a, a),
-                cov_block(CovFactor.of(a), CovFactor.zero(1)).factor,
+                cov_block(CovFactor.of(a), CovFactor.of(Matrix.zeros(1, 0))).factor,
                 Matrix.zeros(2, 0, FLOAT) @ Matrix.zeros(0, 3),
                 a @ Matrix(1, 2, (0.0, 2.0)),
                 cov_compose(Matrix.zeros(2, 0), CovFactor(0, Matrix.zeros(0, 2)),
@@ -242,6 +242,13 @@ class TestField:
         for m in made:
             assert m.entries and all(type(x) is float for x in m.entries)
             assert m.den is None
+        # Float results with no entries, built from scalars.
+        flip = moments(evaluate(parse("flip(0.5)")))
+        empty = [ldlt(Matrix.zeros(0, 0, FLOAT))[0],
+                 _noise_factor(Matrix.zeros(2, 2, FLOAT), 1e-9),
+                 flip.mean, flip.cov]
+        assert [(m.rows, m.cols, m.den) for m in empty] == \
+            [(0, 0, None), (2, 0, None), (0, 1, None), (0, 0, None)]
         assert Matrix.identity(3, FLOAT).entries[1] is FLOAT.zero
         assert block_diag(a, a).entries[1] is FLOAT.zero
 
@@ -268,18 +275,18 @@ class TestCovFactor:
         assert out.gram() == mat([[13]])
 
     def test_compose_zero_factors(self):
-        z = CovFactor.zero(2)
-        out = cov_compose(Matrix.identity(2), z, CovFactor.zero(2))
+        z = CovFactor.of(Matrix.zeros(2, 0))
+        out = cov_compose(Matrix.identity(2), z, CovFactor.of(Matrix.zeros(2, 0)))
         assert out.gram() == Matrix.zeros(2, 2)
 
     def test_identity_preserves(self):
         sigma = CovFactor.of(mat([[1, 2], [0, 1]]))
-        out = cov_compose(Matrix.identity(2), sigma, CovFactor.zero(2))
+        out = cov_compose(Matrix.identity(2), sigma, CovFactor.of(Matrix.zeros(2, 0)))
         assert out.gram() == sigma.gram()
 
     def test_gram_examples(self):
         assert CovFactor.of(mat([[1], [1]])).gram() == mat([[1, 1], [1, 1]])
-        assert CovFactor.zero(2).gram() == Matrix.zeros(2, 2)
+        assert CovFactor.of(Matrix.zeros(2, 0)).gram() == Matrix.zeros(2, 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.one_of(matrices(exact_entries), matrices(float_entries),

@@ -54,8 +54,8 @@ class TestDisintegrate:
         term = seq(flip(Fraction(1)),
                    par(identity(bools(1)), mk_generator(GenKind.ONE)))
         tree = disintegrate(evaluate(term))
-        assert tree.leaf((0,), ()) == zero_cell(1, 0)
-        (c,) = tree.leaf((1,), ()).components
+        assert dict(tree.leaves)[(0,), ()] == zero_cell(1, 0)
+        (c,) = dict(tree.leaves)[(1,), ()].components
         assert c.mean == Matrix.from_rows([[1]])
 
 

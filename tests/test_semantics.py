@@ -19,12 +19,13 @@ from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          to_float_params)
 from cgm.dsl import parse, print_term
 from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                        InvalidWeight, NonFiniteParam, TypeMismatch)
+                        InvalidWeight, NonFiniteParam, NonFiniteResult,
+                        TypeMismatch)
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
-from cgm.linalg import RATIONAL, CovFactor, Matrix
-from cgm.normalform import decide_equiv
+from cgm.linalg import FLOAT, RATIONAL, CovFactor, Matrix
+from cgm.normalform import decide_equiv, disintegrate, nftree_equal
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
 from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
                            _pick_components, all_bitvecs, canonicalize,
@@ -235,7 +236,8 @@ class TestCanonicalProduct:
 
     def test_float_kernel_merges_again_at_a_wider_tolerance(self):
         parts = tuple(GaussComponent(0.5, (), Matrix.zeros(1, 0),
-                                     Matrix.column([mu]), CovFactor.zero(1))
+                                     Matrix.column([mu]),
+                                     CovFactor.of(Matrix.zeros(1, 0)))
                       for mu in (0.0, 1e-6))
         mix = CGMixture(TypeWord(), reals(1), (((), parts),))
         fine = canonicalize(mix, 1e-9)
@@ -246,7 +248,8 @@ class TestCanonicalProduct:
     def test_exact_components_within_tol_merge_in_a_float_product(self):
         from oracles import reference_tensor
         parts = tuple(GaussComponent(Fraction(1, 2), (), Matrix.zeros(1, 0),
-                                     Matrix.column([mu]), CovFactor.zero(1))
+                                     Matrix.column([mu]),
+                                     CovFactor.of(Matrix.zeros(1, 0)))
                       for mu in (Fraction(0), Fraction(1, 10 ** 12)))
         exact = CGMixture(TypeWord(), reals(1), (((), parts),))
         flip = interp_generator(Generator(GenKind.FLIP, 0.25))
@@ -338,7 +341,7 @@ def dirac_kernel(dom: str, cod: str, rows: dict, lin_rows) -> CGMixture:
     lin = Matrix.from_rows(lin_rows, cols=TypeWord.of(dom).n_real)
     table = tuple(sorted(
         (bits, (GaussComponent(Fraction(1), out, lin, Matrix.zeros(n, 1),
-                               CovFactor.zero(n)),))
+                               CovFactor.of(Matrix.zeros(n, 0))),))
         for bits, out in rows.items()))
     return CGMixture(TypeWord.of(dom), TypeWord.of(cod), table)
 
@@ -647,7 +650,8 @@ def exact_rows(draw):
         for _ in range(draw(st.integers(0, 6))):
             out, lin, mean, factor = draw(st.sampled_from(pool))
             if draw(st.booleans()):
-                factor = factor.scale(-1)
+                factor = Matrix.over(factor.rows, factor.cols,
+                                     [-x for x in factor.nums], factor.den)
             weight = draw(st.fractions(min_value=0, max_value=1,
                                        max_denominator=10 ** 9))
             comps.append(GaussComponent(weight, out, lin, mean, CovFactor.of(factor)))
@@ -737,15 +741,36 @@ class TestEquality:
                            evaluate(identity(bools(1))))
 
     def test_nan_is_never_equal(self):
-        # inf - inf gives a NaN covariance; NaN > eps is False, so a gap
-        # test of that form read it as equal to anything
+        # NaN > eps is False, so a gap test of that form read a NaN as
+        # equal to anything.  Float overflow raises before a kernel holds
+        # one (inf - inf here), so the NaN kernel is built by hand.
         huge = parse("stdnormal ; scal(1e300) ; scal(1e300) ; copyR"
                      " ; id(R) * scal(-1.0) ; add")
         five = parse("stdnormal ; scal(5.0)")
-        left, right = evaluate(huge), evaluate(five)
+        with pytest.raises(NonFiniteResult):
+            evaluate(huge)
+        with pytest.raises(NonFiniteResult):
+            decide_equiv(huge, five)
+        left = CGMixture(TypeWord(), reals(1), (((), (GaussComponent(
+            1.0, (), Matrix.zeros(1, 0, FLOAT), Matrix.column([float("nan")]),
+            CovFactor.of(Matrix.column([5.0]))),)),))
+        right = evaluate(five)
         assert not mixtures_equal(left, right)
         assert max_deviation(left, right) == float("inf")
-        assert not decide_equiv(huge, five)[0]
+        assert not nftree_equal(disintegrate(left), disintegrate(right))
+
+    @pytest.mark.parametrize("backend", ["auto", "float"])
+    @pytest.mark.parametrize("text", [
+        "stdnormal ; scal(1e300) ; scal(1e300) ; scal(0.0)",
+        "stdnormal ; scal(1e300) ; scal(1e300) ; copyR ; id(R) * scal(-1.0) ; add"])
+    def test_float_overflow_raises(self, text, backend):
+        # Unchecked, the first gives variance 0.0 or NaN (inf * 0) and the
+        # second a NaN factor (inf - inf), and neither says so.  Exactly,
+        # both variances are 0.
+        with pytest.raises(NonFiniteResult):
+            evaluate(parse(text), backend=backend)
+        exact = moments(evaluate(parse(text), backend="rational"))
+        assert exact.cov == Matrix.zeros(1, 1)
 
     def test_max_deviation_checks_words(self):
         # id(R) and id(RR) ; add have one row and one Dirac each; walking

@@ -8,15 +8,19 @@ per-layer metric, so that a cleanup in `src/cgm` cannot break
 is loaded the same way: one cycle of its Monte Carlo ops, one pass over its
 dense-mixture ops, nf-roundtrip's anchor ops (whose certificates the
 workload pins by digest) and the first 600 axiom-suite ops must pass the
-workload's own checks.
+workload's own checks.  And no `src/cgm` module imports a name it never
+uses.
 """
 
+import ast
 import json
 import sys
 import types
 from pathlib import Path
 
 import pytest
+
+import cgm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -143,3 +147,23 @@ def test_axiom_suite_ops_pass_their_oracle(tracer, monkeypatch):
     failed = [(op[0], op[4]) for op in suite.ops[:600]
               if not suite.check(op, suite.run(op))]
     assert failed == []
+
+
+def test_no_module_imports_an_unused_name():
+    # `__init__.py` imports to re-export; every other module must read each
+    # name it imports (as a name or as the base of an attribute).
+    unused = []
+    for path in sorted(Path(cgm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported, read = {}, set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                imported.update(((alias.asname or alias.name).split(".")[0],
+                                 node.lineno) for alias in node.names)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
