@@ -8,7 +8,7 @@ normal-form synthesis that decides semantic equivalence.
 
 from .diagram import (Colour, Gen, GenKind, Generator, Id, Par, Seq, Swap,
                       Term, TypeWord, bools, identity, mk_generator, par,
-                      par_all, reals, seq, seq_all, swap, type_of)
+                      par_all, reals, seq, seq_all, swap)
 from .dsl import export_dot, export_json_ast, parse, parse_file, print_term
 from .errors import (BiasOutOfRange, CgmError, DimensionMismatch,
                      InadmissibleBinding, InputCapExceeded, InvalidPath,
@@ -20,9 +20,8 @@ from .gadgets import (gauss_map_circuit, gaussian_circuit, matrix_circuit,
 from .linalg import CovFactor, Matrix, Scalar, ldlt
 from .axioms import (AxiomSchema, check_soundness, e10_weights, get_axiom,
                      instantiate, rewrite_at, soundness_suite)
-from .normalform import (BoolKernel, CNFCell, NFTree, decide_equiv,
-                         disintegrate, emit_nf, nftree_equal, synth_bool,
-                         synth_cnf)
+from .normalform import (BoolKernel, NFTree, decide_equiv, disintegrate,
+                         emit_nf, nftree_equal, synth_bool, synth_cnf)
 from .semantics import (CGMixture, GaussComponent, Moments, canonicalize,
                         compose, evaluate, interp_generator, mixture_to_json,
                         mixtures_equal, moments, sample, sample_many, tensor,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -348,8 +349,8 @@ def main(argv=None) -> int:
             if args.tolerance is None:
                 args.tolerance = float(
                     os.environ.get("CGM_TOLERANCE", DEFAULT_TOLERANCE))
-            if args.tolerance <= 0:
-                raise ValueError("tolerance must be positive")
+            if not 0 < args.tolerance < math.inf:   # NaN fails too
+                raise ValueError("tolerance must be positive and finite")
             if args.cap < 0:
                 raise ValueError("cap must be nonnegative")
         return args.run(args)

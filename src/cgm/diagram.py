@@ -306,10 +306,6 @@ def par_all(*terms: Term) -> Term:
     return out
 
 
-def type_of(t: Term):
-    return t.dom, t.cod
-
-
 def flip(bias) -> Term:
     return mk_generator(GenKind.FLIP, bias)
 

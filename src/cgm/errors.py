@@ -12,7 +12,8 @@ class BiasOutOfRange(CgmError):
 
 
 class NonFiniteParam(CgmError):
-    """A float generator parameter that is infinite or NaN."""
+    """A float generator parameter, component weight or input point that
+    is infinite or NaN."""
 
 
 class NonFiniteResult(CgmError):

@@ -2,13 +2,14 @@
 
 Scalars are either exact rationals (``fractions.Fraction``) or binary
 floats; arithmetic between the two promotes to float, which is exactly
-Python's own behaviour, so no wrapper type is needed.  A `Field` names one
-of the two with its 0 and 1.  Only the constructors that make scalars of
-their own, zeros and identities, take one; every operation reads it off
-its operands, a result being float exactly when an operand is, so a float
-kernel holds only floats.  Covariances are kept in factored form
-``Sigma = L L^T``, square-root free and exact for rational inputs; a factor
-that composition or a wiring builds holds no all-zero column.
+Python's own behaviour, so no wrapper type is needed.  A field is its
+scalar type, `Fraction` or `float`.  Only the constructors that make
+scalars of their own, zeros and identities, take one; every operation
+reads it off its operands, a result being float exactly when an operand
+is, so a float kernel holds only floats.  A covariance ``Sigma = L L^T`` is
+kept as its factor L, one matrix, square-root free and exact for rational
+inputs; a factor that composition or a wiring builds holds no all-zero
+column.
 
 Matrices are small, dense and immutable.  A rational one holds integer
 `nums` over one positive `den`, reduced (a zero matrix is over 1), so equal
@@ -32,20 +33,6 @@ from typing import Sequence, Union
 from .errors import DimensionMismatch, NonFiniteResult, NotPSD
 
 Scalar = Union[Fraction, float]
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """The scalars of a kernel: `cast` turns a parameter into one.  Two
-    instances, compared (and hashed, as cache keys) by identity."""
-    cast: type
-    zero: Scalar
-    one: Scalar
-
-
-# One shared 0 per field: padding costs a reference, not an object.
-RATIONAL = Field(Fraction, Fraction(0), Fraction(1))
-FLOAT = Field(float, 0.0, 1.0)
 
 
 def as_scalar(x) -> Scalar:
@@ -144,16 +131,18 @@ class Matrix:
 
     @staticmethod
     @lru_cache(maxsize=1024)
-    def zeros(rows: int, cols: int, field: Field = RATIONAL) -> "Matrix":
-        exact = field is RATIONAL
-        return _matrix(rows, cols, (0 if exact else field.zero,) * (rows * cols),
+    def zeros(rows: int, cols: int, field: type = Fraction) -> "Matrix":
+        # The literal 0.0 is one object in this module: float padding costs
+        # a reference, not an object.
+        exact = field is Fraction
+        return _matrix(rows, cols, (0 if exact else 0.0,) * (rows * cols),
                        1 if exact else None)
 
     @staticmethod
-    def identity(n: int, field: Field = RATIONAL) -> "Matrix":
+    def identity(n: int, field: type = Fraction) -> "Matrix":
         zero = Matrix.zeros(n, n, field)
         nums = list(zero.nums)
-        nums[::n + 1] = [1 if zero.exact else field.one] * n
+        nums[::n + 1] = [1 if zero.exact else 1.0] * n
         return _matrix(n, n, tuple(nums), zero.den)
 
     @staticmethod
@@ -196,7 +185,7 @@ class Matrix:
         n, k, m = self.rows, self.cols, other.cols
         exact = self.den is not None and other.den is not None
         if not (n and k and m):
-            return Matrix.zeros(n, m, RATIONAL if exact else FLOAT)
+            return Matrix.zeros(n, m, Fraction if exact else float)
         a, b = (self.nums, other.nums) if exact else (self.floats(), other.floats())
         nums = [sum(map(mul, a[i:i + k], b[j::m]))
                 for i in range(0, n * k, k) for j in range(m)]
@@ -251,7 +240,7 @@ def _aligned(a: Matrix, b: Matrix) -> tuple:
     `den`, and the 0 for padding; floats over None if either is float.
     Stacks of reduced matrices over the lcm of their denominators are reduced."""
     if a.den is None or b.den is None:
-        return None, a.floats(), b.floats(), FLOAT.zero
+        return None, a.floats(), b.floats(), 0.0
     den = math.lcm(a.den, b.den)
     return den, _over(a, den), _over(b, den), 0
 
@@ -288,21 +277,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 class CovFactor:
     """Covariance ``Sigma = L L^T`` held as its factor L (n x k, k may be 0)."""
 
-    dim: int
     factor: Matrix
-
-    def __post_init__(self):
-        if self.factor.rows != self.dim:
-            raise DimensionMismatch(
-                f"factor has {self.factor.rows} rows for dimension {self.dim}")
-
-    @staticmethod
-    def of(factor: Matrix) -> "CovFactor":
-        return CovFactor(factor.rows, factor)
-
-    @property
-    def width(self) -> int:
-        return self.factor.cols
 
     def gram(self) -> Matrix:
         """``L L^T``."""
@@ -326,17 +301,13 @@ def drop_zero_columns(factor: Matrix) -> Matrix:
 
 def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor) -> CovFactor:
     """Factor of ``B Sigma B^T + Theta`` without leaving factored form, less
-    its all-zero columns (those of Sigma's that ``B`` maps to zero)."""
-    if b.cols != sigma.dim:
-        raise DimensionMismatch(f"B has {b.cols} cols, sigma dim {sigma.dim}")
-    if b.rows != theta.dim:
-        raise DimensionMismatch(f"B has {b.rows} rows, theta dim {theta.dim}")
-    return CovFactor(b.rows, drop_zero_columns(
-        hstack(b @ sigma.factor, theta.factor)))
+    its all-zero columns (those of Sigma's that ``B`` maps to zero).  `@`
+    and `hstack` check the shapes."""
+    return CovFactor(drop_zero_columns(hstack(b @ sigma.factor, theta.factor)))
 
 
 def cov_block(sigma: CovFactor, theta: CovFactor) -> CovFactor:
-    return CovFactor(sigma.dim + theta.dim, block_diag(sigma.factor, theta.factor))
+    return CovFactor(block_diag(sigma.factor, theta.factor))
 
 
 def ldlt(sigma: Matrix, tol: float = 0.0):
@@ -351,20 +322,21 @@ def ldlt(sigma: Matrix, tol: float = 0.0):
     n = sigma.rows
     if sigma.cols != n:
         raise DimensionMismatch("ldlt needs a square matrix")
-    field = RATIONAL if sigma.exact else FLOAT
-    tol = tol if field is FLOAT else 0
+    field = Fraction if sigma.exact else float
+    tol = tol if field is float else 0
+    zero = field(0)
     for i in range(n):
         for j in range(i):
             if abs(sigma.at(i, j) - sigma.at(j, i)) > tol:
                 raise NotPSD(f"asymmetric at ({i},{j})")
-    lower = [[field.zero] * n for _ in range(n)]
-    diag = [field.zero] * n
+    lower = [[zero] * n for _ in range(n)]
+    diag = [zero] * n
     for j in range(n):
         d = sigma.at(j, j) - sum(lower[j][k] * lower[j][k] * diag[k]
                                  for k in range(j))
         if d < -tol:
             raise NotPSD(f"negative pivot {float(d)} at {j}")
-        lower[j][j], zero_pivot = field.one, d <= tol
+        lower[j][j], zero_pivot = field(1), d <= tol
         if not zero_pivot:
             diag[j] = d
         for i in range(j + 1, n):
@@ -375,7 +347,7 @@ def ldlt(sigma: Matrix, tol: float = 0.0):
             elif abs(c) > tol:
                 raise NotPSD(f"zero pivot with nonzero column at ({i},{j})")
     flat = [x for row in lower for x in row]
-    return (Matrix.over(n, n, flat, None) if field is FLOAT
+    return (Matrix.over(n, n, flat, None) if field is float
             else Matrix(n, n, flat)), tuple(diag)
 
 

@@ -1,12 +1,13 @@
 """Canonical normal forms and the equivalence decision procedure.
 
 A kernel disintegrates into a Boolean marginal plus, for every pair of
-Boolean output/input assignments, a convex cell of affine-Gaussian
-components; zero-mass branches get a designated Dirac-at-zero cell so the
-certificate is unique.  The certificate (`NFTree`) stores covariances as
-Gram matrices, which are canonical; the emitted circuit is a deterministic
-function of the certificate, so certificate equality and emitted-circuit
-equality coincide.
+Boolean output/input assignments, a convex cell: the tuple of its
+affine-Gaussian `CellComponent`s, weights summing to one.  Zero-mass
+branches get a designated Dirac-at-zero cell so the certificate is unique.
+The certificate (`NFTree`) stores covariances as Gram matrices, which are
+canonical; the emitted circuit is a deterministic function of the
+certificate, so certificate equality and emitted-circuit equality
+coincide.
 
 Emission is exact under the rational backend: each positive LDL^T pivot d
 is split into at most four rational squares (Lagrange), one scaled Gaussian
@@ -76,14 +77,9 @@ class CellComponent:
     cov: Matrix    # n x n Gram matrix (canonical, PSD)
 
 
-@dataclass(frozen=True)
-class CNFCell:
-    components: tuple
-
-
-def zero_cell(n: int, m: int) -> CNFCell:
-    return CNFCell((CellComponent(Fraction(1), Matrix.zeros(n, m),
-                                  Matrix.zeros(n, 1), Matrix.zeros(n, n)),))
+def zero_cell(n: int, m: int) -> tuple:
+    return (CellComponent(Fraction(1), Matrix.zeros(n, m), Matrix.zeros(n, 1),
+                          Matrix.zeros(n, n)),)
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ class NFTree:
     q: int
     n: int
     bool_marginal: BoolKernel
-    leaves: tuple   # sorted (((a_out, a_in), CNFCell), ...), complete
+    leaves: tuple   # sorted (((a_out, a_in), cell), ...), complete
 
 
 def disintegrate(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> NFTree:
@@ -116,9 +112,9 @@ def disintegrate(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> NFTree:
                 continue
             mass = sum(c.weight for c in group)
             row[bits_out] = mass
-            leaves[(bits_out, bits_in)] = CNFCell(tuple(
+            leaves[(bits_out, bits_in)] = tuple(
                 CellComponent(c.weight / mass, c.lin, c.mean, c.gram())
-                for c in group))
+                for c in group)
         marginal[bits_in] = row
     return NFTree(p, m, q, n, make_bool_kernel(p, q, marginal),
                   tuple(sorted(leaves.items())))
@@ -134,7 +130,7 @@ def _noise_factor(cov: Matrix, tol: float) -> Matrix:
             else Matrix.over(len(columns), cov.rows, flat, None)).transpose()
 
 
-def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:
+def synth_cnf(cell: tuple, tol: float = DEFAULT_TOLERANCE) -> Term:
     """Emit the convex cascade for one cell: R^m -> R^n, deterministic.
 
     Singletons become one Gaussian-map circuit; larger cells become a
@@ -145,8 +141,8 @@ def synth_cnf(cell: CNFCell, tol: float = DEFAULT_TOLERANCE) -> Term:
         factor = _noise_factor(component.cov, tol)
         return gauss_map_circuit(component.lin, component.mean, factor)
 
-    weights = [c.weight for c in cell.components]
-    leaves = [leaf(c) for c in cell.components]
+    weights = [c.weight for c in cell]
+    leaves = [leaf(c) for c in cell]
     # The mass left before each component; the cascade is built inside out.
     remaining = itertools.accumulate(weights[:-1], sub, initial=sum(weights))
     out = leaves.pop()
@@ -237,8 +233,8 @@ def _tree_blocks(tree: NFTree):
         yield (("marginal", bits_in, outs), (bits_in, outs),
                tuple(w for _, w in row))
     for key, cell in tree.leaves:
-        yield ("leaf", key), (key, len(cell.components)), ()
-        for idx, c in enumerate(cell.components):
+        yield ("leaf", key), (key, len(cell)), ()
+        for idx, c in enumerate(cell):
             yield from _component_blocks(("leaf", key, idx), c.weight, c.lin,
                                          c.mean, c.cov)
 
@@ -327,7 +323,7 @@ def certificate_json(tree: NFTree) -> dict:
                 "A": matrix_to_json(c.lin),
                 "mu": matrix_to_json(c.mean),
                 "cov": matrix_to_json(c.cov),
-            } for c in cell.components],
+            } for c in cell],
         })
     return {"p": tree.p, "m": tree.m, "q": tree.q, "n": tree.n,
             "boolMarginal": marginal_rows, "leaves": leaves}

@@ -13,13 +13,15 @@ for the product) with weights multiplying through.  Everything is exact
 when every literal is rational.
 
 The kernels `canonicalize`, `compose`, `tensor` and `evaluate` return are
-canonical and record their `Field`.  One builder sorts and merges the rows
-of each result, and a result is exact when its operands are, so only
-kernels a caller built are scanned for floats.
+canonical and record whether they are exact.  One builder sorts and merges
+the rows of each result, and a result is exact when its operands are, so
+only kernels a caller built are scanned for floats.
 
-`evaluate` is a `diagram.fold` over one field, rational or float: each
-parameter is cast to it and every leaf is built in it, and `linalg` reads
-it off the operands from there, so a float kernel holds only floats.
+`evaluate` is a `diagram.fold` over one field, its scalar type `Fraction`
+or `float`: each parameter is cast to it and every leaf is built in it, and
+`linalg` reads it off the operands from there, so a float kernel holds only
+floats.  A component is its weight, Boolean outputs, A, mu and covariance
+factor, built directly; `linalg` checks the shapes as it multiplies.
 Identities, swaps, copies and discards only move wires: it keeps them, and
 any Seq/Par of them, as a `Wiring` (two index maps).  After a kernel it
 gathers the kernel's outputs; before one it picks each input row and
@@ -30,6 +32,7 @@ with a 0/1 kernel.  The result is the same canonical kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -41,10 +44,9 @@ from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
                       fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      InvalidWeight, NonFiniteParam, TypeMismatch)
-from .linalg import (FLOAT, RATIONAL, CovFactor, Field, Matrix, Scalar,
-                     block_diag, common_denominator, cov_block, cov_compose,
-                     drop_zero_columns, matrix_to_json, quantize_key,
-                     scalar_to_json, vstack)
+from .linalg import (CovFactor, Matrix, Scalar, block_diag, common_denominator,
+                     cov_block, cov_compose, drop_zero_columns, matrix_to_json,
+                     quantize_key, scalar_to_json, vstack)
 
 BitVec = tuple
 
@@ -110,34 +112,28 @@ class CGMixture:
 
 
 class _Canon(NamedTuple):
-    field: Field    # RATIONAL: every scalar is a Fraction
+    """`keys` order the components of their own row only.  A product's keys
+    join its operands' keys, each over its own row's denominator, so they
+    need not be the keys a rebuild of the same table gives, and the keys of
+    two kernels do not compare."""
+    exact: bool     # every scalar is a Fraction
     tol: float      # the tolerance it is canonical at, if not exact
     keys: tuple     # per row of the table, each component's sort key
 
-    @property
-    def exact(self) -> bool:
-        return self.field is RATIONAL
 
-
-def _canonical(dom, cod, rows: list, field: Field, tol) -> CGMixture:
+def _canonical(dom, cod, rows: list, field: type, tol) -> CGMixture:
     """The kernel of sorted ``(bits, [(key, ..., component)])`` rows, recorded."""
     mix = CGMixture(dom, cod, tuple((bits, tuple(item[-1] for item in row))
                                     for bits, row in rows))
     keys = tuple(tuple(item[0] for item in row) for _, row in rows)
-    object.__setattr__(mix, "_canon", _Canon(field, tol, keys))
+    object.__setattr__(mix, "_canon", _Canon(field is Fraction, tol, keys))
     return mix
 
 
-def _component(weight, bool_out, lin, mean, cov) -> GaussComponent:
-    if mean.cols != 1 or mean.rows != lin.rows or cov.dim != lin.rows:
-        raise DimensionMismatch("inconsistent component dimensions")
-    return GaussComponent(weight, tuple(bool_out), lin, mean, cov)
-
-
-def _dirac(bool_out, lin: Matrix, field: Field) -> GaussComponent:
+def _dirac(bool_out: BitVec, lin: Matrix, field: type) -> GaussComponent:
     n = lin.rows
-    return _component(field.one, bool_out, lin, Matrix.zeros(n, 1, field),
-                      CovFactor.of(Matrix.zeros(n, 0, field)))
+    return GaussComponent(field(1), bool_out, lin, Matrix.zeros(n, 1, field),
+                          CovFactor(Matrix.zeros(n, 0, field)))
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ GENERATOR_WIRINGS = {
 
 
 @lru_cache(maxsize=4096)
-def wiring_kernel(w: Wiring, field: Field = RATIONAL) -> CGMixture:
+def wiring_kernel(w: Wiring, field: type = Fraction) -> CGMixture:
     """The kernel of a wiring, canonical: one weight-1 Dirac per input row."""
     lin = _real_map(w, field)
     rows = [(bits, (_dirac(tuple(bits[i] for i in w.bits), lin, field),))
@@ -198,30 +194,30 @@ def wiring_kernel(w: Wiring, field: Field = RATIONAL) -> CGMixture:
     return _build(w.dom, w.cod, rows, field, DEFAULT_TOLERANCE)
 
 
-def _real_map(w: Wiring, field: Field) -> Matrix:
+def _real_map(w: Wiring, field: type) -> Matrix:
     """The 0/1 matrix of the wiring's reals: row j is the unit row ``reals[j]``."""
     return _rows_of(Matrix.identity(w.dom.n_real, field), w.reals)
 
 
-def interp_generator(gen: Generator, field: Field = RATIONAL) -> CGMixture:
+def interp_generator(gen: Generator, field: type = Fraction) -> CGMixture:
     """The generator's kernel over `field`; its parameter is used as it is."""
-    kind, param, one, zero = gen.kind, gen.param, field.one, field.zero
+    kind, param, one, zero = gen.kind, gen.param, field(1), field(0)
     if kind in GENERATOR_WIRINGS:
         return wiring_kernel(GENERATOR_WIRINGS[kind], field)
     dom, cod = gen.dom, gen.cod
     rows = {}
     empty, line = Matrix.zeros(0, 0, field), Matrix.zeros(1, 0, field)
     if kind is GenKind.FLIP:
-        rows[()] = tuple(_component(w, (b,), empty, Matrix.zeros(0, 1, field),
-                                    CovFactor.of(empty))
+        rows[()] = tuple(GaussComponent(w, (b,), empty, Matrix.zeros(0, 1, field),
+                                        CovFactor(empty))
                          for w, b in ((param, 1), (one - param, 0)))
     elif kind is GenKind.AND:
         rows = {(a, b): (_dirac((a & b,), empty, field),) for a, b in all_bitvecs(2)}
     elif kind is GenKind.NOT:
         rows = {(b,): (_dirac((1 - b,), empty, field),) for b in (0, 1)}
     elif kind is GenKind.STD_NORMAL:
-        rows[()] = (_component(one, (), line, Matrix.zeros(1, 1, field),
-                               CovFactor.of(Matrix.identity(1, field))),)
+        rows[()] = (GaussComponent(one, (), line, Matrix.zeros(1, 1, field),
+                                   CovFactor(Matrix.identity(1, field))),)
     elif kind is GenKind.ZERO:
         rows[()] = (_dirac((), line, field),)
     elif kind is GenKind.ADD:
@@ -229,8 +225,8 @@ def interp_generator(gen: Generator, field: Field = RATIONAL) -> CGMixture:
     elif kind is GenKind.SCALAR:
         rows[()] = (_dirac((), Matrix(1, 1, (param,)), field),)
     elif kind is GenKind.ONE:
-        rows[()] = (_component(one, (), line, Matrix(1, 1, (one,)),
-                               CovFactor.of(line)),)
+        rows[()] = (GaussComponent(one, (), line, Matrix(1, 1, (one,)),
+                                   CovFactor(line)),)
     elif kind is GenKind.ITE:
         rows[(1,)] = (_dirac((), Matrix(1, 2, (one, zero)), field),)
         rows[(0,)] = (_dirac((), Matrix(1, 2, (zero, one)), field),)
@@ -255,8 +251,8 @@ def mixture_is_exact(mix: CGMixture) -> bool:
                and c.cov.factor.exact for _, comps in mix.table for c in comps)
 
 
-def _field(*mixes: CGMixture) -> Field:
-    return RATIONAL if all(mixture_is_exact(m) for m in mixes) else FLOAT
+def _field(*mixes: CGMixture) -> type:
+    return Fraction if all(mixture_is_exact(m) for m in mixes) else float
 
 
 def _sort_keys(comps: list, grams: list, exact: bool) -> list:
@@ -324,11 +320,11 @@ def _params_close(a: GaussComponent, ga: Matrix, b: GaussComponent,
         _component_blocks((), 0, b.lin, b.mean, gb), tol))
 
 
-def _build(dom, cod, rows, field: Field, tol) -> CGMixture:
+def _build(dom, cod, rows, field: type, tol) -> CGMixture:
     """The canonical kernel of ``(bits, components)`` rows, recorded: zero
     weights dropped, equal components merged, sorted by key.  Callers read
     `field` from their operands' records; the rows are not scanned."""
-    exact = field is RATIONAL
+    exact = field is Fraction
     out = []
     for bits, comps in rows:
         comps = [c for c in comps if c.weight != 0]
@@ -378,9 +374,9 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
                 w = ci.weight * cj.weight
                 if w == 0:
                     continue
-                out.append(_component(w, cj.bool_out, cj.lin @ ci.lin,
-                                      cj.lin @ ci.mean + cj.mean,
-                                      cov_compose(cj.lin, ci.cov, cj.cov)))
+                out.append(GaussComponent(w, cj.bool_out, cj.lin @ ci.lin,
+                                          cj.lin @ ci.mean + cj.mean,
+                                          cov_compose(cj.lin, ci.cov, cj.cov)))
         rows.append((bits, out))
     return _build(f.dom_word, g.cod_word, rows, _field(f, g), tol)
 
@@ -406,7 +402,7 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
             rows.append((bits_f + bits_g, out))
     dom, cod = f.dom_word + g.dom_word, f.cod_word + g.cod_word
     # Exact components closer than tol merge in a float product.
-    if field is FLOAT and any(k._canon.exact and any(
+    if field is float and any(k._canon.exact and any(
             len(cs) > 1 for _, cs in k.table) for k in (f, g)):
         return _build(dom, cod, [(bits, [c for _, c in out])
                                  for bits, out in rows], field, tol)
@@ -414,7 +410,7 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
 
 
 @lru_cache(maxsize=4096)
-def _generator_kernel(gen: Generator, field: Field, tol: float) -> CGMixture:
+def _generator_kernel(gen: Generator, field: type, tol: float) -> CGMixture:
     # `field` is part of the key: Fraction(1, 2) == 0.5 and both hash
     # alike, but a float flip(0.5) must not get the exact kernel.
     mix = interp_generator(gen, field)
@@ -429,11 +425,10 @@ def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
 
 def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
     """``f ; w``: each component's outputs gathered through the wiring."""
-    n = len(w.reals)
     rows = [(bits, [GaussComponent(
                 c.weight, tuple(c.bool_out[i] for i in w.bits),
                 _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
-                CovFactor(n, drop_zero_columns(_rows_of(c.cov.factor, w.reals))))
+                CovFactor(drop_zero_columns(_rows_of(c.cov.factor, w.reals))))
                 for c in comps])
             for bits, comps in f.table]
     # A discard can make two components equal, so merge again.
@@ -451,7 +446,7 @@ def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     return _build(w.dom, g.cod_word, rows, field, tol)
 
 
-def _as_kernel(k, field: Field) -> CGMixture:
+def _as_kernel(k, field: type) -> CGMixture:
     return wiring_kernel(k, field) if isinstance(k, Wiring) else k
 
 
@@ -464,8 +459,8 @@ def _leaf(field, tol, t: Term):
     wiring = GENERATOR_WIRINGS.get(gen.kind)
     if wiring is not None:
         return wiring
-    if gen.param is not None and type(gen.param) is not field.cast:
-        gen = Generator(gen.kind, field.cast(gen.param))
+    if gen.param is not None and type(gen.param) is not field:
+        gen = Generator(gen.kind, field(gen.param))
     return _generator_kernel(gen, field, tol)
 
 
@@ -483,7 +478,7 @@ def _par(field, tol, _t, f, g):
     return tensor(_as_kernel(f, field), _as_kernel(g, field), tol)
 
 
-_FIELDS = {"auto": RATIONAL, "rational": RATIONAL, "float": FLOAT}
+_FIELDS = {"auto": Fraction, "rational": Fraction, "float": float}
 
 
 def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
@@ -492,15 +487,16 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
 
     Backends: 'auto' evaluates exactly unless some literal is a float, in
     which case the whole evaluation is demoted to floats; 'rational' and
-    'float' force one side.  The backend is a `Field`: each parameter is
-    cast to it as its generator is interpreted, and every leaf is built
-    from its 0 and 1; the term itself is not rebuilt.
+    'float' force one side.  The backend is a field, `Fraction` or
+    `float`: each parameter is cast to it as its generator is interpreted,
+    and every leaf is built from its 0 and 1; the term itself is not
+    rebuilt.
     """
     if backend not in _FIELDS:
         raise ValueError(f"unknown backend {backend!r}")
     field = _FIELDS[backend]
     if backend == "auto" and has_float_literal(term):
-        field = FLOAT
+        field = float
     if term.dom.n_bool > cap:
         raise InputCapExceeded(
             f"{term.dom.n_bool} Boolean inputs exceed the cap of {cap}")
@@ -547,10 +543,14 @@ class Moments:
 
 
 def _input_point(mix: CGMixture, bits: BitVec, xs):
-    """The table row at `bits` and the input point `xs` as a column."""
+    """The table row at `bits` and the input point `xs` as a column;
+    `NonFiniteParam` if an entry is infinite or NaN."""
     x = xs if isinstance(xs, Matrix) else Matrix.column(xs)
     if (x.rows, x.cols) != (mix.m, 1):
         raise DimensionMismatch(f"input is {x.rows}x{x.cols}, kernel wants {mix.m}x1")
+    if not x.exact and not all(map(math.isfinite, x.nums)):
+        bad = next(v for v in x.nums if not math.isfinite(v))
+        raise NonFiniteParam(f"input point has entry {bad}, which is not finite")
     if len(bits) != mix.p or any(b not in (0, 1) for b in bits):
         raise DimensionMismatch(f"bits {bits!r}: kernel wants {mix.p} bits of 0 or 1")
     return mix.row(tuple(bits)), x
@@ -590,7 +590,7 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     rows, weighted = [[] for _ in range(n)], [[] for _ in range(n)]
     start, scale = 0, d_w * d_c
     for ci, (c, w) in enumerate(zip(comps, ws)):
-        k = c.cov.width
+        k = c.cov.factor.cols
         for i in range(n):
             row = [scale * v for v in ln[start + i * k:start + (i + 1) * k]]
             row.append(d_l * (d_w * centres[i][ci] - sums[i]))
@@ -685,10 +685,10 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
                            count)
     lin = np.array([c.lin.floats() for c in comps], dtype=float).reshape(size, n, m)
     mu = np.array([c.mean.floats() for c in comps], dtype=float).reshape(size, n)
-    width = max(c.cov.width for c in comps)
+    width = max(c.cov.factor.cols for c in comps)
     fac = np.zeros((size, n, width))
     for ci, c in enumerate(comps):
-        k = c.cov.width
+        k = c.cov.factor.cols
         fac[ci, :, :k] = np.array(c.cov.factor.floats(), dtype=float).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)

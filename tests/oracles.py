@@ -27,15 +27,14 @@ import numpy as np
 
 from cgm.diagram import Gen, GenKind, Id, Par, Seq, Swap
 from cgm.errors import TypeMismatch
-from cgm.linalg import (RATIONAL, Matrix, as_scalar, block_diag, cov_block,
-                        vstack)
+from cgm.linalg import Matrix, as_scalar, block_diag, cov_block, vstack
 from cgm.normalform import NFTree
 from cgm.semantics import (DEFAULT_TOLERANCE, BitVec, CGMixture,
                            GaussComponent, Moments, _input_point, bits_to_str,
                            canonicalize, compose, identity_kernel,
                            interp_generator, mixture_is_exact, swap_kernel)
 
-_ZERO = RATIONAL.zero
+_ZERO = Fraction(0)
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -308,7 +307,7 @@ def _reference_scalars_of_tree(tree: NFTree):
         for _, w in row:
             yield w
     for _, cell in tree.leaves:
-        for c in cell.components:
+        for c in cell:
             yield c.weight
             yield from c.lin.entries
             yield from c.mean.entries
@@ -333,9 +332,9 @@ def reference_nftree_equal(a: NFTree, b: NFTree,
             if out_a != out_b or abs(w_a - w_b) > eps:
                 return False
     for (key_a, cell_a), (key_b, cell_b) in zip(a.leaves, b.leaves):
-        if key_a != key_b or len(cell_a.components) != len(cell_b.components):
+        if key_a != key_b or len(cell_a) != len(cell_b):
             return False
-        for ca, cb in zip(cell_a.components, cell_b.components):
+        for ca, cb in zip(cell_a, cell_b):
             if abs(ca.weight - cb.weight) > eps:
                 return False
             for ma, mb in ((ca.lin, cb.lin), (ca.mean, cb.mean),
@@ -362,10 +361,10 @@ def reference_first_certificate_difference(a: NFTree, b: NFTree,
                             f"{wa} vs {wb}")
     for (key, cell_a), (_, cell_b) in zip(a.leaves, b.leaves):
         label = f"leaf(a'={bits_to_str(key[0])}, a={bits_to_str(key[1])})"
-        if len(cell_a.components) != len(cell_b.components):
-            return (f"{label}: {len(cell_a.components)} vs "
-                    f"{len(cell_b.components)} components")
-        for idx, (ca, cb) in enumerate(zip(cell_a.components, cell_b.components)):
+        if len(cell_a) != len(cell_b):
+            return (f"{label}: {len(cell_a)} vs "
+                    f"{len(cell_b)} components")
+        for idx, (ca, cb) in enumerate(zip(cell_a, cell_b)):
             if abs(ca.weight - cb.weight) > eps:
                 return f"{label} component {idx}: weight {ca.weight} vs {cb.weight}"
             for field_name, ma, mb in (("A", ca.lin, cb.lin),
@@ -392,10 +391,10 @@ def reference_sample_many(mix: CGMixture, bits, xs, count: int, seed: int):
     idx = rng.choice(size, size=count, p=weights / weights.sum())
     lin = np.array([_floats(c.lin.entries) for c in comps]).reshape(size, n, m)
     mu = np.array([_floats(c.mean.entries) for c in comps]).reshape(size, n)
-    width = max(c.cov.width for c in comps)
+    width = max(c.cov.factor.cols for c in comps)
     fac = np.zeros((size, n, width))
     for ci, c in enumerate(comps):
-        k = c.cov.width
+        k = c.cov.factor.cols
         fac[ci, :, :k] = np.array(_floats(c.cov.factor.entries)).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)

@@ -21,8 +21,8 @@ from cgm.axioms import (CATALOG, check_soundness, e10_weights, get_axiom,
 from cgm.diagram import generator_count, identity, mk_generator, par, seq
 from cgm.gadgets import convex_mix, discard_all, gaussian_circuit
 from cgm.linalg import CovFactor, Matrix
-from cgm.normalform import (CNFCell, NFTree, decide_equiv, disintegrate,
-                            emit_nf, make_bool_kernel, nftree_equal)
+from cgm.normalform import (NFTree, decide_equiv, disintegrate, emit_nf,
+                            make_bool_kernel, nftree_equal)
 from cgm.randcircuit import BOOLEAN_KINDS, TermSampler
 from cgm.semantics import (CGMixture, GaussComponent, compose, evaluate,
                            max_deviation, mixtures_equal,
@@ -125,7 +125,7 @@ def _random_gauss_map(rng, m, n):
     fac = Matrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(k)]
                             for _ in range(n)], cols=k)
     from cgm.diagram import reals
-    comp = GaussComponent(Fraction(1), (), a, b, CovFactor.of(fac))
+    comp = GaussComponent(Fraction(1), (), a, b, CovFactor(fac))
     return CGMixture(reals(m), reals(n), (((), (comp,)),))
 
 
@@ -186,7 +186,7 @@ def _live_perturbations(tree):
     for index, (key, cell) in enumerate(tree.leaves):
         if bool_prob(tree.bool_marginal, key[0], key[1]) == 0:
             continue   # forced zero cell: not a live parameter
-        comp = cell.components[0]
+        comp = cell[0]
         bumps = []
         if tree.n > 0:
             bumps.append(replace(comp, mean=comp.mean + Matrix.from_rows(
@@ -200,18 +200,18 @@ def _live_perturbations(tree):
                     x + delta if i == 0 else x
                     for i, x in enumerate(comp.lin.entries)))
                 bumps.append(replace(comp, lin=bumped_lin))
-        if len(cell.components) >= 2 and comp.weight > delta:
-            tail = cell.components[-1]
+        if len(cell) >= 2 and comp.weight > delta:
+            tail = cell[-1]
             new_comps = ((replace(comp, weight=comp.weight - delta),)
-                         + cell.components[1:-1]
+                         + cell[1:-1]
                          + (replace(tail, weight=tail.weight + delta),))
             leaves = list(tree.leaves)
-            leaves[index] = (key, CNFCell(new_comps))
+            leaves[index] = (key, new_comps)
             yield NFTree(tree.p, tree.m, tree.q, tree.n, tree.bool_marginal,
                          tuple(leaves))
         for bumped in bumps:
             leaves = list(tree.leaves)
-            leaves[index] = (key, CNFCell((bumped,) + cell.components[1:]))
+            leaves[index] = (key, (bumped,) + cell[1:])
             yield NFTree(tree.p, tree.m, tree.q, tree.n, tree.bool_marginal,
                          tuple(leaves))
 

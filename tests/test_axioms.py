@@ -10,7 +10,7 @@ from cgm.axioms import (AXIOM_TABLE, CATALOG, CORE_NAMES, MUTANT_TABLE,
                         rewrite_at, sample_binding, subterm_at, _entries,
                         _first_mismatch, _METAVAR, _trial_seed)
 from cgm.diagram import (B, Gen, GenKind, R, Seq, identity, mk_generator,
-                         par, reals, seq, seq_all, type_of)
+                         par, reals, seq, seq_all)
 from cgm.dsl import parse, print_term
 from cgm.errors import (InadmissibleBinding, InvalidDrawCount, InvalidPath,
                         NoMatch)
@@ -129,7 +129,7 @@ class TestInstantiate:
         lhs, rhs = instantiate(get_axiom("E6"), {})
         kinds = [s.generator.kind for s in subterms(lhs) if isinstance(s, Gen)]
         assert GenKind.NOT in kinds and GenKind.ITE in kinds
-        assert type_of(lhs) == type_of(rhs)
+        assert (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod)
 
     def test_e4_rejects_boolean_boundary(self):
         bad = mk_generator(GenKind.NOT)   # B -> B
@@ -142,7 +142,7 @@ class TestInstantiate:
             schema = get_axiom(name)
             binding = sample_binding(schema, random.Random(rng.randint(0, 10**6)))
             lhs, rhs = instantiate(schema, binding)
-            assert type_of(lhs) == type_of(rhs)
+            assert (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod)
 
 
 class TestSoundness:

@@ -206,6 +206,15 @@ class TestSample:
         assert code == EXIT_PARSE and out == ""
         assert "cannot draw -1 samples" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_point_exits_1(self, tmp_path, capsys, value):
+        path = tmp_path / "scaled.cgm"
+        path.write_text("id(R) * (stdnormal ; scal(2)) ; add")
+        code, out, err = run(capsys, "sample", str(path), f"--reals={value}")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: input point has entry ")
+        assert err.count("\n") == 1
+
     def test_with_inputs(self, tmp_path, capsys):
         path = tmp_path / "gate.cgm"
         path.write_text("ite")
@@ -325,6 +334,27 @@ class TestUsage:
         # render evaluates nothing, so it does not read the tolerance
         code, out = exit_code(capsys, "render", mixture_file)
         assert code == EXIT_OK and out.startswith("digraph circuit")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_1(self, tmp_path, capsys, monkeypatch,
+                                          value):
+        # Unchecked, inf called flip(0.3) and flip(0.7) equivalent, and nan
+        # failed a sound axiom on a deviation of 1e-17.
+        low, high = tmp_path / "low.cgm", tmp_path / "high.cgm"
+        low.write_text("flip(0.3)")
+        high.write_text("flip(0.7)")
+        runs = [("equiv", str(low), str(high)),
+                ("axioms", "--axiom", "E10", "--backend", "float",
+                 "--trials", "20")]
+        for argv in runs:
+            code, out, err = run(capsys, *argv, f"--tolerance={value}")
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err == "error: tolerance must be positive and finite\n"
+        monkeypatch.setenv("CGM_TOLERANCE", value)
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err == "error: tolerance must be positive and finite\n"
 
     @pytest.mark.parametrize("argv", [
         ("sample", "--format", "json"), ("rewrite", "--format", "json"),

@@ -19,7 +19,7 @@ from cgm.axioms import (CATALOG, _trial_seed, get_axiom, mutant_of,
                         sample_binding)
 from cgm.errors import InadmissibleBinding
 from cgm.linalg import Matrix
-from cgm.normalform import (CNFCell, NFTree, decide_equiv, disintegrate,
+from cgm.normalform import (NFTree, decide_equiv, disintegrate,
                             first_certificate_difference, make_bool_kernel,
                             nftree_equal, reordered_shape, tree_is_exact)
 from cgm.randcircuit import TermSampler
@@ -109,17 +109,17 @@ def bumped(matrix: Matrix, index: int, delta) -> Matrix:
 def perturbations(tree: NFTree, delta):
     """Copies of `tree` with one scalar moved by `delta`, at every place."""
     for i, (key, cell) in enumerate(tree.leaves):
-        for j, comp in enumerate(cell.components):
+        for j, comp in enumerate(cell):
             changes = [{"weight": comp.weight + delta}]
             for field in ("lin", "mean", "cov"):
                 matrix = getattr(comp, field)
                 changes += [{field: bumped(matrix, k, delta)}
                             for k in range(len(matrix.entries))]
             for change in changes:
-                comps = list(cell.components)
+                comps = list(cell)
                 comps[j] = replace(comp, **change)
                 leaves = list(tree.leaves)
-                leaves[i] = (key, CNFCell(tuple(comps)))
+                leaves[i] = (key, tuple(comps))
                 yield replace(tree, leaves=tuple(leaves))
     for bits_in, row in tree.bool_marginal.rows:
         for out, _ in row:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cgm.diagram import (B, Gen, GenKind, Par, R, Seq, TypeWord, identity,
-                         mk_generator, par_all, seq_all, type_of)
+                         mk_generator, par_all, seq_all)
 from cgm.dsl import (export_dot, export_json_ast, json_ast_text, parse,
                      print_term)
 from cgm.errors import ParseError, TypeMismatch
@@ -32,11 +32,11 @@ def test_readme_examples_evaluate():
 class TestParse:
     def test_simple_seq(self):
         t = parse("flip(1/2) ; not")
-        assert type_of(t) == (TypeWord(), B)
+        assert (t.dom, t.cod) == (TypeWord(), B)
 
     def test_par_with_identity(self):
         t = parse("(stdnormal ; scal(1)) * id(R)")
-        assert type_of(t) == (R, R + R)
+        assert (t.dom, t.cod) == (R, R + R)
 
     def test_type_error_has_span(self):
         with pytest.raises(TypeMismatch) as err:
@@ -67,7 +67,7 @@ class TestParse:
 
     def test_let_binding(self):
         t = parse("let g = stdnormal ; scal(2) in g * g")
-        assert type_of(t) == (TypeWord(), R + R)
+        assert (t.dom, t.cod) == (TypeWord(), R + R)
 
     def test_let_shadowing_reserved_rejected(self):
         with pytest.raises(ParseError):
@@ -75,7 +75,7 @@ class TestParse:
 
     def test_comments_and_whitespace(self):
         t = parse("# mixture\nflip(1/2)   # coin\n ; not\n")
-        assert type_of(t) == (TypeWord(), B)
+        assert (t.dom, t.cod) == (TypeWord(), B)
 
     def test_empty_id(self):
         assert parse("id()") == identity(TypeWord())

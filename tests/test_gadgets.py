@@ -3,7 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
-from cgm.diagram import B, Colour, reals, type_of
+from cgm.diagram import B, Colour, reals
 from cgm.gadgets import (add_n, gaussian_circuit, ite_n, matrix_circuit,
                          nary_copy, thick_ite)
 from cgm.linalg import Matrix
@@ -30,10 +30,10 @@ class TestWideBuilders:
 
     def test_wide_sum_and_fanout_at_the_default_limit(self):
         total = add_n(2000)
-        assert type_of(total) == (reals(2000), reals(1))
+        assert (total.dom, total.cod) == (reals(2000), reals(1))
         assert total.early.bottom is add_n(1999)
         fanout = nary_copy(Colour.R, 2000)
-        assert type_of(fanout) == (reals(1), reals(2000))
+        assert (fanout.dom, fanout.cod) == (reals(1), reals(2000))
         assert fanout.late.bottom is nary_copy(Colour.R, 1999)
         mix = evaluate(add_n(40))
         (c,) = mix.row(())
@@ -49,7 +49,7 @@ class TestWideBuilders:
             wide = ite_n(120)
         finally:
             sys.setrecursionlimit(limit)
-        assert type_of(wide) == (B + reals(240), reals(120))
+        assert (wide.dom, wide.cod) == (B + reals(240), reals(120))
         assert wide.late.bottom is ite_n(119)
 
 
@@ -71,7 +71,7 @@ class TestThickIte:
 
     def test_zero_width_payload(self):
         mix = evaluate(thick_ite(2, 0))
-        assert mix.cod_word == type_of(thick_ite(2, 0))[1]
+        assert mix.cod_word == thick_ite(2, 0).cod
         for _, comps in mix.table:
             assert comps[0].weight == 1
 

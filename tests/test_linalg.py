@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgm.errors import DimensionMismatch, NotPSD
-from cgm.linalg import (FLOAT, RATIONAL, CovFactor, Matrix, block_diag,
-                        cov_block, cov_compose, drop_zero_columns, four_squares,
-                        hstack, ldlt, quantize_key, sum_square_scales, vstack)
+from cgm.linalg import (CovFactor, Matrix, block_diag, cov_block, cov_compose,
+                        drop_zero_columns, four_squares, hstack, ldlt,
+                        quantize_key, sum_square_scales, vstack)
 from cgm.dsl import parse
 from cgm.normalform import _noise_factor
 from cgm.semantics import _rows_of, evaluate, moments
@@ -100,7 +100,7 @@ def padded_factors(draw, entries, zeros):
     padded = Matrix(factor.rows, len(cols), tuple(
         col[i] for i in range(factor.rows) for col in cols))
     if factor.exact and not padded.exact:
-        factor = Matrix.zeros(factor.rows, factor.cols, FLOAT)
+        factor = Matrix.zeros(factor.rows, factor.cols, float)
     return factor, padded
 
 
@@ -156,16 +156,16 @@ class TestMatrix:
         `Fraction` entries, in reduced form; rebuilt from its entries, each
         result is an equal matrix with an equal hash."""
         a, b, c, picks = case
-        sigma, theta = CovFactor.of(b), CovFactor.of(c)
+        sigma, theta = CovFactor(b), CovFactor(c)
         for got, want in (
                 (a @ b, reference_matmul(a, b)),
-                (CovFactor.of(a).gram(), reference_matmul(a, reference_transpose(a))),
+                (CovFactor(a).gram(), reference_matmul(a, reference_transpose(a))),
                 (a.transpose(), reference_transpose(a)),
                 (a + c, reference_add(a, c)),
                 (hstack(a, c), reference_hstack(a, c)),
                 (vstack(a, c), reference_vstack(a, c)),
                 (block_diag(a, b), reference_block_diag(a, b)),
-                (cov_block(CovFactor.of(a), sigma).factor, reference_block_diag(a, b)),
+                (cov_block(CovFactor(a), sigma).factor, reference_block_diag(a, b)),
                 (cov_compose(a, sigma, theta).factor, reference_drop_zero_columns(
                     reference_hstack(reference_matmul(a, b), c))),
                 (drop_zero_columns(a), reference_drop_zero_columns(a)),
@@ -219,38 +219,39 @@ class TestMatrix:
 class TestField:
     """A constructor given the float field makes float entries, and an
     operation with a float operand a float result, empty ones included;
-    float zeros are the field's one shared 0.0."""
+    float zeros are one shared 0.0."""
 
     def test_fields_are_distinct_keys(self):
-        assert RATIONAL != FLOAT and len({RATIONAL, FLOAT}) == 2
+        assert Fraction != float and len({Fraction, float}) == 2
         assert type(Matrix.zeros(2, 2).entries[0]) is Fraction
-        assert type(Matrix.zeros(2, 2, FLOAT).entries[0]) is float
+        assert type(Matrix.zeros(2, 2, float).entries[0]) is float
 
     def test_float_constructors_hold_only_floats(self):
         a = Matrix(2, 1, (1.5, 0.0))
-        made = [Matrix.zeros(2, 3, FLOAT), Matrix.identity(3, FLOAT),
+        made = [Matrix.zeros(2, 3, float), Matrix.identity(3, float),
                 block_diag(a, a),
-                cov_block(CovFactor.of(a), CovFactor.of(Matrix.zeros(1, 0))).factor,
-                Matrix.zeros(2, 0, FLOAT) @ Matrix.zeros(0, 3),
+                cov_block(CovFactor(a), CovFactor(Matrix.zeros(1, 0))).factor,
+                Matrix.zeros(2, 0, float) @ Matrix.zeros(0, 3),
                 a @ Matrix(1, 2, (0.0, 2.0)),
-                cov_compose(Matrix.zeros(2, 0), CovFactor(0, Matrix.zeros(0, 2)),
-                            CovFactor.of(a)).factor,
+                cov_compose(Matrix.zeros(2, 0), CovFactor(Matrix.zeros(0, 2)),
+                            CovFactor(a)).factor,
                 # An all-zero product, and results built from empty floats.
                 Matrix(1, 1, (1.0,)) @ Matrix(1, 1, (0.0,)),
-                CovFactor.of(Matrix.zeros(2, 0, FLOAT)).gram(),
-                block_diag(Matrix.zeros(1, 0, FLOAT), Matrix.zeros(0, 1, FLOAT))]
+                CovFactor(Matrix.zeros(2, 0, float)).gram(),
+                block_diag(Matrix.zeros(1, 0, float), Matrix.zeros(0, 1, float))]
         for m in made:
             assert m.entries and all(type(x) is float for x in m.entries)
             assert m.den is None
         # Float results with no entries, built from scalars.
         flip = moments(evaluate(parse("flip(0.5)")))
-        empty = [ldlt(Matrix.zeros(0, 0, FLOAT))[0],
-                 _noise_factor(Matrix.zeros(2, 2, FLOAT), 1e-9),
+        empty = [ldlt(Matrix.zeros(0, 0, float))[0],
+                 _noise_factor(Matrix.zeros(2, 2, float), 1e-9),
                  flip.mean, flip.cov]
         assert [(m.rows, m.cols, m.den) for m in empty] == \
             [(0, 0, None), (2, 0, None), (0, 1, None), (0, 0, None)]
-        assert Matrix.identity(3, FLOAT).entries[1] is FLOAT.zero
-        assert block_diag(a, a).entries[1] is FLOAT.zero
+        zero = Matrix.zeros(1, 1, float).entries[0]
+        assert Matrix.identity(3, float).entries[1] is zero
+        assert block_diag(a, a).entries[1] is zero
 
 
 class TestQuantizeKey:
@@ -269,30 +270,30 @@ class TestQuantizeKey:
 
 class TestCovFactor:
     def test_compose_scalar_case(self):
-        sigma = CovFactor.of(mat([[1]]))
-        theta = CovFactor.of(mat([[2]]))
+        sigma = CovFactor(mat([[1]]))
+        theta = CovFactor(mat([[2]]))
         out = cov_compose(mat([[3]]), sigma, theta)
         assert out.gram() == mat([[13]])
 
     def test_compose_zero_factors(self):
-        z = CovFactor.of(Matrix.zeros(2, 0))
-        out = cov_compose(Matrix.identity(2), z, CovFactor.of(Matrix.zeros(2, 0)))
+        z = CovFactor(Matrix.zeros(2, 0))
+        out = cov_compose(Matrix.identity(2), z, CovFactor(Matrix.zeros(2, 0)))
         assert out.gram() == Matrix.zeros(2, 2)
 
     def test_identity_preserves(self):
-        sigma = CovFactor.of(mat([[1, 2], [0, 1]]))
-        out = cov_compose(Matrix.identity(2), sigma, CovFactor.of(Matrix.zeros(2, 0)))
+        sigma = CovFactor(mat([[1, 2], [0, 1]]))
+        out = cov_compose(Matrix.identity(2), sigma, CovFactor(Matrix.zeros(2, 0)))
         assert out.gram() == sigma.gram()
 
     def test_gram_examples(self):
-        assert CovFactor.of(mat([[1], [1]])).gram() == mat([[1, 1], [1, 1]])
-        assert CovFactor.of(Matrix.zeros(2, 0)).gram() == Matrix.zeros(2, 2)
+        assert CovFactor(mat([[1], [1]])).gram() == mat([[1, 1], [1, 1]])
+        assert CovFactor(Matrix.zeros(2, 0)).gram() == Matrix.zeros(2, 2)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.one_of(matrices(exact_entries), matrices(float_entries),
                      matrices(mixed_entries)))
     def test_gram_matches_reference(self, factor):
-        assert same_entries(CovFactor.of(factor).gram(),
+        assert same_entries(CovFactor(factor).gram(),
                             reference_matmul(factor, factor.transpose()))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -300,9 +301,9 @@ class TestCovFactor:
                      padded_factors(float_entries, (0.0, -0.0))))
     def test_zero_columns_leave_gram_unchanged(self, case):
         factor, padded = case
-        want = CovFactor.of(factor).gram()
+        want = CovFactor(factor).gram()
         dropped = drop_zero_columns(padded)
-        for got in (CovFactor.of(padded).gram(), CovFactor.of(dropped).gram()):
+        for got in (CovFactor(padded).gram(), CovFactor(dropped).gram()):
             assert same_entries(got, want)
             assert list(map(repr, got.entries)) == list(map(repr, want.entries))
         assert dropped == drop_zero_columns(factor)
@@ -318,8 +319,8 @@ class TestCovFactor:
 
     def test_compose_drops_the_columns_it_zeroes(self):
         # [I | 0] keeps the first block of a block diagonal factor.
-        sigma = cov_block(CovFactor.of(mat([[2]])), CovFactor.of(mat([[3, 1]])))
-        out = cov_compose(mat([[1, 0]]), sigma, CovFactor.of(mat([[5]])))
+        sigma = cov_block(CovFactor(mat([[2]])), CovFactor(mat([[3, 1]])))
+        out = cov_compose(mat([[1, 0]]), sigma, CovFactor(mat([[5]])))
         assert out.factor == mat([[2, 5]])
 
     def test_gram_orthogonal_invariance(self):
@@ -333,16 +334,16 @@ class TestCovFactor:
             q = Matrix.from_rows(
                 [[signs[j] if perm[i] == j else 0 for j in range(3)]
                  for i in range(3)])
-            assert CovFactor.of(l_mat @ q).gram() == CovFactor.of(l_mat).gram()
+            assert CovFactor(l_mat @ q).gram() == CovFactor(l_mat).gram()
 
     def test_gram_of_compose_is_closed_form(self):
         rng = random.Random(9)
         for _ in range(25):
             b = mat([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                       for _ in range(2)] for _ in range(2)])
-            s = CovFactor.of(mat([[Fraction(rng.randint(-3, 3)) for _ in range(2)]
+            s = CovFactor(mat([[Fraction(rng.randint(-3, 3)) for _ in range(2)]
                                   for _ in range(2)]))
-            t = CovFactor.of(mat([[Fraction(rng.randint(-3, 3))] for _ in range(2)]))
+            t = CovFactor(mat([[Fraction(rng.randint(-3, 3))] for _ in range(2)]))
             lhs = cov_compose(b, s, t).gram()
             rhs = b @ s.gram() @ b.transpose() + t.gram()
             assert lhs == rhs
@@ -412,9 +413,9 @@ class TestLdlt:
         for _ in range(20):
             b = mat([[Fraction(rng.randint(-3, 3)) for _ in range(2)]
                      for _ in range(2)])
-            s = CovFactor.of(mat([[Fraction(rng.randint(-2, 2)) for _ in range(3)]
+            s = CovFactor(mat([[Fraction(rng.randint(-2, 2)) for _ in range(3)]
                                   for _ in range(2)]))
-            t = CovFactor.of(mat([[Fraction(rng.randint(-2, 2))] for _ in range(2)]))
+            t = CovFactor(mat([[Fraction(rng.randint(-2, 2))] for _ in range(2)]))
             _, diag = ldlt(cov_compose(b, s, t).gram())
             assert all(x >= 0 for x in diag)
 

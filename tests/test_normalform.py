@@ -12,9 +12,8 @@ from cgm.dsl import print_term
 from cgm.errors import TypeMismatch
 from cgm.gadgets import add_n, convex_mix, discard_all, gaussian_circuit
 from cgm.linalg import Matrix
-from cgm.normalform import (BoolKernel, CNFCell, CellComponent, NFTree,
-                            decide_equiv, disintegrate, emit_nf,
-                            first_certificate_difference, make_bool_kernel,
+from cgm.normalform import (BoolKernel, CellComponent, NFTree, decide_equiv,
+                            disintegrate, emit_nf, first_certificate_difference, make_bool_kernel,
                             nftree_equal, synth_bool, synth_cnf, zero_cell)
 from cgm.randcircuit import TermSampler
 from cgm.semantics import (evaluate, mixtures_equal, max_deviation,
@@ -38,7 +37,7 @@ class TestDisintegrate:
         assert bool_prob(tree.bool_marginal, (1,), ()) == Fraction(3, 10)
         assert bool_prob(tree.bool_marginal, (0,), ()) == Fraction(7, 10)
         for _, cell in tree.leaves:
-            (c,) = cell.components
+            (c,) = cell
             assert c.lin.rows == 0 and c.weight == 1
 
     def test_no_boolean_output(self):
@@ -46,7 +45,7 @@ class TestDisintegrate:
         assert tree.q == 0
         ((key, cell),) = tree.leaves
         assert key == ((), ())
-        assert [c.weight for c in cell.components] == \
+        assert [c.weight for c in cell] == \
             [Fraction(7, 10), Fraction(3, 10)]
 
     def test_zero_mass_leaf_is_designated(self):
@@ -55,17 +54,17 @@ class TestDisintegrate:
                    par(identity(bools(1)), mk_generator(GenKind.ONE)))
         tree = disintegrate(evaluate(term))
         assert dict(tree.leaves)[(0,), ()] == zero_cell(1, 0)
-        (c,) = dict(tree.leaves)[(1,), ()].components
+        (c,) = dict(tree.leaves)[(1,), ()]
         assert c.mean == Matrix.from_rows([[1]])
 
 
 class TestSynthCnf:
     def test_cascade_biases(self):
-        cell = CNFCell(tuple(
+        cell = tuple(
             CellComponent(w, Matrix.zeros(1, 0), Matrix.column([mu]),
                           Matrix.from_rows([[1]]))
             for w, mu in [(Fraction(1, 5), 0), (Fraction(3, 10), 1),
-                          (Fraction(1, 2), 2)]))
+                          (Fraction(1, 2), 2)])
         term = synth_cnf(cell)
         biases = [s.generator.param for s in subterms(term)
                   if isinstance(s, Gen) and s.generator.kind is GenKind.FLIP]
@@ -82,18 +81,18 @@ class TestSynthCnf:
             k = rng.randint(2, 4)
             raw = [Fraction(rng.randint(1, 6)) for _ in range(k)]
             total = sum(raw)
-            cell = CNFCell(tuple(
+            cell = tuple(
                 CellComponent(w / total, Matrix.zeros(1, 0),
                               Matrix.column([i]), Matrix.from_rows([[1]]))
-                for i, w in enumerate(raw)))
+                for i, w in enumerate(raw))
             term = synth_cnf(cell)
             for s in subterms(term):
                 if isinstance(s, Gen) and s.generator.kind is GenKind.FLIP:
                     assert 0 < s.generator.param < 1
 
     def test_singleton_wiring_has_no_noise(self):
-        cell = CNFCell((CellComponent(Fraction(1), Matrix.identity(2),
-                                      Matrix.zeros(2, 1), Matrix.zeros(2, 2)),))
+        cell = (CellComponent(Fraction(1), Matrix.identity(2),
+                              Matrix.zeros(2, 1), Matrix.zeros(2, 2)),)
         term = synth_cnf(cell)
         kinds = {s.generator.kind for s in subterms(term) if isinstance(s, Gen)}
         assert GenKind.STD_NORMAL not in kinds
@@ -102,9 +101,9 @@ class TestSynthCnf:
         assert c.lin == Matrix.identity(2)
 
     def test_rank_deficient_cov_gets_minimal_noise(self):
-        cell = CNFCell((CellComponent(
+        cell = (CellComponent(
             Fraction(1), Matrix.zeros(2, 0), Matrix.zeros(2, 1),
-            Matrix.from_rows([[1, 1], [1, 1]])),))
+            Matrix.from_rows([[1, 1], [1, 1]])),)
         term = synth_cnf(cell)
         (c,) = evaluate(term).row(())
         assert c.gram() == Matrix.from_rows([[1, 1], [1, 1]])
@@ -122,7 +121,7 @@ class TestDeepCascade:
 
     def test_thousand_component_cell_is_emitted_without_recursion(self):
         tree = disintegrate(evaluate(self.stacked_coins(10)))
-        assert [len(cell.components) for _, cell in tree.leaves] == [1024]
+        assert [len(cell) for _, cell in tree.leaves] == [1024]
         text = print_term(emit_nf(tree))
         # The circuit the recursive cascade emitted (under a raised limit).
         assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -276,10 +275,8 @@ class TestDecideEquiv:
         mix_term = example_mixture_term()
         tree = disintegrate(evaluate(mix_term))
         ((key, cell),) = tree.leaves
-        bumped = CNFCell((replace(cell.components[0],
-                                  mean=cell.components[0].mean +
-                                  Matrix.from_rows([[Fraction(1, 1000)]])),)
-                         + cell.components[1:])
+        bumped = (replace(cell[0], mean=cell[0].mean +
+                          Matrix.from_rows([[Fraction(1, 1000)]])),) + cell[1:]
         perturbed = NFTree(tree.p, tree.m, tree.q, tree.n,
                            tree.bool_marginal, ((key, bumped),))
         assert not nftree_equal(tree, perturbed)
@@ -293,9 +290,9 @@ class TestDecideEquiv:
         poked = []
         for key, cell in tree.leaves:
             if key == ((0,), ()):
-                comp = replace(cell.components[0],
+                comp = replace(cell[0],
                                mean=Matrix.from_rows([[Fraction(5)]]))
-                poked.append((key, CNFCell((comp,))))
+                poked.append((key, (comp,)))
             else:
                 poked.append((key, cell))
         perturbed = NFTree(tree.p, tree.m, tree.q, tree.n,

@@ -24,7 +24,7 @@ from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit,
                          matrix_circuit, mix_gate, nary_copy, sort_boundary)
-from cgm.linalg import FLOAT, RATIONAL, CovFactor, Matrix
+from cgm.linalg import CovFactor, Matrix
 from cgm.normalform import decide_equiv, disintegrate, nftree_equal
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
 from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
@@ -66,7 +66,7 @@ def gauss_map(a_rows, b_entries, factor_rows, m=None):
     fac = Matrix.from_rows(factor_rows, cols=0) if factor_rows is not None \
         else Matrix.zeros(a.rows, 0)
     from cgm.semantics import GaussComponent
-    comp = GaussComponent(Fraction(1), (), a, mean, CovFactor.of(fac))
+    comp = GaussComponent(Fraction(1), (), a, mean, CovFactor(fac))
     return CGMixture(reals(a.cols), reals(a.rows), (((), (comp,)),))
 
 
@@ -168,8 +168,8 @@ def random_kernel(rng, exact=True, near=False) -> CGMixture:
             tuple(rng.randint(0, 1) for _ in range(q)),
             Matrix(n, m, tuple(value() for _ in range(n * m))),
             Matrix(n, 1, tuple(value() for _ in range(n))),
-            CovFactor(n, Matrix(n, width, tuple(value()
-                                                for _ in range(n * width)))))
+            CovFactor(Matrix(n, width, tuple(value()
+                                             for _ in range(n * width)))))
 
     rows = {}
     for bits in itertools.product((0, 1), repeat=p):
@@ -237,7 +237,7 @@ class TestCanonicalProduct:
     def test_float_kernel_merges_again_at_a_wider_tolerance(self):
         parts = tuple(GaussComponent(0.5, (), Matrix.zeros(1, 0),
                                      Matrix.column([mu]),
-                                     CovFactor.of(Matrix.zeros(1, 0)))
+                                     CovFactor(Matrix.zeros(1, 0)))
                       for mu in (0.0, 1e-6))
         mix = CGMixture(TypeWord(), reals(1), (((), parts),))
         fine = canonicalize(mix, 1e-9)
@@ -249,7 +249,7 @@ class TestCanonicalProduct:
         from oracles import reference_tensor
         parts = tuple(GaussComponent(Fraction(1, 2), (), Matrix.zeros(1, 0),
                                      Matrix.column([mu]),
-                                     CovFactor.of(Matrix.zeros(1, 0)))
+                                     CovFactor(Matrix.zeros(1, 0)))
                       for mu in (Fraction(0), Fraction(1, 10 ** 12)))
         exact = CGMixture(TypeWord(), reals(1), (((), parts),))
         flip = interp_generator(Generator(GenKind.FLIP, 0.25))
@@ -341,7 +341,7 @@ def dirac_kernel(dom: str, cod: str, rows: dict, lin_rows) -> CGMixture:
     lin = Matrix.from_rows(lin_rows, cols=TypeWord.of(dom).n_real)
     table = tuple(sorted(
         (bits, (GaussComponent(Fraction(1), out, lin, Matrix.zeros(n, 1),
-                               CovFactor.of(Matrix.zeros(n, 0))),))
+                               CovFactor(Matrix.zeros(n, 0))),))
         for bits, out in rows.items()))
     return CGMixture(TypeWord.of(dom), TypeWord.of(cod), table)
 
@@ -654,7 +654,7 @@ def exact_rows(draw):
                                      [-x for x in factor.nums], factor.den)
             weight = draw(st.fractions(min_value=0, max_value=1,
                                        max_denominator=10 ** 9))
-            comps.append(GaussComponent(weight, out, lin, mean, CovFactor.of(factor)))
+            comps.append(GaussComponent(weight, out, lin, mean, CovFactor(factor)))
         rows.append((bits, comps))
     return bools(p) + reals(m), bools(q) + reals(n), rows
 
@@ -666,7 +666,7 @@ class TestCanonicalize:
         """Keys of integer numerators sort and merge exact components as
         keys of their `Fraction` values do, and stay strictly increasing."""
         dom, cod, rows = case
-        got = semantics._build(dom, cod, rows, RATIONAL, DEFAULT_TOLERANCE)
+        got = semantics._build(dom, cod, rows, Fraction, DEFAULT_TOLERANCE)
         assert [(bits, [(c.weight, c.bool_out, c.lin.entries, c.mean.entries,
                          c.gram().entries) for c in comps])
                 for bits, comps in got.table] == reference_build(rows)
@@ -677,7 +677,7 @@ class TestCanonicalize:
         from cgm.semantics import GaussComponent
         parts = tuple(
             GaussComponent(w, (), Matrix.zeros(1, 0), Matrix.column([mu]),
-                           CovFactor.of(Matrix.from_rows([[s]])))
+                           CovFactor(Matrix.from_rows([[s]])))
             for w, mu, s in comps)
         return CGMixture(TypeWord(), reals(1), (((), parts),))
 
@@ -728,7 +728,7 @@ class TestEquality:
         def build(order):
             parts = tuple(
                 GaussComponent(w, (), Matrix.zeros(1, 0), Matrix.column([mu]),
-                               CovFactor.of(Matrix.from_rows([[1]])))
+                               CovFactor(Matrix.from_rows([[1]])))
                 for w, mu in order)
             return CGMixture(TypeWord(), reals(1), (((), parts),))
         one = build([(Fraction(1, 3), 0), (Fraction(2, 3), 5)])
@@ -752,8 +752,8 @@ class TestEquality:
         with pytest.raises(NonFiniteResult):
             decide_equiv(huge, five)
         left = CGMixture(TypeWord(), reals(1), (((), (GaussComponent(
-            1.0, (), Matrix.zeros(1, 0, FLOAT), Matrix.column([float("nan")]),
-            CovFactor.of(Matrix.column([5.0]))),)),))
+            1.0, (), Matrix.zeros(1, 0, float), Matrix.column([float("nan")]),
+            CovFactor(Matrix.column([5.0]))),)),))
         right = evaluate(five)
         assert not mixtures_equal(left, right)
         assert max_deviation(left, right) == float("inf")
@@ -794,6 +794,19 @@ class TestMomentsAndSampling:
         stats = moments(self._example())
         assert stats.mean == Matrix.from_rows([[Fraction(9, 10)]])
         assert stats.cov == Matrix.from_rows([[Fraction(499, 100)]])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input_point_raises(self, value):
+        # Unchecked, a NaN point gave NaN draws and an infinite one a NaN
+        # covariance.
+        for backend in ("rational", "float"):
+            mix = evaluate(parse("id(R) * (stdnormal ; scal(2)) ; add"),
+                           backend=backend)
+            for xs in ([value], Matrix.column([value])):
+                with pytest.raises(NonFiniteParam, match="input point"):
+                    moments(mix, (), xs)
+                with pytest.raises(NonFiniteParam, match="input point"):
+                    sample_many(mix, (), xs, 5, 0)
 
     def test_dense_cascade_matches_closed_form(self):
         # 8 dense Gaussian maps R^2 -> R^2 with width-3 factors, mixed by a
@@ -878,7 +891,7 @@ class TestMomentsAndSampling:
         m = evaluate(parse("stdnormal ; delR"))
         (c,) = m.row(())
         # The discarded noise leaves a zero column, which is dropped.
-        assert (c.cov.dim, c.cov.width) == (0, 0)
+        assert (c.cov.factor.rows, c.cov.factor.cols) == (0, 0)
         bools_out, reals_out = sample_many(m, (), (), 7, 0)
         assert bools_out == [()] * 7 and reals_out.shape == (7, 0)
 
@@ -894,7 +907,7 @@ class TestMomentsAndSampling:
     def test_factor_wider_than_dimension(self):
         m = evaluate(parse("(stdnormal * stdnormal) ; add"))
         (c,) = m.row(())
-        assert (c.cov.dim, c.cov.width) == (1, 2)
+        assert (c.cov.factor.rows, c.cov.factor.cols) == (1, 2)
         n_draws = 30000
         _, reals_out = sample_many(m, (), (), n_draws, 5)
         # The sample variance of N(0, 2) has standard error sqrt(2 * 2^2 / N).
@@ -906,7 +919,7 @@ class TestMomentsAndSampling:
         QR-reduced."""
         wide = gaussian_circuit([1, -2], Matrix.from_rows([[1, 2, 0], [0, 1, 3]]))
         m = evaluate(convex_mix(Fraction(1, 2), narrow, wide))
-        assert max(c.cov.width for c in m.row(())) > m.n
+        assert max(c.cov.factor.cols for c in m.row(())) > m.n
         n_draws = 20000
         _, reals_out = sample_many(m, (), (), n_draws, 6)
         return reals_out, 2.5 * n_draws ** 0.5
@@ -978,7 +991,7 @@ class TestSamplerOracle:
             for backend in ("rational", "float"):
                 mix = evaluate(t, backend=backend)
                 comps = mix.row(bits)
-                seen.add((mix.n == 0, max(c.cov.width for c in comps) > mix.n,
+                seen.add((mix.n == 0, max(c.cov.factor.cols for c in comps) > mix.n,
                           len(comps) == 1))
                 for seed in (0, 1, 2026):
                     for count in (0, 1, 300):
@@ -1065,7 +1078,7 @@ class TestComponentPick:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_bad_weights_are_typed(self, weights, error, message):
         parts = tuple(GaussComponent(w, (), Matrix.zeros(1, 0), Matrix.column([mu]),
-                                     CovFactor.of(Matrix.from_rows([[1.0]])))
+                                     CovFactor(Matrix.from_rows([[1.0]])))
                       for mu, w in enumerate(weights))
         mix = CGMixture(TypeWord(), reals(1), (((), parts),))
         for count in (0, 10):

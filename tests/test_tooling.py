@@ -9,13 +9,14 @@ is loaded the same way: one cycle of its Monte Carlo ops, one pass over its
 dense-mixture ops, nf-roundtrip's anchor ops (whose certificates the
 workload pins by digest) and the first 600 axiom-suite ops must pass the
 workload's own checks.  And no `src/cgm` module imports a name it never
-uses.
+uses, nor defines a function or class that nothing names.
 """
 
 import ast
 import json
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -167,3 +168,31 @@ def test_no_module_imports_an_unused_name():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_every_definition_is_named_elsewhere():
+    # A module-level function or class of `src/cgm` (not `__init__.py`,
+    # which only re-exports) must be named outside its own body: in
+    # `src/cgm`, in `scripts/` or in `bench/`, as a name, an attribute or a
+    # string (the tracer wraps functions by their names).  Tests do not
+    # count: code that only tests call is not kept for them.
+    root = Path(cgm.__file__).parent
+    files = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
+    files += sorted((root.parent.parent / "scripts").glob("*.py"))
+    files += sorted(BENCH.glob("*.py"))
+    named, own = Counter(), {}
+    for path in files:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            found = Counter(
+                node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else node.value
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute)) or
+                isinstance(node, ast.Constant) and isinstance(node.value, str))
+            named.update(found)
+            if path.parent == root and isinstance(
+                    statement, (ast.FunctionDef, ast.ClassDef)):
+                own[path.name, statement.name] = found[statement.name]
+    unnamed = [f"{module}: {name}" for (module, name), count in own.items()
+               if named[name] <= count]
+    assert unnamed == []
