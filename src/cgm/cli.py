@@ -38,7 +38,12 @@ EXIT_NO_MATCH = 5
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1: argparse's own 2 is the Boolean-cap code here."""
+    """Usage errors exit 1: argparse's own 2 is the Boolean-cap code here.
+    A word like ``-1.5,2.0`` or ``-1e-3`` is a value, never an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -322,96 +322,53 @@ def export_json_ast(t: Term) -> dict:
                 lambda s, a, b: node(s, "par", {}, (a, b)))
 
 
-class _Wire:
-    __slots__ = ("colour", "source", "sink", "parent")
-
-    def __init__(self, colour, source=None, sink=None):
-        self.colour = colour
-        self.source = source
-        self.sink = sink
-        self.parent = self
-
-
-def _find(w: _Wire) -> _Wire:
-    while w.parent is not w:
-        w.parent = w.parent.parent
-        w = w.parent
-    return w
-
-
-def _union(a: _Wire, b: _Wire):
-    ra, rb = _find(a), _find(b)
-    if ra is rb:
-        return
-    rb.parent = ra
-    ra.source = ra.source or rb.source
-    ra.sink = ra.sink or rb.sink
-
-
 def export_dot(t: Term) -> str:
     """Layered DOT rendering; byte-identical across runs for equal terms.
 
-    Each occurrence of a generator is its own box, shared or not.
+    Each occurrence of a generator is its own box, shared or not.  One
+    forward walk visits the leaves early before late and top before
+    bottom, and numbers wires as it meets them: a generator's domain wires
+    then its codomain wires, one per position of an identity, a swap's
+    first then its second.  A signal is (source, first wire, colour); it
+    ends as an edge into a box or an output, and edges are printed by
+    first wire.
     """
-    nodes = []
-    wires = []
-
-    def fresh(colour, source=None, sink=None):
-        wires.append(_Wire(colour, source, sink))
-        return wires[-1]
-
-    # Post-order over an explicit stack: a node's class, pushed below its
-    # children, joins their (inputs, outputs) wire lists once both are built.
-    built = []
-    todo = [t]
+    nodes, edges, wire = [], [], 0
+    signals = [(f"in{i}", None, c) for i, c in enumerate(t.dom)]
+    # Subterms still to walk, each with the position of its first input.
+    todo = [(t, 0)]
     while todo:
-        sub = todo.pop()
-        if sub is Seq or sub is Par:
-            ins2, outs2 = built.pop()
-            ins1, outs1 = built.pop()
-            if sub is Par:
-                built.append((ins1 + ins2, outs1 + outs2))
-                continue
-            for a, b in zip(outs1, ins2):
-                _union(a, b)
-            built.append((ins1, outs2))
-        elif isinstance(sub, Seq):
-            todo += (Seq, sub.late, sub.early)
-        elif isinstance(sub, Par):
-            todo += (Par, sub.bottom, sub.top)
-        elif isinstance(sub, Gen):
+        sub, at = todo.pop()
+        if isinstance(sub, Seq):
+            todo += ((sub.late, at), (sub.early, at))
+            continue
+        if isinstance(sub, Par):
+            todo += ((sub.bottom, at + len(sub.top.cod)), (sub.top, at))
+            continue
+        end = at + len(sub.dom)
+        passed = [(source, wire + k if first is None else first, colour)
+                  for k, (source, first, colour) in enumerate(signals[at:end])]
+        wire += len(passed)
+        if isinstance(sub, Gen):
             box = f"n{len(nodes)}"
             nodes.append(_gen_text(sub.generator))
-            built.append(([fresh(c, sink=box) for c in sub.dom],
-                          [fresh(c, source=box) for c in sub.cod]))
-        elif isinstance(sub, Id):
-            ws = [fresh(c) for c in sub.word]
-            built.append((ws, list(ws)))
-        else:
-            w1, w2 = fresh(sub.first), fresh(sub.second)
-            built.append(([w1, w2], [w2, w1]))
-    ins, outs = built.pop()
-    for i, w in enumerate(ins):
-        _find(w).source = f"in{i}"
-    for j, w in enumerate(outs):
-        _find(w).sink = f"out{j}"
+            edges += [(first, source, box, c) for source, first, c in passed]
+            passed = [(box, wire + k, c) for k, c in enumerate(sub.cod)]
+            wire += len(passed)
+        elif isinstance(sub, Swap):
+            passed.reverse()
+        signals[at:end] = passed
+    edges += [(first, source, f"out{j}", c)
+              for j, (source, first, c) in enumerate(signals)]
+    edges.sort(key=lambda edge: edge[0])
 
     lines = ["digraph circuit {", "  rankdir=LR;"]
-    for i in range(len(ins)):
-        lines.append(f'  in{i} [shape=point, label=""];')
-    for j in range(len(outs)):
-        lines.append(f'  out{j} [shape=point, label=""];')
-    for k, label in enumerate(nodes):
-        lines.append(f'  n{k} [shape=box, label="{label}"];')
-    seen = set()
-    for w in wires:
-        root = _find(w)
-        if id(root) in seen:
-            continue
-        seen.add(id(root))
-        style = "color=gray50, style=dashed" if root.colour is Colour.B \
-            else "color=black"
-        lines.append(f"  {root.source} -> {root.sink} [{style}];")
+    lines += [f'  in{i} [shape=point, label=""];' for i in range(len(t.dom))]
+    lines += [f'  out{j} [shape=point, label=""];' for j in range(len(t.cod))]
+    lines += [f'  n{k} [shape=box, label="{label}"];' for k, label in enumerate(nodes)]
+    for _, source, sink, colour in edges:
+        style = "color=gray50, style=dashed" if colour is Colour.B else "color=black"
+        lines.append(f"  {source} -> {sink} [{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

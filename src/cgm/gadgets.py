@@ -4,7 +4,8 @@ and the standard encodings of matrices and Gaussians as circuits.
 Bracketing conventions are fixed once and for all: combs associate to the
 right, guard order follows wire order (leftmost guard is tested first), and
 the true branch always comes first.  Builders are cached, so repeated
-gadgets are shared subterms and evaluation memoization kicks in.
+gadgets are shared subterms and evaluation memoization kicks in.  Every
+guard dispatch, `thick_ite`'s and `normalform`'s, is one `_guard_tree`.
 """
 
 from __future__ import annotations
@@ -148,34 +149,36 @@ def _ite_split_dest(n: int) -> tuple:
     return (0, 3, 1, *range(4, n + 3), 2, *range(n + 3, 2 * n + 2))
 
 
+def _guard_tree(leaves: list, shared: TypeWord, join: Term) -> Term:
+    """B^k . shared -> cod: the leaf of k guard bits, listed true first.
+
+    Built level by level from the leaves: a node passes its guard to `join`
+    and copies the guards below it and the `shared` wires into both branches.
+    """
+    below = 0
+    while len(leaves) > 1:
+        spread = par(identity(bools(1)), copy_bundle(bools(below) + shared))
+        leaves = [seq_all(spread, par_all(identity(bools(1)), yes, no), join)
+                  for yes, no in zip(leaves[::2], leaves[1::2])]
+        below += 1
+    return leaves[0]
+
+
 @lru_cache(maxsize=None)
 def thick_ite(guards: int, payload_width: int) -> Term:
     """Nested conditionals dispatching on `guards` Boolean wires.
 
-    Type B^p . R^(2^p * n) -> R^n; the payload block selected for a guard
-    vector is the one at its position in the true-first enumeration.
+    Type B^p . R^(2^p * n) -> R^n: a guard tree whose leaf k, k-th in the
+    true-first enumeration of guard vectors, keeps payload block k.
     """
     p, n = guards, payload_width
     if p < 1:
         raise ValueError("need at least one guard")
-    if n == 0:
-        return discard_all(bools(p))
-    if p == 1:
-        return ite_n(n)
-    half = (2 ** (p - 1)) * n
-    start = par_all(identity(B), copy_bundle(bools(p - 1)), identity(reals(2 * half)))
-    # [g1, g2..gp, g2'..gp', payload] -> [g1, g2..gp, first half, g2'..gp', second half]
-    width = 1 + 2 * (p - 1) + 2 * half
-    dest = [0]
-    dest.extend(range(1, p))                                  # g2..gp stay
-    dest.extend(range(p + half, p + half + p - 1))            # g2'..gp'
-    dest.extend(range(p, p + half))                           # first half payload
-    dest.extend(range(2 * p - 1 + half, 2 * p - 1 + 2 * half))  # second half stays
-    word = B + bools(2 * (p - 1)) + reals(2 * half)
-    assert len(word) == width
-    route = permute_term(word, tuple(dest))
-    sub = thick_ite(p - 1, n)
-    return seq_all(start, route, par_all(identity(B), sub, sub), ite_n(n))
+    blocks = 2 ** p
+    leaves = [par_trim(discard_all(reals(k * n)), identity(reals(n)),
+                       discard_all(reals((blocks - 1 - k) * n)))
+              for k in range(blocks)]
+    return _guard_tree(leaves, reals(blocks * n), ite_n(n))
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,8 @@ sqrt(d)-scaled source per pivot is used instead.
 
 The marginal's selector trees and the guard tree over the cells have one
 shape (test the leftmost guard, copy the rest and the shared real wires into
-both branches, join), so one builder makes both, level by level.
+both branches, join), so one builder makes both, level by level:
+`gadgets._guard_tree`, which `gadgets.thick_ite` uses too.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .diagram import (EMPTY, GenKind, Term, TypeWord, bools, identity,
-                      mk_generator, par, par_all, reals, seq, seq_all)
+from .diagram import (EMPTY, GenKind, Term, bools, identity, mk_generator,
+                      par, par_all, reals, seq, seq_all)
 from .dsl import parse
 from .errors import TypeMismatch
-from .gadgets import (convex_mix, copy_bundle, discard_all, gauss_map_circuit,
-                      ite_n)
+from .gadgets import (_guard_tree, convex_mix, copy_bundle, discard_all,
+                      gauss_map_circuit, ite_n)
 from .linalg import (Matrix, Scalar, ldlt, matrix_to_json, scalar_to_json,
                      sum_square_scales)
 from .semantics import (CGMixture, DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE,
@@ -154,21 +155,6 @@ def synth_cnf(cell: tuple, tol: float = DEFAULT_TOLERANCE) -> Term:
 # The Boolean multiplexer from and/not/copy: not(not(g and x) and not(not g and y)).
 _MUX3 = parse("copyB * id(BB) ; id(B) * swap(B,B) * id(B) ; and * (not * id(B) ; and)"
               " ; not * not ; and ; not")
-
-
-def _guard_tree(leaves: list, shared: TypeWord, join: Term) -> Term:
-    """B^k . shared -> cod: the leaf of k guard bits, listed true first.
-
-    Built level by level from the leaves: a node passes its guard to `join`
-    and copies the guards below it and the `shared` wires into both branches.
-    """
-    below = 0
-    while len(leaves) > 1:
-        spread = par(identity(bools(1)), copy_bundle(bools(below) + shared))
-        leaves = [seq_all(spread, par_all(identity(bools(1)), yes, no), join)
-                  for yes, no in zip(leaves[::2], leaves[1::2])]
-        below += 1
-    return leaves[0]
 
 
 def synth_bool(kernel: BoolKernel) -> Term:

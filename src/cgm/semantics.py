@@ -44,9 +44,9 @@ from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
                       fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      InvalidWeight, NonFiniteParam, TypeMismatch)
-from .linalg import (CovFactor, Matrix, Scalar, block_diag, common_denominator,
-                     cov_block, cov_compose, drop_zero_columns, matrix_to_json,
-                     quantize_key, scalar_to_json, vstack)
+from .linalg import (CovFactor, Matrix, Scalar, _finite, block_diag,
+                     common_denominator, cov_block, cov_compose, drop_zero_columns,
+                     matrix_to_json, quantize_key, scalar_to_json, vstack)
 
 BitVec = tuple
 
@@ -564,7 +564,9 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     deviation.  The weights, the input point, and every component's A, mu
     and L are each put over one common denominator (all over 1, as floats,
     unless every one is rational), so the centres, the mean and those sums
-    are integer arithmetic, with one reduction per output matrix.
+    are integer arithmetic, with one reduction per output matrix.  A float
+    mean or covariance entry that leaves the float range raises
+    `NonFiniteResult`.
     """
     comps, x = _input_point(mix, bits, xs)
     n, m = mix.n, mix.m
@@ -606,8 +608,8 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
     if exact:
         return Moments(marginal, Matrix.over(n, 1, sums, scale),
                        Matrix.over(n, n, cov, den))
-    return Moments(marginal, Matrix.over(n, 1, [v / scale for v in sums], None),
-                   Matrix.over(n, n, [v / den for v in cov], None))
+    return Moments(marginal, Matrix.over(n, 1, _finite(v / scale for v in sums), None),
+                   Matrix.over(n, n, _finite(v / den for v in cov), None))
 
 
 def _pick_components(rng, weights, count: int):
@@ -673,8 +675,9 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     gathered with `np.take`, one (count, k) block per output coordinate.
 
     Raises `InvalidDrawCount` for a negative count, `NonFiniteParam` for a
-    NaN or infinite weight in the row and `InvalidWeight` for a negative
-    weight or a total that is zero or overflows.
+    NaN or infinite weight in the row, `InvalidWeight` for a negative
+    weight or a total that is zero or overflows, and `NonFiniteResult` if a
+    centre or a draw leaves the float range.
     """
     comps, x = _input_point(mix, bits, xs)
     if count < 0:
@@ -692,11 +695,15 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
         fac[ci, :, :k] = np.array(c.cov.factor.floats(), dtype=float).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
-    centres = lin @ np.array(x.floats(), dtype=float) + mu
     z = rng.standard_normal((count, fac.shape[2]))
-    reals_out = np.take(centres, idx, axis=0)
-    for i in range(n):
-        reals_out[:, i] += np.einsum("dk,dk->d", np.take(fac[:, i], idx, axis=0), z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centres = lin @ np.array(x.floats(), dtype=float) + mu
+        reals_out = np.take(centres, idx, axis=0)
+        for i in range(n):
+            reals_out[:, i] += np.einsum("dk,dk->d", np.take(fac[:, i], idx, axis=0), z)
+    for values in (centres, reals_out):
+        if not np.isfinite(values).all():
+            _finite(values.flat)   # raises, naming the first bad entry
     outs = np.fromiter((c.bool_out for c in comps), dtype=object, count=size)
     return np.take(outs, idx).tolist(), reals_out
 

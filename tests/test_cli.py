@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -214,6 +215,29 @@ class TestSample:
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("error: input point has entry ")
         assert err.count("\n") == 1
+
+    def test_float_overflow_exits_1(self, tmp_path, capsys):
+        # Unchecked, it printed "(, [inf])" per draw after a NumPy warning.
+        path = tmp_path / "big.cgm"
+        path.write_text("scal(1e300)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sample", str(path), "-n", "2",
+                                 "--reals=1e300")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: float arithmetic gave inf: a value left the float range\n"
+
+    def test_negative_input_point_needs_no_equals_sign(self, tmp_path, capsys):
+        path = tmp_path / "sum.cgm"
+        path.write_text("add")
+        spaced = run(capsys, "sample", str(path), "-n", "2", "--reals", "-1.5,2.0")
+        joined = run(capsys, "sample", str(path), "-n", "2", "--reals=-1.5,2.0")
+        assert spaced == joined == (EXIT_OK, "(, [0.5])\n" * 2, "")
+        path.write_text("scal(2)")
+        for value, want in (("-1.5", "-3.0"), ("-1e-3", "-0.002")):
+            code, out, _ = run(capsys, "sample", str(path), "-n", "1",
+                               "--reals", value)
+            assert (code, out) == (EXIT_OK, f"(, [{want}])\n")
 
     def test_with_inputs(self, tmp_path, capsys):
         path = tmp_path / "gate.cgm"

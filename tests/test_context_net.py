@@ -61,6 +61,18 @@ def _paths(term) -> list:
     return out
 
 
+def adapters(sampler: TermSampler, hole, inner):
+    """``t -> into ; t ; out_of``, random adapters from `hole`'s boundary to
+    `inner`'s and back, so the result can replace `hole`; `t` sits at path
+    `WRAPPED` of it."""
+    into = sampler.term(hole.dom, inner.dom, depth=1)
+    out_of = sampler.term(inner.cod, hole.cod, depth=1)
+    return lambda t: seq_all(into, t, out_of)
+
+
+WRAPPED = (0, 1)
+
+
 def contexts(lhs, rhs, rng: random.Random) -> list:
     """``[(C[lhs], C[rhs]), ...]`` for a framed, a plugged and a bare context."""
     sampler = TermSampler(rng, max_depth=2, max_word=2)
@@ -75,14 +87,13 @@ def contexts(lhs, rhs, rng: random.Random) -> list:
                par(identity(middle.cod), sampler.term(middle.cod, sampler.word())))
     host = sampler.closed_term(depth=3)
     path = rng.choice(_paths(host))
-    hole = subterm_at(host, path)
-    into = sampler.term(hole.dom, lhs.dom, depth=1)
-    out_of = sampler.term(lhs.cod, hole.cod, depth=1)
+    wrap = adapters(sampler, subterm_at(host, path), lhs)
+
     def framed(t):
         return seq_all(pre, beside(t), post)
 
     def plugged(t):
-        return replace_at(host, path, seq_all(into, t, out_of))
+        return replace_at(host, path, wrap(t))
 
     return [(context(lhs), context(rhs)) for context in (framed, plugged, beside)]
 

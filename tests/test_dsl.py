@@ -7,15 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from cgm.diagram import (B, Gen, GenKind, Par, R, Seq, TypeWord, identity,
-                         mk_generator, par_all, seq_all)
+from cgm.diagram import (B, EMPTY, Colour, Gen, GenKind, Par, R, Seq,
+                         TypeWord, identity, mk_generator, par_all, seq_all)
 from cgm.dsl import (export_dot, export_json_ast, json_ast_text, parse,
                      print_term)
 from cgm.errors import ParseError, TypeMismatch
 from cgm.gadgets import convex_mix, gaussian_circuit
 from cgm.linalg import Matrix
+from cgm.normalform import disintegrate, emit_nf
 from cgm.randcircuit import TermSampler
 from cgm.semantics import evaluate
+from oracles import subterms
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -257,6 +259,57 @@ class TestExports:
         text = json_ast_text(parse("flip(1/3)" + " ; (not" * 600 + ")" * 600))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "4e6ab1c30e1174789e9dae8bd71a63c51a03ea97b5a595fe8e97c0125aaad5f7"
+
+
+@pytest.fixture(scope="module")
+def dot_corpus() -> list:
+    """1,200 seeded `TermSampler` terms, every other one with no inputs,
+    then the emitted normal forms of 40 seeded kernels."""
+    sampler = TermSampler(random.Random(1789), max_word=4, max_depth=5)
+    terms = [sampler.closed_term() if k % 2 else sampler.term(EMPTY, sampler.word())
+             for k in range(1200)]
+    kernels = TermSampler(random.Random(1790), max_word=3, max_depth=4)
+    while len(terms) < 1240:
+        mix = evaluate(kernels.closed_term())
+        if max(len(comps) for _, comps in mix.table) <= 4:
+            terms.append(emit_nf(disintegrate(mix)))
+    return terms
+
+
+def test_dot_corpus_digest(dot_corpus):
+    # Pinned from the exporter that joined wire segments by union-find.
+    digest = hashlib.sha256()
+    for t in dot_corpus:
+        digest.update(export_dot(t).encode())
+    assert digest.hexdigest() == \
+        "7350e8d56c2f7c5063ffbe1197324b1028382e9aaac261540db4eb4b702f8691"
+
+
+def test_dot_corpus_structure(dot_corpus):
+    # Box k is the k-th generator left to right; every port has one edge,
+    # dashed exactly when its wire is B.
+    def style(colour):
+        return "color=gray50, style=dashed" if colour is Colour.B else "color=black"
+
+    assert sum(len(t.dom) > 0 for t in dot_corpus) > 400
+    for t in dot_corpus:
+        dot = export_dot(t)
+        gens = [s for s in subterms(t) if isinstance(s, Gen)]
+        want = {}
+        for i, c in enumerate(t.dom):
+            want[f"in{i}"] = ([], [style(c)])
+        for j, c in enumerate(t.cod):
+            want[f"out{j}"] = ([style(c)], [])
+        for k, g in enumerate(gens):
+            want[f"n{k}"] = (sorted(map(style, g.dom)), sorted(map(style, g.cod)))
+        got = {node: ([], []) for node in want}
+        for source, sink, attrs in re.findall(r"^  (\w+) -> (\w+) \[(.*)\];$",
+                                              dot, re.M):
+            got[sink][0].append(attrs)
+            got[source][1].append(attrs)
+        assert {node: (sorted(a), sorted(b)) for node, (a, b) in got.items()} \
+            == want, print_term(t)
+        assert dot.count("shape=box") == len(gens)
 
 
 def test_generator_errors_carry_their_span():

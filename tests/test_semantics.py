@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -807,6 +808,43 @@ class TestMomentsAndSampling:
                     moments(mix, (), xs)
                 with pytest.raises(NonFiniteParam, match="input point"):
                     sample_many(mix, (), xs, 5, 0)
+
+    @pytest.mark.parametrize("src, xs", [
+        ("scal(1e300)", [1e300]),                                   # the mean
+        ("flip(1/2) * (one ; scal(1e300)) * (one ; scal(-1e300)) ; ite", []),
+    ])
+    def test_float_overflow_in_moments_raises(self, src, xs):
+        # Unchecked, the mean read inf and the covariance nan or inf.
+        with pytest.raises(NonFiniteResult, match="left the float range"):
+            moments(evaluate(parse(src)), (), xs)
+
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_float_overflow_in_sample_many_raises(self, count):
+        # Unchecked, each draw read inf, after a NumPy RuntimeWarning.
+        mix = evaluate(parse("scal(1e300)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="left the float range"):
+                sample_many(mix, (), [1e300], count, 0)
+
+    def test_float_overflow_in_draws_raises(self):
+        # A kernel built by hand can hold a finite centre and factor whose
+        # draws overflow.
+        comp = GaussComponent(1.0, (), Matrix.zeros(1, 0, float),
+                              Matrix.over(1, 1, [1.7e308], None),
+                              CovFactor(Matrix.over(1, 1, [1e307], None)))
+        mix = CGMixture(TypeWord(()), reals(1), (((), (comp,)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="gave inf"):
+                sample_many(mix, (), [], 100, 0)
+
+    def test_rational_moments_do_not_overflow(self):
+        big = 10 ** 300
+        stats = moments(evaluate(parse(f"stdnormal ; scal({big})")))
+        assert stats.cov.entries == (Fraction(big * big),)
+        stats = moments(evaluate(parse(f"scal({big})")), (), [Fraction(big)])
+        assert stats.mean.entries == (Fraction(big * big),)
 
     def test_dense_cascade_matches_closed_form(self):
         # 8 dense Gaussian maps R^2 -> R^2 with width-3 factors, mixed by a
