@@ -38,8 +38,8 @@ from .errors import InadmissibleBinding, InvalidDrawCount, InvalidPath, NoMatch
 from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
 from .linalg import format_scalar
 from .randcircuit import TermSampler
-from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, evaluate,
-                        max_deviation, mixtures_equal)
+from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, _evaluate,
+                        evaluate, max_deviation, mixtures_equal)
 
 AXIOM_TABLE = """
 A1 | co-associativity of real copy | copyR ; id(R) * copyR = copyR ; copyR * id(R)
@@ -469,7 +469,9 @@ def check_soundness(schema: AxiomSchema, trials: int, seed: int,
                     backend: str = "auto") -> SoundnessReport:
     """Randomized semantic check: eval both sides of `trials` instances.
 
-    Failures are data, not errors.
+    The two sides of an instance share one evaluation memo, so a subterm
+    they both hold (a bound metavariable, say) is built once.  Failures
+    are data, not errors.
     """
     if trials < 0:
         raise InvalidDrawCount(f"{schema.name}: {trials} trials")
@@ -478,8 +480,9 @@ def check_soundness(schema: AxiomSchema, trials: int, seed: int,
         rng = random.Random(_trial_seed(seed, schema.name, index))
         binding = sample_binding(schema, rng)
         lhs, rhs = schema.build(binding)
-        left = evaluate(lhs, cap=cap, tol=tol, backend=backend)
-        right = evaluate(rhs, cap=cap, tol=tol, backend=backend)
+        built = {}
+        left = _evaluate(lhs, cap, tol, backend, built)
+        right = _evaluate(rhs, cap, tol, backend, built)
         same_words = (left.dom_word, left.cod_word) == \
             (right.dom_word, right.cod_word)
         if not same_words or not mixtures_equal(left, right, tol):

@@ -37,13 +37,18 @@ EXIT_BOUNDARY = 4
 EXIT_NO_MATCH = 5
 
 
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 1: argparse's own 2 is the Boolean-cap code here.
-    A word like ``-1.5,2.0`` or ``-1e-3`` is a value, never an option."""
+    A word like ``-1.5,2.0``, ``-1e-3``, ``-inf,2`` or ``-nan`` is a value,
+    never an option: not even ``-n an``, which a prefix match would read."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)

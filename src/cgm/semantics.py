@@ -27,6 +27,12 @@ any Seq/Par of them, as a `Wiring` (two index maps).  After a kernel it
 gathers the kernel's outputs; before one it picks each input row and
 multiplies each ``A`` by the wiring's 0/1 real map, instead of composing
 with a 0/1 kernel.  The result is the same canonical kernel.
+
+The denotation of a Seq or Par depends only on its operands' values, so
+within one call `evaluate` builds each distinct operation on the same two
+operand values once, keyed by their ids; equal leaves are one object, so
+equal subterms are too.  `axioms.check_soundness` shares that memo between
+the two sides of an instance.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -38,10 +44,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import add, mul, truediv
 from typing import NamedTuple
-import numpy as np
 
-from .diagram import (Colour, GenKind, Generator, Id, Swap, Term, TypeWord,
-                      fold, has_float_literal)
+from .diagram import (Colour, GenKind, Generator, Id, Seq, Swap, Term,
+                      TypeWord, fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                      InvalidWeight, NonFiniteParam, TypeMismatch)
 from .linalg import (CovFactor, Matrix, Scalar, _finite, block_diag,
@@ -150,11 +155,13 @@ class Wiring:
     reals: tuple
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def identity(word: TypeWord) -> "Wiring":
         return Wiring(word, word, tuple(range(word.n_bool)),
                       tuple(range(word.n_real)))
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def swap(first: Colour, second: Colour) -> "Wiring":
         dom = TypeWord((first, second))
         cod = TypeWord((second, first))
@@ -464,7 +471,7 @@ def _leaf(field, tol, t: Term):
     return _generator_kernel(gen, field, tol)
 
 
-def _seq(tol, _t, f, g):
+def _seq(tol, f, g):
     if isinstance(f, Wiring):
         return f.then(g) if isinstance(g, Wiring) else _wiring_then_kernel(f, g, tol)
     if isinstance(g, Wiring):
@@ -472,7 +479,7 @@ def _seq(tol, _t, f, g):
     return compose(f, g, tol)
 
 
-def _par(field, tol, _t, f, g):
+def _par(field, tol, f, g):
     if isinstance(f, Wiring) and isinstance(g, Wiring):
         return f.beside(g)
     return tensor(_as_kernel(f, field), _as_kernel(g, field), tol)
@@ -491,7 +498,24 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
     `float`: each parameter is cast to it as its generator is interpreted,
     and every leaf is built from its 0 and 1; the term itself is not
     rebuilt.
+
+    Each distinct Seq or Par of the same two operand values is built once
+    per call, also where the term repeats a subterm without sharing it (a
+    printed and re-parsed term, say); nothing is kept between calls.
     """
+    return _evaluate(term, cap, tol, backend, {})
+
+
+def _evaluate(term: Term, cap: int, tol: float, backend: str,
+              built: dict) -> CGMixture:
+    """`evaluate`, building each ``(field, node type, left value, right
+    value)`` once per `built`, a memo keyed by the operands' ids.  Equal
+    leaves are one object (generator kernels and wirings come from caches
+    keyed by value), so by induction equal subterms get one value.  Each
+    entry holds its operands, so no id in a key is reused while `built`
+    lives, even when a cache evicts a leaf between two calls.  A hit is the
+    kernel a miss would build: `_seq` and `_par` read only their operands.
+    Calls that share `built` pass the same `tol`."""
     if backend not in _FIELDS:
         raise ValueError(f"unknown backend {backend!r}")
     field = _FIELDS[backend]
@@ -500,8 +524,16 @@ def evaluate(term: Term, cap: int = DEFAULT_BOOL_CAP,
     if term.dom.n_bool > cap:
         raise InputCapExceeded(
             f"{term.dom.n_bool} Boolean inputs exceed the cap of {cap}")
-    return _as_kernel(fold(term, partial(_leaf, field, tol), partial(_seq, tol),
-                           partial(_par, field, tol)), field)
+
+    def node(t, f, g):
+        key = (field, type(t), id(f), id(g))
+        hit = built.get(key)
+        if hit is None:
+            out = _seq(tol, f, g) if type(t) is Seq else _par(field, tol, f, g)
+            hit = built[key] = (f, g, out)
+        return hit[2]
+
+    return _as_kernel(fold(term, partial(_leaf, field, tol), node, node), field)
 
 
 def _mixture_differences(m1: CGMixture, m2: CGMixture, tol, eps=None):
@@ -632,6 +664,7 @@ def _pick_components(rng, weights, count: int):
     `InvalidWeight` for a negative weight or a total that is zero or
     overflows.
     """
+    import numpy as np
     finite = np.isfinite(weights)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -677,8 +710,10 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
     Raises `InvalidDrawCount` for a negative count, `NonFiniteParam` for a
     NaN or infinite weight in the row, `InvalidWeight` for a negative
     weight or a total that is zero or overflows, and `NonFiniteResult` if a
-    centre or a draw leaves the float range.
+    centre or a draw leaves the float range.  NumPy is imported here, so
+    only sampling loads it.
     """
+    import numpy as np
     comps, x = _input_point(mix, bits, xs)
     if count < 0:
         raise InvalidDrawCount(f"cannot draw {count} samples: the count is negative")

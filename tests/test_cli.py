@@ -239,6 +239,20 @@ class TestSample:
                                "--reals", value)
             assert (code, out) == (EXIT_OK, f"(, [{want}])\n")
 
+    def test_non_finite_input_point_needs_no_equals_sign(self, tmp_path, capsys):
+        # -nan must not read as ``-n an``, the count flag and a value.
+        for circuit, value, shown in (("add", "-inf,2", "-inf"),
+                                      ("scal(2)", "-nan", "nan")):
+            path = tmp_path / "point.cgm"
+            path.write_text(circuit)
+            spaced = run(capsys, "sample", str(path), "-n", "1", "--reals", value)
+            joined = run(capsys, "sample", str(path), "-n", "1", f"--reals={value}")
+            assert spaced == joined == (
+                EXIT_PARSE, "",
+                f"error: input point has entry {shown}, which is not finite\n")
+        code, out, _ = run(capsys, "sample", str(path), "-n", "3", "--reals", "-1.5")
+        assert (code, out) == (EXIT_OK, "(, [-3.0])\n" * 3)
+
     def test_with_inputs(self, tmp_path, capsys):
         path = tmp_path / "gate.cgm"
         path.write_text("ite")

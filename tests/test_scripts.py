@@ -139,3 +139,18 @@ def test_let_shared_file_evaluates_in_linear_time(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "weight=2/3 boolOut=0" in proc.stdout
     assert took < 10
+
+
+def test_numpy_is_loaded_only_by_sampling(tmp_path):
+    path = tmp_path / "gate.cgm"
+    path.write_text("flip(1/2) * stdnormal")
+    code = "\n".join((
+        "import sys, cgm",
+        "from cgm.cli import main",
+        "assert 'numpy' not in sys.modules, 'import cgm'",
+        f"assert main(['eval', {str(path)!r}]) == 0",
+        "assert 'numpy' not in sys.modules, 'cgm eval'",
+        f"assert main(['sample', {str(path)!r}, '-n', '1']) == 0",
+        "assert 'numpy' in sys.modules, 'cgm sample'"))
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgm import diagram, semantics
-from cgm.axioms import (CATALOG, _trial_seed, get_axiom, instantiate,
-                        sample_binding)
+from cgm.axioms import (CATALOG, _trial_seed, check_soundness, get_axiom,
+                        instantiate, sample_binding)
 from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          TypeWord, bools, flip, identity, mk_generator, par,
                          par_all, reals, seq, seq_all, to_exact_params,
@@ -23,10 +24,10 @@ from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
                         InvalidWeight, NonFiniteParam, NonFiniteResult,
                         TypeMismatch)
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
-                         gaussian_circuit,
-                         matrix_circuit, mix_gate, nary_copy, sort_boundary)
+                         gaussian_circuit, matrix_circuit, mix_gate, nary_copy,
+                         sort_boundary, thick_ite)
 from cgm.linalg import CovFactor, Matrix
-from cgm.normalform import decide_equiv, disintegrate, nftree_equal
+from cgm.normalform import decide_equiv, disintegrate, emit_nf, nftree_equal
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
 from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
                            _pick_components, all_bitvecs, canonicalize,
@@ -36,6 +37,7 @@ from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
                            sample_many, swap_kernel, tensor, with_sorted_words)
 from oracles import (is_trivial_kernel, reference_build, reference_evaluate,
                      reference_moments, reference_sample_many)
+import test_normalform
 
 # SHA-256 of the rational kernels of `exactness_corpus()`; any change to an
 # exact kernel or to its JSON form changes it.
@@ -334,6 +336,97 @@ class TestEvaluate:
             t = sampler.closed_term()
             assert evaluate(sort_boundary(t)).table == \
                 with_sorted_words(evaluate(t)).table
+
+
+BUILDERS = ("compose", "tensor", "_wiring_then_kernel", "_kernel_then_wiring")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the calls that build a kernel for a Seq or Par."""
+    calls = []
+    for name in BUILDERS:
+        def counted(*args, _build=getattr(semantics, name), **kwargs):
+            calls.append(1)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
+def criterion6_anchors(count: int = 6) -> list:
+    """The first circuits criterion 6 draws (seed 2026 + 6)."""
+    sampler, out = TermSampler(random.Random(2032), max_word=4, max_depth=4), []
+    while len(out) < count:
+        t = sampler.closed_term()
+        if max(t.dom.n_bool, t.dom.n_real, t.cod.n_bool, t.cod.n_real) <= 3 \
+                and max(len(comps) for _, comps in evaluate(t).table) <= 4:
+            out.append(t)
+    return out
+
+
+def distinct_nodes(t) -> int:
+    seen, todo = set(), [t]
+    while todo:
+        s = todo.pop()
+        if id(s) not in seen:
+            seen.add(id(s))
+            todo += diagram.children(s) if isinstance(s, (Seq, Par)) else ()
+    return len(seen)
+
+
+class TestValueMemo:
+    """`evaluate` builds each Seq or Par of the same operand values once per
+    call, and `check_soundness` once per instance."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: emit_nf(disintegrate(evaluate(
+            test_normalform.TestDeepCascade.stacked_coins(4)))),
+        lambda: thick_ite(3, 2)], ids=["emitted-coins", "thick-ite"])
+    def test_reparsed_term_builds_no_more(self, make, builds):
+        term = make()
+        back = parse(print_term(term))
+        assert distinct_nodes(back) > distinct_nodes(term)   # sharing lost
+        want = mixture_to_json(evaluate(term))
+        shared = len(builds)
+        assert mixture_to_json(evaluate(back)) == want
+        assert len(builds) - shared <= shared
+
+    def test_instance_sides_build_a_bound_subterm_once(self, builds):
+        # SMC-seq-unit-r is ``c ; id = c``: the right side is the bound c.
+        schema, seed, trials = get_axiom("SMC-seq-unit-r"), 4, 12
+        sides = [instantiate(schema, sample_binding(schema, random.Random(
+                     _trial_seed(seed, schema.name, index))))
+                 for index in range(trials)]
+        assert check_soundness(schema, trials, seed).passed
+        shared = len(builds)
+        for lhs, _ in sides:
+            evaluate(lhs)
+        assert len(builds) == 2 * shared
+        for _, rhs in sides:
+            evaluate(rhs)
+        assert len(builds) > 2 * shared    # c alone builds something
+
+    def test_evicted_generator_kernels_change_nothing(self, monkeypatch):
+        # A kernel evicted between the two sides of an instance may be freed;
+        # the memo holds its operands, so no id in a key is reused.
+        names = ("C1-scal", "E4", "E7", "E10", "SMC-seq-unit-r")
+        anchors = criterion6_anchors()
+
+        def outcomes():
+            reports = [check_soundness(get_axiom(name), 30, 3, backend=backend)
+                       for name in names for backend in ("auto", "float")]
+            kernels = []
+            for t in anchors:
+                mix = evaluate(t)
+                back = parse(print_term(emit_nf(disintegrate(mix))))
+                kernels += [mixture_to_json(mix), mixture_to_json(evaluate(back))]
+            return [(r.axiom, r.failures) for r in reports], kernels
+
+        want = outcomes()
+        assert all(failures == [] for _, failures in want[0])
+        monkeypatch.setattr(semantics, "_generator_kernel", lru_cache(maxsize=1)(
+            semantics._generator_kernel.__wrapped__))
+        assert outcomes() == want
 
 
 def dirac_kernel(dom: str, cod: str, rows: dict, lin_rows) -> CGMixture:
