@@ -20,8 +20,8 @@ from .gadgets import (gauss_map_circuit, gaussian_circuit, matrix_circuit,
 from .linalg import CovFactor, Matrix, Scalar, ldlt
 from .axioms import (AxiomSchema, check_soundness, e10_weights, get_axiom,
                      instantiate, rewrite_at, soundness_suite)
-from .normalform import (BoolKernel, NFTree, decide_equiv, disintegrate,
-                         emit_nf, nftree_equal, synth_bool, synth_cnf)
+from .normalform import (NFTree, decide_equiv, disintegrate, emit_nf,
+                         nftree_equal, synth_bool, synth_cnf)
 from .semantics import (CGMixture, GaussComponent, Moments, canonicalize,
                         compose, evaluate, interp_generator, mixture_to_json,
                         mixtures_equal, moments, sample, sample_many, tensor,

@@ -39,7 +39,7 @@ from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
 from .linalg import format_scalar
 from .randcircuit import TermSampler
 from .semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, _evaluate,
-                        evaluate, max_deviation, mixtures_equal)
+                        max_deviation, mixtures_equal)
 
 AXIOM_TABLE = """
 A1 | co-associativity of real copy | copyR ; id(R) * copyR = copyR ; copyR * id(R)
@@ -626,7 +626,8 @@ def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
 
     Matching is structural modulo associativity of Seq and Par only;
     `direction` is 'L2R' or 'R2L'.  The replaced subterm and its replacement
-    are evaluated and compared (skipped above the input cap).
+    are evaluated through one memo, as in `check_soundness`, and compared
+    (skipped above the input cap).
     """
     if direction not in ("L2R", "R2L"):
         raise ValueError("direction must be 'L2R' or 'R2L'")
@@ -640,8 +641,9 @@ def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
             f"position {mismatch}", position=mismatch)
     out = replace_at(term, tuple(path), dst)
     if target.dom.n_bool <= cap:
-        if not mixtures_equal(evaluate(target, cap=cap, tol=tol),
-                              evaluate(dst, cap=cap, tol=tol), tol):
+        built = {}
+        if not mixtures_equal(_evaluate(target, cap, tol, "auto", built),
+                              _evaluate(dst, cap, tol, "auto", built), tol):
             raise AssertionError(
                 f"{schema.name}: rewrite changed the semantics")
     return out

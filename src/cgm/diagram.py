@@ -1,10 +1,11 @@
 """Typed terms of the free two-coloured prop of mixed circuits.
 
 A term is a syntax tree over the thirteen generators, identities on words,
-single-wire crossings, and the two composition operations.  Boundary words
-are computed once at construction and cached on the node; ill-typed
-sequential composites cannot be built.  Terms are immutable values and may
-be shared freely (the gadget builders below lean on that).
+single-wire crossings, and the two composition operations.  Boundary words,
+and whether the term holds a float literal, are computed once at
+construction and cached on the node; ill-typed sequential composites cannot
+be built.  Terms are immutable values and may be shared freely (the gadget
+builders below lean on that).
 
 Structural walks (evaluation, parameter casts, gate counts, JSON export,
 associativity normalisation) are one `fold`, so terms of any depth need no
@@ -148,9 +149,10 @@ class Generator:
         return SIGNATURES[self.kind][1]
 
 
-def _cache_boundaries(term, dom, cod):
+def _cache_boundaries(term, dom, cod, float_literal=False):
     object.__setattr__(term, "dom", dom)
     object.__setattr__(term, "cod", cod)
+    object.__setattr__(term, "float_literal", float_literal)
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,8 @@ class Gen:
     generator: Generator
 
     def __post_init__(self):
-        _cache_boundaries(self, self.generator.dom, self.generator.cod)
+        _cache_boundaries(self, self.generator.dom, self.generator.cod,
+                          isinstance(self.generator.param, float))
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,8 @@ class Seq(_Composite):
             raise TypeMismatch(
                 f"cannot compose: codomain {self.early.cod} != domain {self.late.dom}",
                 expected=self.early.cod, actual=self.late.dom)
-        _cache_boundaries(self, self.early.dom, self.late.cod)
+        _cache_boundaries(self, self.early.dom, self.late.cod,
+                          self.early.float_literal or self.late.float_literal)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -249,7 +253,8 @@ class Par(_Composite):
 
     def __post_init__(self):
         _cache_boundaries(self, self.top.dom + self.bottom.dom,
-                          self.top.cod + self.bottom.cod)
+                          self.top.cod + self.bottom.cod,
+                          self.top.float_literal or self.bottom.float_literal)
 
 
 Term = Union[Gen, Id, Swap, Seq, Par]
@@ -347,9 +352,10 @@ def generator_count(t: Term) -> int:
 
 
 def has_float_literal(t: Term) -> bool:
-    def leaf(s):
-        return isinstance(s, Gen) and isinstance(s.generator.param, float)
-    return fold(t, leaf, _sum, _sum) > 0
+    """Whether some generator parameter in `t` is a float; each node records
+    it when built, from its parameter or its children, as it does its
+    boundaries."""
+    return t.float_literal
 
 
 def map_params(t: Term, f) -> Term:

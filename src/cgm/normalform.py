@@ -4,6 +4,9 @@ A kernel disintegrates into a Boolean marginal plus, for every pair of
 Boolean output/input assignments, a convex cell: the tuple of its
 affine-Gaussian `CellComponent`s, weights summing to one.  Zero-mass
 branches get a designated Dirac-at-zero cell so the certificate is unique.
+The marginal is itself a kernel B^p -> B^q: a `CGMixture` of weighted
+Diracs with empty matrices, which `make_bool_kernel` builds through the
+canonical builder, so its rows are sorted and hold no zero weight.
 The certificate (`NFTree`) stores covariances as Gram matrices, which are
 canonical; the emitted circuit is a deterministic function of the
 certificate, so certificate equality and emitted-circuit equality
@@ -34,40 +37,26 @@ from .dsl import parse
 from .errors import TypeMismatch
 from .gadgets import (_guard_tree, convex_mix, copy_bundle, discard_all,
                       gauss_map_circuit, ite_n)
-from .linalg import (Matrix, Scalar, ldlt, matrix_to_json, scalar_to_json,
-                     sum_square_scales)
+from .linalg import (CovFactor, Matrix, Scalar, ldlt, matrix_to_json,
+                     scalar_to_json, sum_square_scales)
 from .semantics import (CGMixture, DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE,
-                        _component_blocks, _differences, all_bitvecs,
-                        bits_to_str, canonicalize, evaluate)
+                        GaussComponent, _build, _component_blocks,
+                        _differences, all_bitvecs, bits_to_str, canonicalize,
+                        evaluate)
 
 
-@dataclass(frozen=True)
-class BoolKernel:
-    """Stochastic table B^p -> B^q; rows sum to one, zero entries dropped."""
-
-    p: int
-    q: int
-    rows: tuple   # sorted ((bits_in, ((bits_out, weight), ...)), ...)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", {k: dict(v) for k, v in self.rows})
-
-    def row(self, bits_in) -> dict:
-        return self._rows[tuple(bits_in)]
-
-    def is_identity(self) -> bool:
-        if self.p != self.q:
-            return False
-        return all(row == {bits: 1} for bits, row in self._rows.items())
-
-
-def make_bool_kernel(p: int, q: int, table: dict) -> BoolKernel:
-    rows = []
-    for bits_in in all_bitvecs(p):
-        row = table.get(bits_in, {})
-        kept = tuple(sorted((out, w) for out, w in row.items() if w != 0))
-        rows.append((bits_in, kept))
-    return BoolKernel(p, q, tuple(rows))
+def make_bool_kernel(p: int, q: int, table: dict) -> CGMixture:
+    """The canonical kernel B^p -> B^q of ``{bits_in: {bits_out: weight}}``:
+    one Dirac per entry, its matrices empty, in the table's field (float if
+    a weight is); `_build` drops the zero weights and sorts."""
+    field = float if any(isinstance(w, float) for row in table.values()
+                         for w in row.values()) else Fraction
+    empty = Matrix.zeros(0, 0, field)
+    mean, cov = Matrix.zeros(0, 1, field), CovFactor(empty)
+    rows = [(bits_in, [GaussComponent(w, out, empty, mean, cov)
+                       for out, w in table.get(bits_in, {}).items()])
+            for bits_in in all_bitvecs(p)]
+    return _build(bools(p), bools(q), rows, field, DEFAULT_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,7 @@ class NFTree:
     m: int
     q: int
     n: int
-    bool_marginal: BoolKernel
+    bool_marginal: CGMixture   # B^p -> B^q, from `make_bool_kernel`
     leaves: tuple   # sorted (((a_out, a_in), cell), ...), complete
 
 
@@ -157,21 +146,22 @@ _MUX3 = parse("copyB * id(BB) ; id(B) * swap(B,B) * id(B) ; and * (not * id(B) ;
               " ; not * not ; and ; not")
 
 
-def synth_bool(kernel: BoolKernel) -> Term:
+def synth_bool(kernel: CGMixture) -> Term:
     """Circuit of chained conditional Bernoullis with eval equal to the kernel.
 
     Output bit j is drawn by a flip whose bias P(b_j = 1 | inputs, earlier
     outputs) is selected by a mux tree; zero-probability prefixes get bias 0.
     """
     p, q = kernel.p, kernel.q
-    if kernel.is_identity():
+    if p == q and all(len(comps) == 1 and comps[0].bool_out == bits and
+                      comps[0].weight == 1 for bits, comps in kernel.table):
         return identity(bools(p))
     if q == 0:
         return discard_all(bools(p))
 
     def prefix_mass(bits_in, prefix):
-        return sum(w for out, w in kernel.row(bits_in).items()
-                   if out[:len(prefix)] == prefix)
+        return sum(c.weight for c in kernel.row(bits_in)
+                   if c.bool_out[:len(prefix)] == prefix)
 
     stage_terms = []
     for j in range(q):
@@ -214,10 +204,10 @@ def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
 def _tree_blocks(tree: NFTree):
     """The shape, each marginal row, then each leaf and its components."""
     yield ("shape",), (tree.p, tree.m, tree.q, tree.n), ()
-    for bits_in, row in tree.bool_marginal.rows:
-        outs = tuple(out for out, _ in row)
+    for bits_in, comps in tree.bool_marginal.table:
+        outs = tuple(c.bool_out for c in comps)
         yield (("marginal", bits_in, outs), (bits_in, outs),
-               tuple(w for _, w in row))
+               tuple(c.weight for c in comps))
     for key, cell in tree.leaves:
         yield ("leaf", key), (key, len(cell)), ()
         for idx, c in enumerate(cell):
@@ -293,11 +283,11 @@ def first_certificate_difference(a: NFTree, b: NFTree,
 
 def certificate_json(tree: NFTree) -> dict:
     marginal_rows = []
-    for bits_in, row in tree.bool_marginal.rows:
+    for bits_in, comps in tree.bool_marginal.table:
         marginal_rows.append({
             "input": bits_to_str(bits_in),
-            "outputs": [{"output": bits_to_str(out),
-                         "weight": scalar_to_json(w)} for out, w in row],
+            "outputs": [{"output": bits_to_str(c.bool_out),
+                         "weight": scalar_to_json(c.weight)} for c in comps],
         })
     leaves = []
     for (a_out, a_in), cell in tree.leaves:

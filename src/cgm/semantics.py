@@ -31,8 +31,9 @@ with a 0/1 kernel.  The result is the same canonical kernel.
 The denotation of a Seq or Par depends only on its operands' values, so
 within one call `evaluate` builds each distinct operation on the same two
 operand values once, keyed by their ids; equal leaves are one object, so
-equal subterms are too.  `axioms.check_soundness` shares that memo between
-the two sides of an instance.  Nothing is kept from one call to the next.
+equal subterms are too.  `axioms.check_soundness` and `axioms.rewrite_at`
+share that memo between the two sides of an instance.  Nothing is kept
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -378,10 +379,8 @@ def compose(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMix
         out = []
         for ci in comps:
             for cj in g.row(ci.bool_out):
-                w = ci.weight * cj.weight
-                if w == 0:
-                    continue
-                out.append(GaussComponent(w, cj.bool_out, cj.lin @ ci.lin,
+                out.append(GaussComponent(ci.weight * cj.weight, cj.bool_out,
+                                          cj.lin @ ci.lin,
                                           cj.lin @ ci.mean + cj.mean,
                                           cov_compose(cj.lin, ci.cov, cj.cov)))
         rows.append((bits, out))

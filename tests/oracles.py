@@ -303,9 +303,9 @@ def reference_max_deviation(m1: CGMixture, m2: CGMixture,
 
 
 def _reference_scalars_of_tree(tree: NFTree):
-    for _, row in tree.bool_marginal.rows:
-        for _, w in row:
-            yield w
+    for _, comps in tree.bool_marginal.table:
+        for c in comps:
+            yield c.weight
     for _, cell in tree.leaves:
         for c in cell:
             yield c.weight
@@ -324,12 +324,12 @@ def reference_nftree_equal(a: NFTree, b: NFTree,
     if (a.p, a.m, a.q, a.n) != (b.p, b.m, b.q, b.n):
         return False
     eps = 0 if reference_tree_is_exact(a) and reference_tree_is_exact(b) else tol
-    for (bits_a, row_a), (bits_b, row_b) in zip(a.bool_marginal.rows,
-                                                b.bool_marginal.rows):
+    for (bits_a, row_a), (bits_b, row_b) in zip(a.bool_marginal.table,
+                                                b.bool_marginal.table):
         if bits_a != bits_b or len(row_a) != len(row_b):
             return False
-        for (out_a, w_a), (out_b, w_b) in zip(row_a, row_b):
-            if out_a != out_b or abs(w_a - w_b) > eps:
+        for ca, cb in zip(row_a, row_b):
+            if ca.bool_out != cb.bool_out or abs(ca.weight - cb.weight) > eps:
                 return False
     for (key_a, cell_a), (key_b, cell_b) in zip(a.leaves, b.leaves):
         if key_a != key_b or len(cell_a) != len(cell_b):
@@ -350,10 +350,11 @@ def reference_first_certificate_difference(a: NFTree, b: NFTree,
     if (a.p, a.m, a.q, a.n) != (b.p, b.m, b.q, b.n):
         return f"shape {(a.p, a.m, a.q, a.n)} vs {(b.p, b.m, b.q, b.n)}"
     eps = 0 if reference_tree_is_exact(a) and reference_tree_is_exact(b) else tol
-    for (bits_a, row_a), (_, row_b) in zip(a.bool_marginal.rows,
-                                           b.bool_marginal.rows):
-        if row_a != row_b:
-            da, db = dict(row_a), dict(row_b)
+    for (bits_a, row_a), (_, row_b) in zip(a.bool_marginal.table,
+                                           b.bool_marginal.table):
+        da = {c.bool_out: c.weight for c in row_a}
+        db = {c.bool_out: c.weight for c in row_b}
+        if da != db:
             for out in sorted(set(da) | set(db)):
                 wa, wb = da.get(out, Fraction(0)), db.get(out, Fraction(0))
                 if abs(wa - wb) > eps:
@@ -443,8 +444,10 @@ def is_trivial_kernel(mix: CGMixture) -> bool:
 
 
 def bool_prob(kernel, bits_out, bits_in):
-    """The weight of `bits_out` given `bits_in` in a `BoolKernel`; 0 if absent."""
-    return kernel.row(bits_in).get(tuple(bits_out), Fraction(0))
+    """The weight of `bits_out` given `bits_in` in a Boolean marginal kernel;
+    0 if absent."""
+    return next((c.weight for c in kernel.row(bits_in)
+                 if c.bool_out == tuple(bits_out)), Fraction(0))
 
 
 def matrix_from_json(obj: dict) -> Matrix:

@@ -168,8 +168,9 @@ def test_criterion_5_boolean_bruteforce_oracle():
 def _live_perturbations(tree):
     """Every certificate parameter that is free to move, bumped by 1e-3."""
     delta = Fraction(1, 1000)
-    marginal = {bits: dict(row) for bits, row in tree.bool_marginal.rows}
-    for bits_in, row in tree.bool_marginal.rows:
+    marginal = {bits: {c.bool_out: c.weight for c in row}
+                for bits, row in tree.bool_marginal.table}
+    for bits_in, row in tree.bool_marginal.table:
         if len(row) >= 2 or (len(row) == 1 and tree.q > 0):
             moved = dict(marginal[bits_in])
             source = max(moved, key=moved.get)

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from cgm import cli
-from cgm.axioms import soundness_suite
+from cgm.axioms import Failure, SoundnessReport, soundness_suite
 from cgm.cli import (EXIT_BOUNDARY, EXIT_CAP, EXIT_NOT_EQUIVALENT,
                      EXIT_NO_MATCH, EXIT_OK, EXIT_PARSE, main)
 
@@ -129,6 +129,19 @@ class TestEquiv:
         assert payload["equivalent"] is False
         assert payload["difference"].startswith("marginal(*|)")
 
+    def test_equivalent_json_report(self, tmp_path, capsys):
+        first = tmp_path / "first.cgm"
+        first.write_text("flip(1/2) ; not")
+        second = tmp_path / "second.cgm"
+        second.write_text("flip(1/2)")
+        code, out, _ = run(capsys, "equiv", str(first), str(second))
+        assert code == EXIT_OK
+        digest = out.removeprefix("EQUIVALENT ").strip()
+        code, out, _ = run(capsys, "equiv", str(first), str(second),
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"equivalent": True, "certificate": digest}
+
     def test_boundary_mismatch(self, tmp_path, capsys):
         one = tmp_path / "one.cgm"
         one.write_text("not")          # B -> B
@@ -167,6 +180,20 @@ class TestAxioms:
                              "2", "--backend", backend)
             assert code == EXIT_OK
         assert seen == ["float", "rational", "auto"]
+
+    def test_text_report_names_each_failure(self, capsys, monkeypatch):
+        failing = SoundnessReport("E10", 3, [Failure("p=1/2, q=1/3", 0.25)])
+
+        def stub(*args, **kwargs):
+            return [SoundnessReport("A1", 3), failing]
+
+        monkeypatch.setattr(cli, "soundness_suite", stub)
+        code, out, _ = run(capsys, "axioms", "--trials", "3")
+        assert code == EXIT_NOT_EQUIVALENT
+        assert out == ("A1: PASS (3 trials)\n"
+                       "E10: FAIL (3 trials)\n"
+                       "  deviation=0.25 with p=1/2, q=1/3\n"
+                       "1/2 axioms sound\n")
 
     def test_negative_trials(self, capsys):
         code, out, err = run(capsys, "axioms", "--axiom", "A1",
@@ -293,6 +320,36 @@ class TestRenderAndRewrite:
         code, out, _ = run(capsys, "rewrite", str(circuit), str(script))
         assert code == EXIT_OK
         assert "flip(1/4)" in out and "flip(1/3)" in out
+
+    def test_rewrite_writes_the_output_file(self, tmp_path, capsys):
+        circuit = tmp_path / "c.cgm"
+        circuit.write_text("copyR ; (id(R) * copyR)")
+        script = tmp_path / "steps.txt"
+        script.write_text("apply A1 at root dir L2R\n")
+        target = tmp_path / "out.cgm"
+        code, out, _ = run(capsys, "rewrite", str(circuit), str(script),
+                           "-o", str(target))
+        assert (code, out) == (EXIT_OK, "")
+        assert target.read_text() == "copyR ; copyR * id(R)\n"
+
+    def test_rewrite_with_colour_binding(self, tmp_path, capsys):
+        circuit = tmp_path / "c.cgm"
+        circuit.write_text("id(BR)")
+        script = tmp_path / "steps.txt"
+        script.write_text("apply SMC-swap-invol at root dir R2L with a=B, b=R\n")
+        code, out, _ = run(capsys, "rewrite", str(circuit), str(script))
+        assert code == EXIT_OK
+        assert out == "swap(B,R) ; swap(R,B)\n"
+
+    def test_rewrite_with_float_binding(self, tmp_path, capsys):
+        circuit = tmp_path / "c.cgm"
+        circuit.write_text("(flip(0.5) * id(RR) ; ite) * id(R) ; "
+                           "(flip(0.5) * id(RR) ; ite)")
+        script = tmp_path / "steps.txt"
+        script.write_text("apply E10 at root dir L2R with p=0.5, q=0.5\n")
+        code, out, _ = run(capsys, "rewrite", str(circuit), str(script))
+        assert code == EXIT_OK
+        assert "flip(0.25)" in out and "flip(0.3333333333333333)" in out
 
     def test_rewrite_no_match(self, tmp_path, capsys):
         circuit = tmp_path / "c.cgm"

@@ -17,6 +17,7 @@ import pytest
 
 from cgm.axioms import (CATALOG, _trial_seed, get_axiom, mutant_of,
                         sample_binding)
+from cgm.dsl import parse
 from cgm.errors import InadmissibleBinding
 from cgm.linalg import Matrix
 from cgm.normalform import (NFTree, decide_equiv, disintegrate,
@@ -24,7 +25,8 @@ from cgm.normalform import (NFTree, decide_equiv, disintegrate,
                             nftree_equal, reordered_shape, tree_is_exact)
 from cgm.randcircuit import TermSampler
 from cgm.semantics import evaluate, max_deviation, mixtures_equal
-from oracles import (reference_max_deviation, reference_mixtures_equal,
+from oracles import (reference_first_certificate_difference,
+                     reference_max_deviation, reference_mixtures_equal,
                      reference_nftree_equal, reference_tree_is_exact)
 
 BACKENDS = ("rational", "float")
@@ -121,9 +123,10 @@ def perturbations(tree: NFTree, delta):
                 leaves = list(tree.leaves)
                 leaves[i] = (key, tuple(comps))
                 yield replace(tree, leaves=tuple(leaves))
-    for bits_in, row in tree.bool_marginal.rows:
-        for out, _ in row:
-            table = {b: dict(r) for b, r in tree.bool_marginal.rows}
+    for bits_in, row in tree.bool_marginal.table:
+        for out in (c.bool_out for c in row):
+            table = {b: {c.bool_out: c.weight for c in r}
+                     for b, r in tree.bool_marginal.table}
             table[bits_in][out] += delta
             yield replace(tree, bool_marginal=make_bool_kernel(
                 tree.p, tree.q, table))
@@ -154,3 +157,18 @@ def test_perturbed_mixtures(backend):
                         table = tuple((b, tuple(moved) if b == bits else c)
                                       for b, c in mix.table)
                         check_mixtures(mix, replace(mix, table=table))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("left, right, message", [
+    ("flip(1/2)", "stdnormal", "shape (0, 0, 1, 0) vs (0, 0, 0, 1)"),
+    ("stdnormal", "flip(1/2) * stdnormal * (stdnormal ; scal(2)) ; ite",
+     "leaf(a'=, a=): 1 vs 2 components"),
+], ids=["shape", "component-count"])
+def test_structural_difference_messages(left, right, message, backend):
+    # Certificates of other shapes, or with cells of other sizes: the
+    # corpora above meet a differing scalar or marginal row first.
+    a, b = (disintegrate(evaluate(parse(text), backend=backend))
+            for text in (left, right))
+    assert first_certificate_difference(a, b) == message
+    assert reference_first_certificate_difference(a, b) == message

@@ -5,9 +5,9 @@ import pytest
 
 from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
                          TypeWord, bools, fold, generator_count,
-                         has_float_literal, identity, mk_generator, par,
-                         reals, seq, seq_all, swap, to_exact_params,
-                         to_float_params)
+                         has_float_literal, identity, map_params,
+                         mk_generator, par, reals, seq, seq_all, swap,
+                         to_exact_params, to_float_params)
 from cgm.dsl import parse, print_term
 from cgm.errors import (BiasOutOfRange, MissingParam, NonFiniteParam,
                         TypeMismatch, UnexpectedParam)
@@ -136,6 +136,46 @@ class TestFold:
         floated = to_float_params(seq(mk_generator(GenKind.FLIP, Fraction(1, 2)), t))
         assert floated.late is t and has_float_literal(floated)
         assert generator_count(floated) == 2 ** 30 + 1
+
+
+def folded_float_literal(t) -> bool:
+    """Whether some parameter of `t` is a float, by a fold over its leaves."""
+    def either(_t, a, b):
+        return a or b
+    return fold(t, lambda s: isinstance(s, Gen) and
+                isinstance(s.generator.param, float), either, either)
+
+
+class TestFloatLiteralFlag:
+    """Each node records whether it holds a float literal as it is built;
+    `has_float_literal` reads that record, which must agree with a fold."""
+
+    def test_sampled_terms_agree_with_a_fold(self):
+        rng = random.Random(71)
+        sampler = TermSampler(rng)
+        outcomes = set()
+        for _ in range(150):
+            t = sampler.closed_term()
+            # About one parameter in three becomes a float of the same value.
+            mixed = map_params(t, lambda x: float(x) if rng.random() < 0.3 else x)
+            for term in (t, mixed, to_float_params(mixed), to_exact_params(mixed)):
+                for s in subterms(term):
+                    assert has_float_literal(s) is folded_float_literal(s)
+                outcomes.add(has_float_literal(term))
+        assert outcomes == {False, True}
+
+    def test_deep_chain(self):
+        # The flip is 10^5 levels below the root: first exact, then float.
+        nots = [mk_generator(GenKind.NOT)] * 10 ** 5
+        chain = seq_all(mk_generator(GenKind.FLIP, Fraction(1, 4)), *nots)
+        floated = to_float_params(chain)
+        late = seq(chain, seq(mk_generator(GenKind.BOOL_DISCARD),
+                              mk_generator(GenKind.FLIP, 0.25)))
+        terms = (chain, floated, to_exact_params(floated), late)
+        # Flags first, so that a failure does not print the deep terms.
+        flags = [(has_float_literal(t), folded_float_literal(t)) for t in terms]
+        assert flags == [(False, False), (True, True), (False, False),
+                         (True, True)]
 
 
 class TestDeepTermValues:

@@ -12,7 +12,7 @@ from cgm.dsl import print_term
 from cgm.errors import TypeMismatch
 from cgm.gadgets import add_n, convex_mix, discard_all, gaussian_circuit
 from cgm.linalg import Matrix
-from cgm.normalform import (BoolKernel, CellComponent, NFTree, decide_equiv,
+from cgm.normalform import (CellComponent, NFTree, decide_equiv,
                             disintegrate, emit_nf, first_certificate_difference, make_bool_kernel,
                             nftree_equal, synth_bool, synth_cnf, zero_cell)
 from cgm.randcircuit import TermSampler
@@ -184,7 +184,7 @@ class TestSynthBool:
             mix = evaluate(synth_bool(kernel))
             for bits in itertools.product((0, 1), repeat=p):
                 got = {c.bool_out: c.weight for c in mix.row(bits)}
-                assert got == kernel.row(bits)
+                assert got == {c.bool_out: c.weight for c in kernel.row(bits)}
 
 
 class TestEmit:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cgm import diagram, semantics
 from cgm.axioms import (CATALOG, _trial_seed, check_soundness, get_axiom,
-                        instantiate, sample_binding)
+                        instantiate, rewrite_at, sample_binding)
 from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          TypeWord, bools, flip, identity, mk_generator, par,
                          par_all, reals, seq, seq_all, to_exact_params,
@@ -268,6 +268,16 @@ class TestCanonicalProduct:
         assert out.table == reference_tensor(tiny, tiny).table
         assert len(out.row(())) == 3
 
+    def test_underflowing_composed_weights_are_dropped(self):
+        # One composed weight, 1e-200 * 1e-200, underflows to 0.0; the
+        # canonical builder drops it, so `compose` filters nothing itself.
+        term = seq(flip(1e-200),
+                   seq(mk_generator(GenKind.BOOL_DISCARD), flip(1e-200)))
+        got = evaluate(term)
+        assert mixtures_equal(got, reference_evaluate(term))
+        assert [(c.bool_out, c.weight) for c in got.row(())] == \
+            [((0,), 1.0), ((1,), 1e-200)]
+
 
 class TestEvaluate:
     def test_worked_mixture(self):
@@ -405,6 +415,20 @@ class TestValueMemo:
         for _, rhs in sides:
             evaluate(rhs)
         assert len(builds) > 2 * shared    # c alone builds something
+
+    def test_rewrite_sides_build_a_bound_subterm_once(self, builds):
+        # `rewrite_at` checks ``c ; id`` against c through one memo, so the
+        # replacement builds nothing that the replaced subterm did not.
+        schema = get_axiom("SMC-seq-unit-r")
+        binding = {"c": parse("flip(1/3) * stdnormal ; copyB * scal(2)")}
+        lhs, rhs = instantiate(schema, binding)
+        evaluate(lhs)
+        alone = len(builds)
+        evaluate(rhs)
+        assert len(builds) > alone       # c alone builds something
+        del builds[:]
+        assert rewrite_at(lhs, (), schema, "L2R", binding) == rhs
+        assert len(builds) == alone
 
     def test_evicted_generator_kernels_change_nothing(self, monkeypatch):
         # A kernel evicted between the two sides of an instance may be freed;
