@@ -174,9 +174,9 @@ def cmd_sample(args) -> int:
             f"kernel wants {mix.p} bits and {mix.m} reals, got "
             f"{len(bits)} and {len(xs)}")
     bools_out, reals_out = sample_many(mix, bits, xs, args.count, args.seed)
-    for row_bits, row_reals in zip(bools_out, reals_out):
-        reals_text = ", ".join(repr(float(v)) for v in row_reals)
-        print(f"({bits_to_str(row_bits)}, [{reals_text}])")
+    sys.stdout.write("".join(
+        f"({bits_to_str(row_bits)}, [{', '.join(map(repr, row_reals))}])\n"
+        for row_bits, row_reals in zip(bools_out, reals_out.tolist())))
     return EXIT_OK
 
 

@@ -186,8 +186,9 @@ class Swap:
 class _Composite:
     """Structural equality, hash and repr for Seq and Par over explicit
     stacks, so terms of any depth can be compared, hashed and printed.  A
-    pair of nodes is compared once, so shared subterms cost once; a node's
-    hash is computed when first asked for and cached on the node."""
+    pair of nodes is compared once and a shared node printed once, so
+    shared subterms cost once; a node's hash is computed when first asked
+    for and cached on the node."""
 
     def __eq__(self, other):
         todo, seen = [(self, other)], set()     # seen: node pairs entered
@@ -218,12 +219,29 @@ class _Composite:
         return self._hash
 
     def __repr__(self):
-        out, todo = [], [self]
+        # A composite reached twice (by identity) is printed once, behind a
+        # label "#k=", and as "#k#" after that, so a shared term prints in
+        # its distinct nodes; an unshared term has no labels.
+        seen, shared, todo = set(), set(), [self]
+        while todo:
+            for c in children(todo.pop()):
+                if isinstance(c, _Composite):
+                    if id(c) in seen:
+                        shared.add(id(c))
+                    else:
+                        seen.add(id(c))
+                        todo.append(c)
+        labels, out, todo = {}, [], [self]
         while todo:
             t = todo.pop()
             if type(t) is str:
                 out.append(t)
+            elif id(t) in labels:
+                out.append(f"#{labels[id(t)]}#")
             elif isinstance(t, _Composite):
+                if id(t) in shared:
+                    labels[id(t)] = len(labels) + 1
+                    out.append(f"#{len(labels)}=")
                 (f, a), (g, b) = ((name, getattr(t, name))
                                   for name in t.__dataclass_fields__)
                 todo += (")", b, f", {g}=", a, f"{type(t).__name__}({f}=")

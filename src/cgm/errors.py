@@ -55,7 +55,12 @@ class InputCapExceeded(CgmError):
 
 
 class InvalidDrawCount(CgmError):
-    """A sampler or the soundness harness was asked for a negative count."""
+    """A sampler or the soundness harness was asked for a count that is
+    not a non-negative integer."""
+
+
+class InvalidSeed(CgmError):
+    """A sampler was given a seed that is not a non-negative integer."""
 
 
 class InvalidWeight(CgmError):

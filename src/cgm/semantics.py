@@ -34,12 +34,19 @@ operand values once, keyed by their ids; equal leaves are one object, so
 equal subterms are too.  `axioms.check_soundness` and `axioms.rewrite_at`
 share that memo between the two sides of an instance.  Nothing is kept
 from one call to the next.
+
+Sampling is the one exception: the first `sample_many` call on a row of a
+kernel builds the row's float arrays, guide table and Boolean outputs and
+keeps them on the kernel, which is frozen, so later calls only draw and
+gather.  They hold derived data, never draws, and `evaluate`, `==` and
+`mixture_to_json` neither build nor read them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -49,7 +56,7 @@ from typing import NamedTuple
 from .diagram import (Colour, GenKind, Generator, Id, Seq, Swap, Term,
                       TypeWord, fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                     InvalidWeight, NonFiniteParam, TypeMismatch)
+                     InvalidSeed, InvalidWeight, NonFiniteParam, TypeMismatch)
 from .linalg import (CovFactor, Matrix, Scalar, _finite, block_diag,
                      common_denominator, cov_block, cov_compose, drop_zero_columns,
                      matrix_to_json, quantize_key, scalar_to_json, vstack)
@@ -93,6 +100,7 @@ class CGMixture:
     table: tuple   # sorted tuple of (bits, tuple-of-components)
 
     _canon = None   # a `_Canon` on every kernel `_canonical` builds
+    _sampling = None   # {bits: `_SampleRow`} once `sample_many` draws from it
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", dict(self.table))
@@ -643,21 +651,19 @@ def moments(mix: CGMixture, bits: BitVec = (), xs=()) -> Moments:
                    Matrix.over(n, n, _finite(v / den for v in cov), None))
 
 
-def _pick_components(rng, weights, count: int):
-    """`count` component indices drawn by `weights`: NumPy's
-    ``Generator.choice(len(weights), size=count, p=weights / weights.sum())``
-    bit for bit, from the same `count` uniforms of `rng`.
+def _guide_table(weights) -> tuple:
+    """The guide table `_pick_components` draws by `weights` from:
+    ``(scaled, start, cells)``.
 
-    Both invert the cdf at each uniform u.  A guide table (Chen and Asau,
-    1974) splits [0, 1) into `cells`, a power of two at least 4 times the
-    number of components, and holds for each cell the first component whose
-    cdf point lies past the cell's left edge.  Scaling by a power of two is
-    exact, so ``u * cells`` and ``cdf * cells`` compare as u and the cdf do.
-    A draw in a cell holding at most one cdf point is then settled by one
-    comparison; a cell holding more starts at the sentinel `size`, and its
-    draws (at most 1/8 of them in expectation, as at most size / 2 cells
-    are crowded) go to one `searchsorted`.  ``cdf[-1]`` is exactly 1 and
-    ``u < 1``, so no draw passes the last component of positive weight.
+    Component i is picked for a uniform u below its cdf point and at or past
+    the one before, as in NumPy's ``Generator.choice``.  The table (Chen and
+    Asau, 1974) splits [0, 1) into `cells`, a power of two at least 4 times
+    the number of components, and `start` holds for each cell the first
+    component whose cdf point lies past the cell's left edge.  Scaling by a
+    power of two is exact, so ``u * cells`` and `scaled`, the cdf times
+    `cells`, compare as u and the cdf do.  A cell holding more than one cdf
+    point starts at the sentinel `size`, where `scaled` ends in an infinity.
+    ``cdf[-1]`` is exactly 1.
 
     Raises `NonFiniteParam` for a NaN or infinite weight and
     `InvalidWeight` for a negative weight or a total that is zero or
@@ -685,41 +691,53 @@ def _pick_components(rng, weights, count: int):
     guide = scaled.searchsorted(np.arange(cells + 1), side="right")
     start = guide[:-1]
     start[np.diff(guide) > 1] = size
+    return np.append(scaled, np.inf), start, cells
+
+
+def _pick_components(rng, table: tuple, count: int):
+    """`count` component indices drawn through the `_guide_table` of
+    `weights`: NumPy's ``Generator.choice(len(weights), size=count,
+    p=weights / weights.sum())`` bit for bit, from the same `count`
+    uniforms of `rng`.
+
+    A draw in a cell holding at most one cdf point is settled by one
+    comparison; a crowded cell's draws (at most 1/8 of them in expectation,
+    as at most size / 2 cells are crowded) go to one `searchsorted`.
+    ``u < 1``, so no draw passes the last component of positive weight.
+    """
+    import numpy as np
+    scaled, start, cells = table
+    size = len(scaled) - 1
     x = rng.random(count)
     x *= cells
     idx = start.take(x.astype(np.intp))
-    idx += np.append(scaled, np.inf).take(idx) <= x
+    idx += scaled.take(idx) <= x
     crowded = np.flatnonzero(idx == size)
     idx[crowded] = scaled.searchsorted(x[crowded], side="right")
     return idx
 
 
-def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
-    """`count` seeded draws; returns (list of Boolean outputs, (count, n) array).
+class _SampleRow(NamedTuple):
+    """One table row's arrays for `sample_many` (`_sample_row`)."""
+    table: tuple     # its `_guide_table`
+    lin: object      # (size, n, m) floats
+    mu: object       # (size, n) floats
+    factors: tuple   # per output coordinate, a contiguous (size, k) array
+    width: int       # k, the standard normals each draw takes
+    outs: object     # the Boolean outputs, an object array
+    out: tuple | None   # the one Boolean output of every component, if so
 
-    A draw picks a component by weight and returns ``A x + mu + F z`` with
-    ``F F^T = Sigma``.  Factors wider than n are replaced by the n x n
-    ``R^T`` of a QR decomposition of ``F^T``, so every draw takes at most n
-    standard normals.  The draws are a deterministic function of the seed.
-    Components are picked through a guide table (`_pick_components`), which
-    gives NumPy's ``Generator.choice`` indices from the same uniforms.
-    Entries go into NumPy as floats (`Matrix.floats`); factor rows and outputs are
-    gathered with `np.take`, one (count, k) block per output coordinate.
 
-    Raises `InvalidDrawCount` for a negative count, `NonFiniteParam` for a
-    NaN or infinite weight in the row, `InvalidWeight` for a negative
-    weight or a total that is zero or overflows, and `NonFiniteResult` if a
-    centre or a draw leaves the float range.  NumPy is imported here, so
-    only sampling loads it.
-    """
+def _sample_row(mix: CGMixture, bits: BitVec, comps: tuple) -> _SampleRow:
+    """The arrays `sample_many` draws from row `bits`, built on its first
+    call and kept on the kernel, which is frozen; a row whose weights raise
+    keeps nothing."""
+    row = (mix._sampling or {}).get(bits)
+    if row is not None:
+        return row
     import numpy as np
-    comps, x = _input_point(mix, bits, xs)
-    if count < 0:
-        raise InvalidDrawCount(f"cannot draw {count} samples: the count is negative")
     n, m, size = mix.n, mix.m, len(comps)
-    rng = np.random.default_rng(seed)
-    idx = _pick_components(rng, np.array([c.weight for c in comps], dtype=float),
-                           count)
+    table = _guide_table(np.array([c.weight for c in comps], dtype=float))
     lin = np.array([c.lin.floats() for c in comps], dtype=float).reshape(size, n, m)
     mu = np.array([c.mean.floats() for c in comps], dtype=float).reshape(size, n)
     width = max(c.cov.factor.cols for c in comps)
@@ -729,17 +747,62 @@ def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
         fac[ci, :, :k] = np.array(c.cov.factor.floats(), dtype=float).reshape(n, k)
     if width > n:
         fac = np.linalg.qr(fac.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
-    z = rng.standard_normal((count, fac.shape[2]))
+    factors = tuple(np.ascontiguousarray(fac[:, i]) for i in range(n))
+    outs = np.fromiter((c.bool_out for c in comps), dtype=object, count=size)
+    shared = {c.bool_out for c in comps}
+    row = _SampleRow(table, lin, mu, factors, fac.shape[2], outs,
+                     shared.pop() if len(shared) == 1 else None)
+    if mix._sampling is None:
+        object.__setattr__(mix, "_sampling", {})
+    mix._sampling[bits] = row
+    return row
+
+
+def sample_many(mix: CGMixture, bits: BitVec, xs, count: int, seed: int):
+    """`count` seeded draws; returns (list of Boolean outputs, (count, n) array).
+
+    A draw picks a component by weight and returns ``A x + mu + F z`` with
+    ``F F^T = Sigma``.  Factors wider than n are replaced by the n x n
+    ``R^T`` of a QR decomposition of ``F^T``, so every draw takes at most n
+    standard normals.  The draws are a deterministic function of the seed.
+    Components are picked through a guide table (`_guide_table`), which
+    gives NumPy's ``Generator.choice`` indices from the same uniforms.
+
+    The row's float arrays (`Matrix.floats`), its guide table, one
+    contiguous (size, k) factor array per output coordinate and its outputs
+    are built on the first call and kept on the kernel (`_sample_row`), so a
+    call draws, computes the centres at `xs` and gathers by index; the draws
+    are those of a fresh build.
+
+    Raises `InvalidDrawCount` for a count and `InvalidSeed` for a seed that
+    is not a non-negative integer, `NonFiniteParam` for a NaN or infinite
+    weight in the row, `InvalidWeight` for a negative weight or a total that
+    is zero or overflows, and `NonFiniteResult` if a centre or a draw leaves
+    the float range.  NumPy is imported here, so only sampling loads it.
+    """
+    import numpy as np
+    comps, x = _input_point(mix, bits, xs)
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise InvalidDrawCount(f"cannot draw {count!r} samples: the count must be "
+                               "a non-negative integer")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidSeed(f"cannot seed the sampler with {seed!r}: the seed must be "
+                          "a non-negative integer")
+    row = _sample_row(mix, tuple(bits), comps)
+    rng = np.random.default_rng(seed)
+    idx = _pick_components(rng, row.table, count)
+    z = rng.standard_normal((count, row.width))
     with np.errstate(over="ignore", invalid="ignore"):
-        centres = lin @ np.array(x.floats(), dtype=float) + mu
+        centres = row.lin @ np.array(x.floats(), dtype=float) + row.mu
         reals_out = np.take(centres, idx, axis=0)
-        for i in range(n):
-            reals_out[:, i] += np.einsum("dk,dk->d", np.take(fac[:, i], idx, axis=0), z)
+        for i, fac in enumerate(row.factors):
+            reals_out[:, i] += np.einsum("dk,dk->d", fac.take(idx, axis=0), z)
     for values in (centres, reals_out):
         if not np.isfinite(values).all():
             _finite(values.flat)   # raises, naming the first bad entry
-    outs = np.fromiter((c.bool_out for c in comps), dtype=object, count=size)
-    return np.take(outs, idx).tolist(), reals_out
+    if row.out is not None:
+        return [row.out] * count, reals_out
+    return np.take(row.outs, idx).tolist(), reals_out
 
 
 def sample(mix: CGMixture, bits: BitVec, xs, seed: int):

@@ -8,6 +8,8 @@ from cgm import cli
 from cgm.axioms import Failure, SoundnessReport, soundness_suite
 from cgm.cli import (EXIT_BOUNDARY, EXIT_CAP, EXIT_NOT_EQUIVALENT,
                      EXIT_NO_MATCH, EXIT_OK, EXIT_PARSE, main)
+from cgm.dsl import parse
+from cgm.semantics import bits_to_str, evaluate, sample_many, str_to_bits
 
 MIXTURE = """# p-mixture of N(3,1) and N(0,4)
 let n31 = (stdnormal * one) ; (id(R) * scal(3)) ; add in
@@ -233,6 +235,29 @@ class TestSample:
         code, out, err = run(capsys, "sample", mixture_file, "-n", "-1")
         assert code == EXIT_PARSE and out == ""
         assert "cannot draw -1 samples" in err
+
+    def test_negative_seed_exits_1(self, mixture_file, capsys):
+        # Unchecked, it printed "error: expected non-negative integer".
+        code, out, err = run(capsys, "sample", mixture_file, "--seed", "-1")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == ("error: cannot seed the sampler with -1: the seed must "
+                       "be a non-negative integer\n")
+
+    @pytest.mark.parametrize("source, bits, reals, count", [
+        (MIXTURE, "", "", 300), ("flip(1/3) * (stdnormal ; delR)", "", "", 20),
+        ("ite * flip(1/4)", "1", "0.5,-2", 50), ("add", "", "1,2", 0)])
+    def test_lines_are_each_draw(self, tmp_path, capsys, source, bits, reals, count):
+        path = tmp_path / "k.cgm"
+        path.write_text(source)
+        code, out, _ = run(capsys, "sample", str(path), "-n", str(count),
+                           "--seed", "3", "--bits", bits, f"--reals={reals}")
+        bools_out, reals_out = sample_many(
+            evaluate(parse(source)), str_to_bits(bits),
+            [float(v) for v in reals.split(",") if v], count, 3)
+        assert code == EXIT_OK
+        assert out == "".join(
+            f"({bits_to_str(b)}, [{', '.join(repr(float(v)) for v in r)}])\n"
+            for b, r in zip(bools_out, reals_out))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_input_point_exits_1(self, tmp_path, capsys, value):

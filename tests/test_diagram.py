@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,22 @@ class TestFold:
         floated = to_float_params(seq(mk_generator(GenKind.FLIP, Fraction(1, 2)), t))
         assert floated.late is t and has_float_literal(floated)
         assert generator_count(floated) == 2 ** 30 + 1
+
+    def test_shared_doubling_repr_is_linear(self):
+        # Expanded, this repr would print 2^30 generators and not return.
+        t = mk_generator(GenKind.NOT)
+        once = seq(t, t)
+        assert "#" not in repr(seq(seq(t, t), seq(t, t)))
+        assert repr(seq(once, once)) == f"Seq(early=#1={once!r}, late=#1#)"
+        for _ in range(30):
+            t = seq(t, t)
+        started = time.perf_counter()
+        text = repr(t)
+        assert time.perf_counter() - started < 5
+        assert len(text) < 2000 and text.count("Gen(") == 2
+        assert all(text.count(f"#{k}=Seq(") == text.count(f"#{k}#") == 1
+                   for k in range(1, 30))
+        assert "#30" not in text
 
 
 def folded_float_literal(t) -> bool:

@@ -21,8 +21,8 @@ from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          to_float_params)
 from cgm.dsl import parse, print_term
 from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                        InvalidWeight, NonFiniteParam, NonFiniteResult,
-                        TypeMismatch)
+                        InvalidSeed, InvalidWeight, NonFiniteParam,
+                        NonFiniteResult, TypeMismatch)
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit, matrix_circuit, mix_gate, nary_copy,
                          sort_boundary, thick_ite)
@@ -30,7 +30,7 @@ from cgm.linalg import CovFactor, Matrix
 from cgm.normalform import decide_equiv, disintegrate, emit_nf, nftree_equal
 from cgm.randcircuit import BOOLEAN_KINDS, GAUSSIAN_KINDS, TermSampler
 from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
-                           _pick_components, all_bitvecs, canonicalize,
+                           _guide_table, _pick_components, all_bitvecs, canonicalize,
                            compose, evaluate, identity_kernel, interp_generator,
                            max_deviation, mixture_is_exact, mixture_to_json,
                            mixtures_equal, moments, sample,
@@ -1038,6 +1038,26 @@ class TestMomentsAndSampling:
         with pytest.raises(InvalidDrawCount, match="-1"):
             sample_many(self._example(), (), (), -1, 0)
 
+    @pytest.mark.parametrize("count, seed, error, message", [
+        (2.5, 0, InvalidDrawCount, "cannot draw 2.5 samples"),
+        ("3", 0, InvalidDrawCount, "cannot draw '3' samples"),
+        (None, 0, InvalidDrawCount, "cannot draw None samples"),
+        (3, -1, InvalidSeed, "cannot seed the sampler with -1"),
+        (3, 1.5, InvalidSeed, "cannot seed the sampler with 1.5"),
+        (3, None, InvalidSeed, "cannot seed the sampler with None"),
+        (-1, -1, InvalidDrawCount, "cannot draw -1 samples")])
+    def test_bad_count_or_seed_is_typed(self, count, seed, error, message):
+        # Unchecked, NumPy raised a TypeError for 2.5 and a bare
+        # "ValueError: expected non-negative integer" for seed -1.
+        with pytest.raises(error, match=re.escape(message)):
+            sample_many(self._example(), (), (), count, seed)
+
+    def test_numpy_integers_draw_as_ints(self):
+        mix = self._example()
+        got = sample_many(mix, (), (), np.int64(40), np.uint32(7))
+        want = sample_many(mix, (), (), 40, 7)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
     def test_zero_count(self):
         bools_out, reals_out = sample_many(self._example(), (), (), 0, 0)
         assert bools_out == [] and reals_out.shape == (0, 1)
@@ -1159,6 +1179,55 @@ class TestSamplerOracle:
         assert {key[2] for key in seen} == {True, False}
 
 
+class TestSampleRowCache:
+    """The arrays `sample_many` keeps on a kernel change no draw and no
+    value of the kernel."""
+
+    def test_warm_rows_draw_as_the_reference(self):
+        rows_seen = 0
+        for t, _, xs in sampler_cases():
+            for backend in ("rational", "float"):
+                mix = evaluate(t, backend=backend)
+                rows = all_bitvecs(mix.p)
+                # Every row cold, then warm, sampled by turns.
+                for seed, count in ((3, 200), (4, 200), (5, 1)):
+                    for bits in rows:
+                        got = sample_many(mix, bits, xs, count, seed)
+                        want = reference_sample_many(mix, bits, xs, count, seed)
+                        assert got[0] == want[0]
+                        assert np.array_equal(got[1], want[1])
+                assert set(mix._sampling) == set(rows)
+                rows_seen += len(rows)
+        assert rows_seen > 2 * len(sampler_cases())
+
+    def test_warm_row_at_another_input_point(self):
+        t = convex_mix(Fraction(1, 3),
+                       gauss_map_circuit(Matrix.from_rows([[1, 2], [0, -1]]),
+                                         Matrix.column([1, 0]),
+                                         Matrix.from_rows([[1, 0, 2], [0, 3, 1]])),
+                       gauss_map_circuit(Matrix.from_rows([[2, 0], [1, 1]]),
+                                         Matrix.column([0, -2]),
+                                         Matrix.from_rows([[1], [2]])))
+        mix = evaluate(t, backend="float")
+        for xs in ([0.5, 1.0], [-3.0, 2.5], [0.5, 1.0]):
+            got = sample_many(mix, (), xs, 100, 11)
+            want = reference_sample_many(mix, (), xs, 100, 11)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            one = reference_sample_many(mix, (), xs, 1, 11)
+            assert np.array_equal(sample(mix, (), xs, 11)[1], one[1][0])
+
+    def test_kernel_value_is_unchanged(self):
+        for t, bits, xs in sampler_cases():
+            mix = evaluate(t)
+            fresh = CGMixture(mix.dom_word, mix.cod_word, mix.table)
+            before = mixture_to_json(mix)
+            sample_many(mix, bits, xs, 10, 0)
+            assert mix._sampling and fresh._sampling is None
+            assert mix == fresh and hash(mix) == hash(fresh)
+            assert mixture_to_json(mix) == before
+            assert mixtures_equal(mix, fresh)
+
+
 @st.composite
 def pick_cases(draw):
     """(weights, count, seed): 1 to 512 random weights, some of them
@@ -1197,7 +1266,7 @@ class TestComponentPick:
     def test_indices_equal_choice(self, case):
         weights, count, seed = case
         mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _pick_components(mine, weights, count)
+        got = _pick_components(mine, _guide_table(weights), count)
         want = theirs.choice(len(weights), size=count, p=weights / weights.sum())
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert mine.bit_generator.state == theirs.bit_generator.state
@@ -1212,15 +1281,16 @@ class TestComponentPick:
 
         below_one = np.nextafter(1.0, 0.0)
         u = [0.0, 0.25, np.nextafter(0.25, 0.0), 0.5, 0.75, below_one]
-        picked = _pick_components(Uniforms(), np.array([1.0, 1.0, 2.0]), len(u))
+        picked = _pick_components(Uniforms(), _guide_table(np.array([1.0, 1.0, 2.0])),
+                                  len(u))
         assert picked.tolist() == [0, 1, 0, 2, 2, 2]
         u = [0.0, 0.5, np.nextafter(0.5, 0.0), below_one]
-        picked = _pick_components(Uniforms(), np.array([0.0, 1.0, 0.0, 1.0, 0.0]),
-                                  len(u))
+        picked = _pick_components(
+            Uniforms(), _guide_table(np.array([0.0, 1.0, 0.0, 1.0, 0.0])), len(u))
         assert picked.tolist() == [1, 3, 1, 3]
         # 1/3 lies inside a cell, so the comparison, not the table, decides.
         u = [1 / 3, np.nextafter(1 / 3, 0.0), np.nextafter(1 / 3, 1.0)]
-        picked = _pick_components(Uniforms(), np.array([1.0, 2.0]), len(u))
+        picked = _pick_components(Uniforms(), _guide_table(np.array([1.0, 2.0])), len(u))
         assert picked.tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("weights, error, message", [
@@ -1235,10 +1305,13 @@ class TestComponentPick:
         parts = tuple(GaussComponent(w, (), Matrix.zeros(1, 0), Matrix.column([mu]),
                                      CovFactor(Matrix.from_rows([[1.0]])))
                       for mu, w in enumerate(weights))
+        with pytest.raises(error, match=re.escape(message)):
+            _guide_table(np.array(weights))
         mix = CGMixture(TypeWord(), reals(1), (((), parts),))
-        for count in (0, 10):
+        for count in (0, 10, 10):
             with pytest.raises(error, match=re.escape(message)):
                 sample_many(mix, (), (), count, 0)
+        assert mix._sampling is None
 
 
 def assert_moments_close(got, want, eps):
