@@ -140,6 +140,17 @@ class Generator:
         elif self.param is not None:
             raise UnexpectedParam(f"{self.kind.value} takes no parameter")
 
+    def __eq__(self, other):
+        # A literal's field is part of the value: Fraction(1, 2) == 0.5, but
+        # flip(1/2) and flip(0.5) print, and may evaluate, differently.
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return (self.kind, type(self.param), self.param) == \
+            (other.kind, type(other.param), other.param)
+
+    def __hash__(self):
+        return hash((self.kind, type(self.param), self.param))
+
     @property
     def dom(self) -> TypeWord:
         return SIGNATURES[self.kind][0]

@@ -55,30 +55,22 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
     if sorted(dest) != list(range(n)):
         raise ValueError(f"not a permutation of {n} wires: {dest}")
     cur = list(range(n))
-    terms = []
+    layers = []
     while True:
         # One left-to-right scan decides and emits the layer's crossings;
         # they are disjoint, so each decision sees wires not yet moved.
-        parts, run, k = [], [], 0
+        parts, k = [], 0
         while k < n:
             if k < n - 1 and dest[cur[k]] > dest[cur[k + 1]]:
-                if run:
-                    parts.append(identity(TypeWord(tuple(run))))
-                    run = []
                 parts.append(swap(word[cur[k]], word[cur[k + 1]]))
                 cur[k], cur[k + 1] = cur[k + 1], cur[k]
                 k += 2
             else:
-                run.append(word[cur[k]])
+                parts.append(identity(word[cur[k]:cur[k] + 1]))
                 k += 1
-        if len(run) == n:       # no crossing left: sorted
-            break
-        if run:
-            parts.append(identity(TypeWord(tuple(run))))
-        terms.append(par_all(*parts))
-    if not terms:
-        return identity(word)
-    return seq_all(*terms)
+        layers.append(par_trim(*parts))
+        if isinstance(layers[-1], Id):      # no crossing left: sorted
+            return seq_trim(*layers)
 
 
 # nary_copy(c, k), add_n(k) and ite_n(k) by k: each is built in a loop on
@@ -104,8 +96,6 @@ def nary_copy(colour: Colour, n: int) -> Term:
 
 @lru_cache(maxsize=None)
 def discard_all(word: TypeWord) -> Term:
-    if len(word) == 0:
-        return identity(EMPTY)
     return par_all(*(nary_copy(c, 0) for c in word))
 
 
@@ -191,21 +181,18 @@ def matrix_circuit(a: Matrix) -> Term:
     n, m = a.rows, a.cols
     col_uses = [[i for i in range(n) if a.at(i, j) != 0] for j in range(m)]
     row_uses = [[j for j in range(m) if a.at(i, j) != 0] for i in range(n)]
-    fan = par_trim(*(nary_copy(Colour.R, len(us)) for us in col_uses)) \
-        if m else identity(EMPTY)
+    fan = par_trim(*(nary_copy(Colour.R, len(us)) for us in col_uses))
     col_major = [(j, i) for j in range(m) for i in col_uses[j]]
     scales = []
     for j, i in col_major:
         coeff = a.at(i, j)
         scales.append(identity(reals(1)) if coeff == 1
                       else mk_generator(GenKind.SCALAR, coeff))
-    scale_layer = par_trim(*scales) if col_major else identity(EMPTY)
+    scale_layer = par_trim(*scales)
     row_major = [(j, i) for i in range(n) for j in row_uses[i]]
     dest = tuple(row_major.index(pos) for pos in col_major)
     route = permute_term(reals(len(col_major)), dest)
-    sums = par_trim(*(add_n(len(us)) for us in row_uses)) if n else identity(EMPTY)
-    if n == 0:
-        return fan if m else identity(EMPTY)
+    sums = par_trim(*(add_n(len(us)) for us in row_uses))
     return seq_trim(fan, scale_layer, route, sums)
 
 
@@ -238,8 +225,7 @@ def gauss_map_circuit(a: Matrix, mu, factor: Matrix) -> Term:
     pair = par(matrix_circuit(a), noise)
     dest = tuple(2 * i for i in range(n)) + tuple(2 * i + 1 for i in range(n))
     riffle = permute_term(reals(2 * n), dest)
-    adds = (par_all(*(mk_generator(GenKind.ADD) for _ in range(n))) if n
-            else identity(EMPTY))
+    adds = par_all(*(mk_generator(GenKind.ADD) for _ in range(n)))
     return seq_trim(pair, riffle, adds)
 
 
@@ -276,6 +262,5 @@ def convex_mix(bias, first: Term, second: Term) -> Term:
     m, n = first.dom.n_real, first.cod.n_real
     if len(first.dom) != m or len(first.cod) != n:
         raise DimensionMismatch("convex_mix branches must be all-real")
-    body = seq(copy_bundle(reals(m)), par(first, second)) if m \
-        else par(first, second)
+    body = seq_trim(copy_bundle(reals(m)), par(first, second))
     return seq(par(mk_generator(GenKind.FLIP, bias), body), ite_n(n))

@@ -48,10 +48,9 @@ class TermSampler:
         den = self.rng.randint(1, DEN_CAP)
         return Fraction(self.rng.randint(-DEN_CAP, DEN_CAP), den)
 
-    def word(self, max_len: int | None = None, colours=None) -> TypeWord:
+    def word(self, max_len: int | None = None) -> TypeWord:
         length = self.rng.randint(0, max_len if max_len is not None else self.max_word)
-        pool = colours or self.colours
-        return TypeWord(tuple(self.rng.choice(pool) for _ in range(length)))
+        return TypeWord(tuple(self.rng.choice(self.colours) for _ in range(length)))
 
     def _source(self, colour: Colour) -> Term:
         if colour is Colour.B:

@@ -30,9 +30,10 @@ with a 0/1 kernel.  The result is the same canonical kernel.
 
 The denotation of a Seq or Par depends only on its operands' values, so
 within one call `evaluate` builds each distinct operation on the same two
-operand values once, keyed by their ids; equal leaves are one object, so
-equal subterms are too.  `axioms.check_soundness` and `axioms.rewrite_at`
-share that memo between the two sides of an instance.  Nothing is kept
+operand values once, keyed by their ids.  Leaf values come from one cache
+keyed by value (`_leaf`), so equal leaves are one object, and equal
+subterms are too.  `axioms.check_soundness` and `axioms.rewrite_at` share
+that memo between the two sides of an instance.  The memo is not kept
 from one call to the next.
 
 Sampling is the one exception: the first `sample_many` call on a row of a
@@ -164,13 +165,11 @@ class Wiring:
     reals: tuple
 
     @staticmethod
-    @lru_cache(maxsize=4096)
     def identity(word: TypeWord) -> "Wiring":
         return Wiring(word, word, tuple(range(word.n_bool)),
                       tuple(range(word.n_real)))
 
     @staticmethod
-    @lru_cache(maxsize=4096)
     def swap(first: Colour, second: Colour) -> "Wiring":
         dom = TypeWord((first, second))
         cod = TypeWord((second, first))
@@ -423,14 +422,6 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
     return _canonical(dom, cod, rows, field, tol)
 
 
-@lru_cache(maxsize=4096)
-def _generator_kernel(gen: Generator, field: type, tol: float) -> CGMixture:
-    # `field` is part of the key: Fraction(1, 2) == 0.5 and both hash
-    # alike, but a float flip(0.5) must not get the exact kernel.
-    mix = interp_generator(gen, field)
-    return _build(mix.dom_word, mix.cod_word, mix.table, field, tol)
-
-
 def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
     cols, nums = mat.cols, mat.nums
     return Matrix.over(len(picks), cols, (
@@ -464,7 +455,12 @@ def _as_kernel(k, field: type) -> CGMixture:
     return wiring_kernel(k, field) if isinstance(k, Wiring) else k
 
 
+@lru_cache(maxsize=4096)
 def _leaf(field, tol, t: Term):
+    """The value of a leaf over `field`: a `Wiring` for an identity, swap,
+    copy or discard, else the generator's canonical kernel, its parameter
+    cast to `field`.  The one cache of leaf values: keyed by value, so
+    equal leaves are one object, which `_evaluate`'s memo relies on."""
     if isinstance(t, Id):
         return Wiring.identity(t.word)
     if isinstance(t, Swap):
@@ -475,7 +471,8 @@ def _leaf(field, tol, t: Term):
         return wiring
     if gen.param is not None and type(gen.param) is not field:
         gen = Generator(gen.kind, field(gen.param))
-    return _generator_kernel(gen, field, tol)
+    mix = interp_generator(gen, field)
+    return _build(mix.dom_word, mix.cod_word, mix.table, field, tol)
 
 
 def _seq(tol, f, g):
@@ -517,8 +514,8 @@ def _evaluate(term: Term, cap: int, tol: float, backend: str,
               built: dict) -> CGMixture:
     """`evaluate`, building each ``(field, node type, left value, right
     value)`` once per `built`, a memo keyed by the operands' ids.  Equal
-    leaves are one object (generator kernels and wirings come from caches
-    keyed by value), so by induction equal subterms get one value.  Each
+    leaves are one object (`_leaf`, the one cache of leaf values, is keyed
+    by value), so by induction equal subterms get one value.  Each
     entry holds its operands, so no id in a key is reused while `built`
     lives, even when a cache evicts a leaf between two calls.  A hit is the
     kernel a miss would build: `_seq` and `_par` read only their operands.

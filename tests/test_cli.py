@@ -61,6 +61,13 @@ class TestEval:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"{path}:2:8: parse error: zero denominator in '1/0'\n"
 
+    def test_bad_number_exit(self, tmp_path, capsys):
+        path = tmp_path / "x.cgm"
+        path.write_text("flip(x)")
+        code, out, err = run(capsys, "eval", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"{path}:1:6: parse error: expected a number, found 'x'\n"
+
     def test_non_finite_literal_exit(self, tmp_path, capsys):
         bad = tmp_path / "huge.cgm"
         bad.write_text("stdnormal ; scal(1e400)")
@@ -512,6 +519,13 @@ class TestSingleInput:
         code, out, err = run(capsys, "eval", str(path), "--input", "10")
         assert code == EXIT_PARSE and out == ""
         assert "--input needs 1 bits, got 2" in err
+
+    def test_non_bit_input_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "gate.cgm"
+        path.write_text("not")
+        code, out, err = run(capsys, "eval", str(path), "--input", "2")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: not a bit string: '2'\n"
 
 
 class TestRewriteScriptSyntax:

@@ -216,6 +216,14 @@ class TestDeepTermValues:
         assert par(a, a) != par(a, b)
         assert a != par(identity(EMPTY), a)
 
+    def test_literal_field_is_part_of_the_value(self):
+        # Fraction(1, 2) == 0.5, but the two terms print and evaluate apart.
+        a, b = parse("flip(1/2) ; not"), parse("flip(0.5) ; not")
+        assert a != b and not a == b
+        assert len({a, b}) == 2
+        same = parse("flip(2/4) ; not")
+        assert a == same and hash(a) == hash(same)
+
     def test_shared_subterms_compare_once(self):
         # 2^25 paths through 26 distinct nodes on each side.
         a, b = mk_generator(GenKind.NOT), mk_generator(GenKind.NOT)

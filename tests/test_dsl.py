@@ -67,6 +67,22 @@ class TestParse:
         assert ((span.start_line, span.start_col),
                 (span.end_line, span.end_col)) == (start, end)
 
+    @pytest.mark.parametrize("text, start, end, message", [
+        ("flip(1/2) $", (1, 11), (1, 11), "unexpected character '$'"),
+        ("id(B", (1, 5), (1, 5), "expected ')', found ''"),
+        ("let x = not", (1, 12), (1, 12), "expected 'in', found ''"),
+        ("id(BX)", (1, 4), (1, 5), "bad word 'BX': use letters B and R"),
+        ("swap(B,X)", (1, 8), (1, 8), "expected colour B or R, found 'X'"),
+        ("flip(x)", (1, 6), (1, 6), "expected a number, found 'x'")])
+    def test_error_message_and_span(self, text, start, end, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, filename="e.cgm")
+        span = err.value.span
+        assert str(err.value) == message
+        assert span.file == "e.cgm"
+        assert ((span.start_line, span.start_col),
+                (span.end_line, span.end_col)) == (start, end)
+
     def test_let_binding(self):
         t = parse("let g = stdnormal ; scal(2) in g * g")
         assert (t.dom, t.cod) == (TypeWord(), R + R)

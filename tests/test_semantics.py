@@ -280,6 +280,10 @@ class TestCanonicalProduct:
 
 
 class TestEvaluate:
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            evaluate(parse("not"), backend="bogus")
+
     def test_worked_mixture(self):
         g1 = gaussian_circuit([3], Matrix.from_rows([[1]]))
         g2 = gaussian_circuit([0], Matrix.from_rows([[2]]))
@@ -448,8 +452,8 @@ class TestValueMemo:
 
         want = outcomes()
         assert all(failures == [] for _, failures in want[0])
-        monkeypatch.setattr(semantics, "_generator_kernel", lru_cache(maxsize=1)(
-            semantics._generator_kernel.__wrapped__))
+        monkeypatch.setattr(semantics, "_leaf", lru_cache(maxsize=1)(
+            semantics._leaf.__wrapped__))
         assert outcomes() == want
 
 
@@ -660,7 +664,7 @@ class TestBackendCastAtLeaves:
             return scan(mix)
 
         monkeypatch.setattr(semantics, "mixture_is_exact", counted)
-        semantics._generator_kernel.cache_clear()
+        semantics._leaf.cache_clear()
         semantics.wiring_kernel.cache_clear()
         for t in cast_corpus():
             for backend in ("auto", "rational", "float"):
