@@ -26,7 +26,6 @@ def main() -> int:
     args = parser.parse_args()
 
     reports = []
-    worst = 0.0
     start = time.time()
     for name in CATALOG:
         tick = time.time()
@@ -36,7 +35,6 @@ def main() -> int:
         print(f"{name:16s} {status}  ({args.trials} trials, "
               f"{time.time() - tick:5.2f}s)")
         for failure in report.failures:
-            worst = max(worst, failure.deviation)
             print(f"    deviation={failure.deviation!r} with {failure.binding}")
         reports.append({"name": name, "trials": report.trials,
                         "failures": [{"bindingDump": f.binding,

@@ -157,8 +157,8 @@ def check_binding(schema: AxiomSchema, binding: dict):
                 f"{schema.name}: bias {name}={value} not in [0,1]",
                 constraint=f"bias:{name}")
     for name in schema.circuit_vars:
-        if name not in binding:
-            raise InadmissibleBinding(f"{schema.name}: missing circuit {name}",
+        if not isinstance(binding.get(name), Term):     # missing, or not a term
+            raise InadmissibleBinding(f"{schema.name}: {name} must be a circuit",
                                       constraint=f"circuit:{name}")
     if schema.validate is not None:
         schema.validate(binding)
@@ -312,7 +312,8 @@ def _smc_schemas():
         validate=_validate_swap_nat)
     yield AxiomSchema(
         "SMC-swap-invol", "crossing twice is the identity",
-        build=_build_swap_invol, sample=_sample_swap_invol)
+        build=_build_swap_invol, sample=_sample_swap_invol,
+        validate=lambda b: _check_colours(b, "ab"))
 
 
 def _validate_chain(*names):
@@ -354,8 +355,14 @@ def _validate_swap_nat(binding):
         raise InadmissibleBinding(
             "swap naturality is stated for single-wire circuits",
             constraint="single-wire")
-    if not isinstance(binding.get("k"), Colour):
-        raise InadmissibleBinding("k must be a colour", constraint="colour")
+    _check_colours(binding, "k")
+
+
+def _check_colours(binding, names):
+    for name in names:
+        if not isinstance(binding.get(name), Colour):
+            raise InadmissibleBinding(f"{name} must be a colour",
+                                      constraint="colour")
 
 
 def _sample_swap_nat(sampler: TermSampler):

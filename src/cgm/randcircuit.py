@@ -3,9 +3,9 @@
 Used by the axiom soundness harness for circuit metavariables and by the
 test suite as a fuzzing source.  Generation is driven entirely by a
 ``random.Random`` instance, so everything derived from a seed is
-reproducible.  A "bridge" (discard the whole domain, source the whole
-codomain) guarantees a term exists between any two words, which lets the
-generator recurse freely.
+reproducible.  Generators are drawn from one table of ``SIGNATURES`` by
+boundary.  A "bridge" (discard the domain, source the codomain) makes a
+term exist between any two words, which lets the generator recurse freely.
 """
 
 from __future__ import annotations
@@ -13,16 +13,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .diagram import (Colour, EMPTY, GenKind, SIGNATURES, Term, TypeWord,
+from .diagram import (Colour, GenKind, SIGNATURES, Term, TypeWord,
                       identity, mk_generator, par, par_all, seq, swap)
+from .gadgets import nary_copy, seq_trim
 
-BOOLEAN_KINDS = frozenset({GenKind.BOOL_DISCARD, GenKind.BOOL_COPY,
-                           GenKind.AND, GenKind.NOT, GenKind.FLIP})
-GAUSSIAN_KINDS = frozenset({GenKind.REAL_DISCARD, GenKind.REAL_COPY,
-                            GenKind.ZERO, GenKind.ADD, GenKind.SCALAR,
-                            GenKind.ONE, GenKind.STD_NORMAL})
+BOOLEAN_KINDS, GAUSSIAN_KINDS = (
+    frozenset(k for k, (dom, cod) in SIGNATURES.items() if set(dom + cod) == {c})
+    for c in (Colour.B, Colour.R))
 ALL_KINDS = frozenset(GenKind)
 DEN_CAP = 6     # largest denominator of a sampled bias or scalar
+
+# {(dom, cod): [kinds with that signature]}, in name order: the draws rely on it.
+_BY_BOUNDARY = {sig: [k for k in sorted(GenKind, key=lambda k: k.value)
+                      if SIGNATURES[k] == sig] for sig in SIGNATURES.values()}
 
 
 class TermSampler:
@@ -52,54 +55,41 @@ class TermSampler:
         length = self.rng.randint(0, max_len if max_len is not None else self.max_word)
         return TypeWord(tuple(self.rng.choice(self.colours) for _ in range(length)))
 
+    def _generator(self, kind: GenKind) -> Term:
+        """A generator of `kind`; a flip draws its bias and a scal its scalar."""
+        return mk_generator(kind, self.bias() if kind is GenKind.FLIP else
+                            self.scalar() if kind is GenKind.SCALAR else None)
+
     def _source(self, colour: Colour) -> Term:
         if colour is Colour.B:
-            return mk_generator(GenKind.FLIP, self.bias())
-        choices = []
-        if GenKind.ZERO in self.kinds:
-            choices.append(lambda: mk_generator(GenKind.ZERO))
-        if GenKind.ONE in self.kinds:
-            choices.append(lambda: mk_generator(GenKind.ONE))
-        if GenKind.STD_NORMAL in self.kinds:
-            choices.append(lambda: mk_generator(GenKind.STD_NORMAL))
-            if GenKind.SCALAR in self.kinds:
-                choices.append(lambda: seq(mk_generator(GenKind.STD_NORMAL),
-                                           mk_generator(GenKind.SCALAR, self.scalar())))
+            return self._generator(GenKind.FLIP)
+        choices = [k for k in (GenKind.ZERO, GenKind.ONE, GenKind.STD_NORMAL)
+                   if k in self.kinds]
+        if GenKind.STD_NORMAL in choices and GenKind.SCALAR in self.kinds:
+            choices.append(GenKind.SCALAR)      # stands for stdnormal ; scal(k)
         if not choices:
             raise ValueError("no real-valued sources in the kind set")
-        return self.rng.choice(choices)()
-
-    def _sink(self, colour: Colour) -> Term:
-        kind = GenKind.BOOL_DISCARD if colour is Colour.B else GenKind.REAL_DISCARD
-        return mk_generator(kind)
+        kind = self.rng.choice(choices)
+        if kind is GenKind.SCALAR:
+            return seq(mk_generator(GenKind.STD_NORMAL), self._generator(kind))
+        return self._generator(kind)
 
     def bridge(self, dom: TypeWord, cod: TypeWord) -> Term:
         """Discard everything, then source the codomain; types always fit."""
-        drop = par_all(*(self._sink(c) for c in dom)) if len(dom) else identity(EMPTY)
-        make = par_all(*(self._source(c) for c in cod)) if len(cod) else identity(EMPTY)
-        if len(dom) == 0:
-            return make
-        if len(cod) == 0:
-            return drop
-        return seq(drop, make)
+        return seq_trim(par_all(*(nary_copy(c, 0) for c in dom)),
+                        par_all(*(self._source(c) for c in cod)))
 
     def _primitive(self, dom: TypeWord, cod: TypeWord) -> Term:
-        options = [lambda: self.bridge(dom, cod)]
+        options = [None]        # the bridge; it and a kind are built once picked
         if dom == cod:
-            options.append(lambda: identity(dom))
-        if len(dom) == 2 and len(cod) == 2 and \
-                (cod.colours[0], cod.colours[1]) == (dom.colours[1], dom.colours[0]):
-            options.append(lambda: swap(dom.colours[0], dom.colours[1]))
-        for kind in sorted(self.kinds, key=lambda k: k.value):
-            sig_dom, sig_cod = SIGNATURES[kind]
-            if sig_dom == dom and sig_cod == cod:
-                if kind is GenKind.FLIP:
-                    options.append(lambda k=kind: mk_generator(k, self.bias()))
-                elif kind is GenKind.SCALAR:
-                    options.append(lambda k=kind: mk_generator(k, self.scalar()))
-                else:
-                    options.append(lambda k=kind: mk_generator(k))
-        return self.rng.choice(options)()
+            options.append(identity(dom))
+        if len(dom) == 2 and cod == dom[::-1]:
+            options.append(swap(*dom))
+        options += [k for k in _BY_BOUNDARY.get((dom, cod), ()) if k in self.kinds]
+        pick = self.rng.choice(options)
+        if pick is None:
+            return self.bridge(dom, cod)
+        return self._generator(pick) if isinstance(pick, GenKind) else pick
 
     def term(self, dom: TypeWord, cod: TypeWord, depth: int | None = None) -> Term:
         if depth is None:

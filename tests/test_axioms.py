@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from cgm.axioms import (AXIOM_TABLE, CATALOG, CORE_NAMES, MUTANT_TABLE,
-                        SMC_NAMES, assoc_normal, check_soundness, e10_weights,
+                        SMC_NAMES, AxiomSchema, assoc_normal, check_soundness,
+                        e10_weights,
                         get_axiom, instantiate, mutant_of, replace_at,
                         rewrite_at, sample_binding, subterm_at, _entries,
                         _first_mismatch, _METAVAR, _trial_seed)
-from cgm.diagram import (B, Gen, GenKind, R, Seq, identity, mk_generator,
-                         par, reals, seq, seq_all)
+from cgm.diagram import (B, Colour, Gen, GenKind, R, Seq, identity,
+                         mk_generator, par, reals, seq, seq_all)
 from cgm.dsl import parse, print_term
 from cgm.errors import (InadmissibleBinding, InvalidDrawCount, InvalidPath,
                         NoMatch)
@@ -136,6 +137,22 @@ class TestInstantiate:
         with pytest.raises(InadmissibleBinding):
             instantiate(get_axiom("E4"), {"c": bad, "d": bad})
 
+    # A value of the wrong sort for a metavariable is inadmissible, never a
+    # failure inside the schema's build.
+    @pytest.mark.parametrize("name, binding, constraint", [
+        ("SMC-seq-unit-l", {"c": Fraction(3)}, "circuit:c"),
+        ("SMC-seq-unit-l", {"c": Colour.B}, "circuit:c"),
+        ("E4", {"c": Colour.B, "d": Colour.R}, "circuit:c"),
+        ("SMC-interchange", {"c1": 1, "c2": 2, "d1": 3, "d2": 4}, "circuit:c1"),
+        ("SMC-swap-invol", {}, "colour"),
+        ("SMC-swap-invol", {"a": Fraction(3), "b": Colour.B}, "colour"),
+        ("SMC-swap-invol", {"a": Colour.B, "b": mk_generator(GenKind.NOT)},
+         "colour")])
+    def test_mistyped_binding_is_inadmissible(self, name, binding, constraint):
+        with pytest.raises(InadmissibleBinding) as caught:
+            instantiate(get_axiom(name), binding)
+        assert caught.value.constraint == constraint
+
     def test_type_preservation_across_catalog(self):
         rng = random.Random(8)
         for name in CATALOG:
@@ -143,6 +160,53 @@ class TestInstantiate:
             binding = sample_binding(schema, random.Random(rng.randint(0, 10**6)))
             lhs, rhs = instantiate(schema, binding)
             assert (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod)
+
+
+# One case per refusal of `check_binding`, of each `validate` and of
+# `sample_binding`: the constraint it names and its message.
+SCAL, ADD, NOT, ZERO = (mk_generator(GenKind.SCALAR, 2),
+                        mk_generator(GenKind.ADD), mk_generator(GenKind.NOT),
+                        mk_generator(GenKind.ZERO))
+NEVER = AxiomSchema("never", "no draw binds c", circuit_vars=("c",),
+                    sample=lambda _sampler: {})
+
+
+@pytest.mark.parametrize("refuse, constraint, message", [
+    pytest.param(lambda: instantiate(get_axiom("C1-scal"), {}),
+                 "scalar:k", "C1-scal: missing scalar k", id="missing-scalar"),
+    pytest.param(lambda: instantiate(get_axiom("C1-scal"), {"k": "2"}),
+                 "scalar:k", "C1-scal: k is not a scalar", id="not-a-scalar"),
+    pytest.param(lambda: instantiate(get_axiom("D2-flip"), {"p": Fraction(3, 2)}),
+                 "bias:p", "D2-flip: bias p=3/2 not in [0,1]", id="bias-range"),
+    pytest.param(lambda: instantiate(get_axiom("E5"), {}),
+                 "circuit:c", "E5: c must be a circuit", id="missing-circuit"),
+    pytest.param(lambda: instantiate(get_axiom("E4"), {"c": ZERO, "d": ZERO}),
+                 "noise-input", "E4: c needs the shared noise input",
+                 id="e4-noise"),
+    pytest.param(lambda: instantiate(get_axiom("E4"), {"c": SCAL, "d": ADD}),
+                 "equal-boundaries", "E4: c and d need equal boundaries",
+                 id="e4-boundaries"),
+    pytest.param(lambda: instantiate(get_axiom("SMC-seq-assoc"),
+                                     {"c": SCAL, "d": NOT, "e": NOT}),
+                 "composable-chain", "chain breaks between c and d", id="chain"),
+    pytest.param(lambda: instantiate(get_axiom("SMC-interchange"),
+                                     {"c1": SCAL, "d1": NOT, "c2": NOT, "d2": NOT}),
+                 "composable-columns", "interchange needs composable columns",
+                 id="interchange"),
+    pytest.param(lambda: instantiate(get_axiom("SMC-swap-nat"),
+                                     {"c": ADD, "k": Colour.B}),
+                 "single-wire", "swap naturality is stated for single-wire "
+                 "circuits", id="swap-nat-wires"),
+    pytest.param(lambda: instantiate(get_axiom("SMC-swap-nat"),
+                                     {"c": SCAL, "k": Fraction(1)}),
+                 "colour", "k must be a colour", id="swap-nat-colour"),
+    pytest.param(lambda: sample_binding(NEVER, random.Random(0)),
+                 "sampling", "never: could not sample a binding",
+                 id="sampling-gives-up")])
+def test_refusals_name_their_constraint(refuse, constraint, message):
+    with pytest.raises(InadmissibleBinding) as caught:
+        refuse()
+    assert (caught.value.constraint, str(caught.value)) == (constraint, message)
 
 
 class TestSoundness:

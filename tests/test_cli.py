@@ -573,6 +573,24 @@ class TestRewriteScriptSyntax:
         assert out.startswith(
             "id(B) * (copyR ; swap(R,R)) * (copyR ; swap(R,R)) ; ")
 
+    # A value of the wrong sort for a metavariable is an error of its line,
+    # not a traceback.
+    @pytest.mark.parametrize("step, message", [
+        ("apply SMC-seq-unit-l at root dir R2L with c=3",
+         "SMC-seq-unit-l: c must be a circuit"),
+        ("apply SMC-seq-unit-l at root dir R2L with c=B",
+         "SMC-seq-unit-l: c must be a circuit"),
+        ("apply E4 at root dir L2R with c=B, d=R", "E4: c must be a circuit"),
+        ("apply SMC-interchange at root dir L2R with c1=1, c2=2, d1=3, d2=4",
+         "SMC-interchange: c1 must be a circuit"),
+        ("apply SMC-swap-invol at root dir R2L", "a must be a colour"),
+        ("apply SMC-swap-invol at root dir R2L with a=3, b=B",
+         "a must be a colour")])
+    def test_mistyped_binding_exits_1(self, tmp_path, capsys, step, message):
+        got = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
+                           step + "\n")
+        assert got == (EXIT_PARSE, "", f"error: line 1: {message}\n")
+
     # A parse error in a braced circuit names its file, line and column in
     # the script.
     @pytest.mark.parametrize("step, where, message", [

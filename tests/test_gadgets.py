@@ -3,11 +3,35 @@ import random
 import sys
 from fractions import Fraction
 
-from cgm.diagram import B, Colour, reals
-from cgm.gadgets import (add_n, gaussian_circuit, ite_n, matrix_circuit,
-                         nary_copy, thick_ite)
+import pytest
+
+from cgm.diagram import B, Colour, GenKind, mk_generator, reals
+from cgm.errors import DimensionMismatch
+from cgm.gadgets import (add_n, convex_mix, gauss_map_circuit,
+                         gaussian_circuit, ite_n, matrix_circuit, nary_copy,
+                         thick_ite)
 from cgm.linalg import Matrix
 from cgm.semantics import evaluate
+
+
+ONE_BY_ONE = Matrix.from_rows([[1]])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: gaussian_circuit([1, 2], ONE_BY_ONE),
+                 "mean is 2x1, factor has 1 rows", id="gaussian"),
+    pytest.param(lambda: gauss_map_circuit(ONE_BY_ONE, [0, 0], ONE_BY_ONE),
+                 "inconsistent Gaussian map dimensions", id="gauss-map"),
+    pytest.param(lambda: convex_mix(Fraction(1, 2),
+                                    mk_generator(GenKind.SCALAR, 2),
+                                    mk_generator(GenKind.ADD)),
+                 "convex_mix needs equal boundaries", id="mix-boundaries"),
+    pytest.param(lambda: convex_mix(Fraction(1, 2), mk_generator(GenKind.NOT),
+                                    mk_generator(GenKind.NOT)),
+                 "convex_mix branches must be all-real", id="mix-all-real")])
+def test_mismatched_dimensions_are_typed(build, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        build()
 
 
 class TestNaryCopy:

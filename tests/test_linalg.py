@@ -36,6 +36,27 @@ float_entries = st.one_of(st.just(0.0), st.just(-0.0),
 mixed_entries = st.one_of(exact_entries, float_entries)
 dims = st.integers(min_value=0, max_value=5)
 
+ROW = Matrix.from_rows([[1, 2]])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Matrix(-1, 0, ()), "negative matrix dimension",
+                 id="negative"),
+    pytest.param(lambda: Matrix(2, 2, (1, 2, 3)), "entry count 3 != 2x2",
+                 id="entry-count"),
+    pytest.param(lambda: Matrix.from_rows([[1, 2], [3]]), "ragged rows",
+                 id="ragged"),
+    pytest.param(lambda: ROW + ROW.transpose(), "add 1x2 with 2x1", id="add"),
+    pytest.param(lambda: ROW @ ROW, "mul 1x2 with 1x2", id="matmul"),
+    pytest.param(lambda: hstack(ROW, ROW.transpose()), "hstack rows 1 != 2",
+                 id="hstack"),
+    pytest.param(lambda: vstack(ROW, ROW.transpose()), "vstack cols 2 != 1",
+                 id="vstack"),
+    pytest.param(lambda: ldlt(ROW), "ldlt needs a square matrix", id="ldlt")])
+def test_mismatched_shapes_are_typed(build, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        build()
+
 
 @st.composite
 def matrices(draw, entries, rows=dims, cols=dims):

@@ -392,9 +392,13 @@ class TestValueMemo:
     """`evaluate` builds each Seq or Par of the same operand values once per
     call, and `check_soundness` once per instance."""
 
+    # Re-parsing loses sharing by identity, but equal leaves are one object
+    # (`_leaf`), so equal re-parsed subterms hit the memo.  The emitted
+    # `stacked_coins(4)` circuit is put beside itself, so that a re-parse
+    # whose leaves were not interned would build about twice as much.
     @pytest.mark.parametrize("make", [
-        lambda: emit_nf(disintegrate(evaluate(
-            test_normalform.TestDeepCascade.stacked_coins(4)))),
+        lambda: par_all(*[emit_nf(disintegrate(evaluate(
+            test_normalform.TestDeepCascade.stacked_coins(4))))] * 2),
         lambda: thick_ite(3, 2)], ids=["emitted-coins", "thick-ite"])
     def test_reparsed_term_builds_no_more(self, make, builds):
         term = make()

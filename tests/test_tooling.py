@@ -9,7 +9,8 @@ is loaded the same way: one cycle of its Monte Carlo ops, one pass over its
 dense-mixture ops, nf-roundtrip's anchor ops (whose certificates the
 workload pins by digest) and the first 600 axiom-suite ops must pass the
 workload's own checks.  And no `src/cgm` module imports a name it never
-uses, nor defines a function or class that nothing names.
+uses, nor defines a function or class that nothing names, nor raises an
+exception outside `CgmError` at a site not listed here.
 """
 
 import ast
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import cgm
+from cgm import errors
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -196,3 +198,55 @@ def test_every_definition_is_named_elsewhere():
     unnamed = [f"{module}: {name}" for (module, name), count in own.items()
                if named[name] <= count]
     assert unnamed == []
+
+
+# Every `raise` in `src/cgm` of an exception that is not a `CgmError`, by
+# module, enclosing function (class-qualified) and exception, once per site.
+# A new one fails here until it raises a typed error or is listed.
+UNTYPED_RAISES = (
+    ("axioms", "instantiate", "AssertionError"),
+    ("axioms", "rewrite_at", "ValueError"),
+    ("axioms", "rewrite_at", "AssertionError"),
+    ("cli", "main", "ValueError"),
+    ("cli", "main", "ValueError"),
+    ("diagram", "mk_generator", "ValueError"),
+    ("diagram", "seq_all", "ValueError"),
+    ("gadgets", "permute_term", "ValueError"),
+    ("gadgets", "nary_copy", "ValueError"),
+    ("gadgets", "add_n", "ValueError"),
+    ("gadgets", "ite_n", "ValueError"),
+    ("gadgets", "thick_ite", "ValueError"),
+    ("linalg", "as_scalar", "TypeError"),
+    ("linalg", "as_scalar", "TypeError"),
+    ("linalg", "four_squares", "ValueError"),
+    ("linalg", "four_squares", "AssertionError"),
+    ("linalg", "sum_square_scales", "ValueError"),
+    ("linalg", "sum_square_scales", "ValueError"),
+    ("randcircuit", "TermSampler.__init__", "ValueError"),
+    ("randcircuit", "TermSampler._source", "ValueError"),
+    ("semantics", "str_to_bits", "ValueError"),
+    ("semantics", "interp_generator", "AssertionError"),
+    ("semantics", "_evaluate", "ValueError"),
+)
+
+
+def test_untyped_raises_are_listed():
+    # A bare `raise` re-raises what was caught, so it is not a site.
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = ast.unparse(exc)
+                typed = getattr(errors, name, None)
+                if not (isinstance(typed, type) and issubclass(typed, errors.CgmError)):
+                    found.append((module, where, name))
+            visit(child, module, inner)
+
+    for path in sorted(Path(cgm.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    assert sorted(found) == sorted(UNTYPED_RAISES)
