@@ -11,10 +11,11 @@ are builders.  Some axioms are drawn as pictures in their usual
 presentation; each text fixes one orientation (noted in its summary), and
 the soundness harness verifies the chosen reading semantically.
 
-A schema's `sample` draws one candidate binding, and its `validate` checks
-every constraint on a binding (through `check_binding`).  `sample_binding`
-is the one loop that redraws until a candidate passes, for schemas and
-mutants alike.
+A schema's `sample` draws one candidate binding.  `check_binding` refuses
+a name the schema does not declare and a value of the wrong sort (a `bool`
+is not a scalar), then runs its `validate` for the other constraints.
+`sample_binding` is the one loop that redraws until a candidate passes, for
+schemas and mutants alike.
 
 Matching for rewrites is structural modulo associativity of the two
 composition operations only; the structural laws themselves are schemas in
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -138,18 +139,25 @@ class AxiomSchema:
     summary: str
     scalar_vars: tuple = ()
     circuit_vars: tuple = ()
+    colour_vars: tuple = ()
     build: Callable = None
     sample: Callable = None
     validate: Callable = None
 
 
 def check_binding(schema: AxiomSchema, binding: dict):
+    declared = {*schema.circuit_vars, *schema.colour_vars, *dict(schema.scalar_vars)}
+    for name in binding:
+        if name not in declared:
+            raise InadmissibleBinding(f"{schema.name}: no variable {name}",
+                                      constraint=f"undeclared:{name}")
     for name, kind in schema.scalar_vars:
         if name not in binding:
             raise InadmissibleBinding(f"{schema.name}: missing scalar {name}",
                                       constraint=f"scalar:{name}")
         value = binding[name]
-        if not isinstance(value, (Fraction, int, float)):
+        if isinstance(value, bool) or \
+                not isinstance(value, (Fraction, int, float)):
             raise InadmissibleBinding(f"{schema.name}: {name} is not a scalar",
                                       constraint=f"scalar:{name}")
         if kind == "bias" and not 0 <= value <= 1:
@@ -160,6 +168,10 @@ def check_binding(schema: AxiomSchema, binding: dict):
         if not isinstance(binding.get(name), Term):     # missing, or not a term
             raise InadmissibleBinding(f"{schema.name}: {name} must be a circuit",
                                       constraint=f"circuit:{name}")
+    for name in schema.colour_vars:
+        if not isinstance(binding.get(name), Colour):
+            raise InadmissibleBinding(f"{name} must be a colour",
+                                      constraint="colour")
     if schema.validate is not None:
         schema.validate(binding)
 
@@ -307,13 +319,13 @@ def _smc_schemas():
         validate=_validate_interchange)
     yield AxiomSchema(
         "SMC-swap-nat", "wire crossings are natural in single-wire maps",
-        circuit_vars=("c",), scalar_vars=(),
+        circuit_vars=("c",), colour_vars=("k",),
         build=_build_swap_nat, sample=_sample_swap_nat,
         validate=_validate_swap_nat)
     yield AxiomSchema(
         "SMC-swap-invol", "crossing twice is the identity",
-        build=_build_swap_invol, sample=_sample_swap_invol,
-        validate=lambda b: _check_colours(b, "ab"))
+        colour_vars=("a", "b"),
+        build=_build_swap_invol, sample=_sample_swap_invol)
 
 
 def _validate_chain(*names):
@@ -355,14 +367,6 @@ def _validate_swap_nat(binding):
         raise InadmissibleBinding(
             "swap naturality is stated for single-wire circuits",
             constraint="single-wire")
-    _check_colours(binding, "k")
-
-
-def _check_colours(binding, names):
-    for name in names:
-        if not isinstance(binding.get(name), Colour):
-            raise InadmissibleBinding(f"{name} must be a colour",
-                                      constraint="colour")
 
 
 def _sample_swap_nat(sampler: TermSampler):
@@ -529,16 +533,14 @@ def _mutant_scale_output(schema: AxiomSchema):
             raise InadmissibleBinding("mutant needs an output wire",
                                       constraint="output-wire")
 
-    return AxiomSchema(schema.name + "-mutant",
-                       "rhs postcomposed with a non-identity on one output",
-                       schema.scalar_vars, schema.circuit_vars,
-                       build=build, sample=schema.sample, validate=validate)
+    return replace(schema, name=schema.name + "-mutant",
+                   summary="rhs postcomposed with a non-identity on one output",
+                   build=build, validate=validate)
 
 
 def _mutant_fixed(schema, summary, build):
-    return AxiomSchema(schema.name + "-mutant", summary, schema.scalar_vars,
-                       schema.circuit_vars, build=build, sample=schema.sample,
-                       validate=schema.validate)
+    return replace(schema, name=schema.name + "-mutant", summary=summary,
+                   build=build)
 
 
 _TEXT_MUTANTS = {name: _mutant_fixed(get_axiom(name), summary,

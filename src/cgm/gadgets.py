@@ -57,18 +57,21 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
     cur = list(range(n))
     layers = []
     while True:
-        # One left-to-right scan decides and emits the layer's crossings;
-        # they are disjoint, so each decision sees wires not yet moved.
-        parts, k = [], 0
+        # One left-to-right scan decides and emits the layer's crossings,
+        # and one `Id` per run of untouched wires; the crossings are
+        # disjoint, so each decision sees wires not yet moved.
+        parts, run, k = [], [], 0
         while k < n:
             if k < n - 1 and dest[cur[k]] > dest[cur[k + 1]]:
-                parts.append(swap(word[cur[k]], word[cur[k + 1]]))
+                parts += [identity(TypeWord(tuple(run))),
+                          swap(word[cur[k]], word[cur[k + 1]])]
+                run = []
                 cur[k], cur[k + 1] = cur[k + 1], cur[k]
                 k += 2
             else:
-                parts.append(identity(word[cur[k]:cur[k] + 1]))
+                run.append(word[cur[k]])
                 k += 1
-        layers.append(par_trim(*parts))
+        layers.append(par_trim(*parts, identity(TypeWord(tuple(run)))))
         if isinstance(layers[-1], Id):      # no crossing left: sorted
             return seq_trim(*layers)
 

@@ -19,6 +19,10 @@ over `den` None.  `entries` makes `Fraction`s; `floats` divides as
 ``n / den``, correctly rounded.  A product has one body for both: a dot
 product per entry, of numerators or of floats.  A float sum or product
 that leaves the float range raises `NonFiniteResult`.
+An empty operand contributes nothing: `hstack`, `vstack`, `block_diag`,
+`+` and `cov_block` return the other operand itself if both are in one
+field (`den` None on both or on neither); across fields the result is
+float, as ever.  A factor with no columns has the cached zero Gram matrix.
 """
 
 from __future__ import annotations
@@ -166,6 +170,8 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
                 f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        if (kept := _kept(self, other, self.rows, self.cols)) is not None:
+            return kept
         den, x, y, _ = _aligned(self, other)
         nums = map(add, x, y)
         return Matrix.over(self.rows, self.cols,
@@ -245,9 +251,22 @@ def _aligned(a: Matrix, b: Matrix) -> tuple:
     return den, _over(a, den), _over(b, den), 0
 
 
+def _kept(a: Matrix, b: Matrix, rows: int, cols: int):
+    """The operand that is the rows x cols result of combining `a` and `b`,
+    the other having no entries, if both are in one field; else None."""
+    if (a.den is None) is (b.den is None):
+        if not a.nums and (b.rows, b.cols) == (rows, cols):
+            return b
+        if not b.nums and (a.rows, a.cols) == (rows, cols):
+            return a
+    return None
+
+
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise DimensionMismatch(f"hstack rows {a.rows} != {b.rows}")
+    if (kept := _kept(a, b, a.rows, a.cols + b.cols)) is not None:
+        return kept
     den, x, y, _ = _aligned(a, b)
     ca, cb = a.cols, b.cols
     rows = (x[i * ca:(i + 1) * ca] + y[i * cb:(i + 1) * cb] for i in range(a.rows))
@@ -257,12 +276,16 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionMismatch(f"vstack cols {a.cols} != {b.cols}")
+    if (kept := _kept(a, b, a.rows + b.rows, a.cols)) is not None:
+        return kept
     den, x, y, _ = _aligned(a, b)
     return _matrix(a.rows + b.rows, a.cols, x + y, den)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """``[[a, 0], [0, b]]``, its entries built in one pass."""
+    if (kept := _kept(a, b, a.rows + b.rows, a.cols + b.cols)) is not None:
+        return kept
     den, x, y, zero = _aligned(a, b)
     ca, cb = a.cols, b.cols
     pad_a, pad_b, entries = (zero,) * ca, (zero,) * cb, []
@@ -280,8 +303,11 @@ class CovFactor:
     factor: Matrix
 
     def gram(self) -> Matrix:
-        """``L L^T``."""
-        return self.factor @ self.factor.transpose()
+        """``L L^T``; the cached zero matrix if L has no columns."""
+        f = self.factor
+        if f.cols:
+            return f @ f.transpose()
+        return Matrix.zeros(f.rows, f.rows, Fraction if f.exact else float)
 
 
 def drop_zero_columns(factor: Matrix) -> Matrix:
@@ -290,8 +316,6 @@ def drop_zero_columns(factor: Matrix) -> Matrix:
     Gram matrices are unchanged bit for bit: a zero term adds nothing to a
     dot product, of integers or of floats (see `Matrix.__matmul__`)."""
     k, nums = factor.cols, factor.nums
-    if not k:
-        return factor
     keep = [j for j in range(k) if any(nums[j::k])]
     if len(keep) == k:
         return factor
@@ -307,7 +331,10 @@ def cov_compose(b: Matrix, sigma: CovFactor, theta: CovFactor) -> CovFactor:
 
 
 def cov_block(sigma: CovFactor, theta: CovFactor) -> CovFactor:
-    return CovFactor(block_diag(sigma.factor, theta.factor))
+    """The block-diagonal factor; an empty one gives the other factor itself."""
+    factor = block_diag(sigma.factor, theta.factor)
+    return theta if factor is theta.factor else \
+        sigma if factor is sigma.factor else CovFactor(factor)
 
 
 def ldlt(sigma: Matrix, tol: float = 0.0):

@@ -25,8 +25,13 @@ factor, built directly; `linalg` checks the shapes as it multiplies.
 Identities, swaps, copies and discards only move wires: it keeps them, and
 any Seq/Par of them, as a `Wiring` (two index maps).  After a kernel it
 gathers the kernel's outputs; before one it picks each input row and
-multiplies each ``A`` by the wiring's 0/1 real map, instead of composing
-with a 0/1 kernel.  The result is the same canonical kernel.
+multiplies each ``A`` by the wiring's 0/1 real map (cached per wiring and
+field), instead of composing with a 0/1 kernel.  The result is the same
+canonical kernel.  An identity real map moves only bits: before a kernel
+exact or canonical at the caller's tolerance, each row is its row at the
+wired bits, components and recorded keys as they are, nothing rebuilt.
+Empty operands cost nothing: `linalg` returns the other operand of a
+stack, block or sum with an empty one when both are in one field.
 
 The denotation of a Seq or Par depends only on its operands' values, so
 within one call `evaluate` builds each distinct operation on the same two
@@ -209,6 +214,7 @@ def wiring_kernel(w: Wiring, field: type = Fraction) -> CGMixture:
     return _build(w.dom, w.cod, rows, field, DEFAULT_TOLERANCE)
 
 
+@lru_cache(maxsize=4096)
 def _real_map(w: Wiring, field: type) -> Matrix:
     """The 0/1 matrix of the wiring's reals: row j is the unit row ``reals[j]``."""
     return _rows_of(Matrix.identity(w.dom.n_real, field), w.reals)
@@ -360,6 +366,12 @@ def _build(dom, cod, rows, field: type, tol) -> CGMixture:
     return _canonical(dom, cod, out, field, tol)
 
 
+def _is_canonical(mix: CGMixture, tol) -> bool:
+    """Whether `mix` was built canonical: exact, or at `tol`."""
+    canon = mix._canon
+    return canon is not None and (canon.exact or canon.tol == tol)
+
+
 def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
     """Drop zero weights, merge equal components, sort by the canonical key.
 
@@ -369,8 +381,7 @@ def canonicalize(mix: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixture:
     returned comes back unchanged: at any tolerance when it is exact, at its
     own tolerance otherwise.
     """
-    canon = mix._canon
-    if canon is not None and (canon.exact or canon.tol == tol):
+    if _is_canonical(mix, tol):
         return mix
     return _build(mix.dom_word, mix.cod_word, mix.table, _field(mix), tol)
 
@@ -443,11 +454,17 @@ def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
 def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     """``w ; g``: the row at the wired bits, each ``A`` times the real map."""
     field = _field(g)
+    picks = [(bits, tuple(bits[i] for i in w.bits))
+             for bits in all_bitvecs(w.dom.n_bool)]
+    if w.reals == tuple(range(w.dom.n_real)) and _is_canonical(g, tol):
+        keyed = {bits: tuple(zip(keys, comps))
+                 for (bits, comps), keys in zip(g.table, g._canon.keys)}
+        return _canonical(w.dom, g.cod_word, [(bits, keyed[src])
+                                              for bits, src in picks], field, tol)
     real_map = _real_map(w, field)
     rows = [(bits, [GaussComponent(c.weight, c.bool_out, c.lin @ real_map,
-                                   c.mean, c.cov)
-                    for c in g.row(tuple(bits[i] for i in w.bits))])
-            for bits in all_bitvecs(w.dom.n_bool)]
+                                   c.mean, c.cov) for c in g.row(src)])
+            for bits, src in picks]
     return _build(w.dom, g.cod_word, rows, field, tol)
 
 

@@ -209,6 +209,23 @@ def test_refusals_name_their_constraint(refuse, constraint, message):
     assert (caught.value.constraint, str(caught.value)) == (constraint, message)
 
 
+# A `bool` is not a scalar, and a name the schema does not declare is not
+# ignored: both are refused before the schema's build.
+@pytest.mark.parametrize("name, binding, constraint, message", [
+    ("D2-flip", {"p": True}, "scalar:p", "D2-flip: p is not a scalar"),
+    ("C1-scal", {"k": False}, "scalar:k", "C1-scal: k is not a scalar"),
+    ("A1", {"zz": 3}, "undeclared:zz", "A1: no variable zz"),
+    ("D2-flip", {"p": Fraction(1, 2), "q": Fraction(1, 3)}, "undeclared:q",
+     "D2-flip: no variable q"),
+    ("SMC-swap-nat", {"c": SCAL, "k": Colour.R, "a": Colour.B},
+     "undeclared:a", "SMC-swap-nat: no variable a")])
+def test_bools_and_undeclared_names_are_inadmissible(name, binding, constraint,
+                                                     message):
+    with pytest.raises(InadmissibleBinding) as caught:
+        instantiate(get_axiom(name), binding)
+    assert (caught.value.constraint, str(caught.value)) == (constraint, message)
+
+
 class TestSoundness:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_quick_pass(self, name):

@@ -591,6 +591,19 @@ class TestRewriteScriptSyntax:
                            step + "\n")
         assert got == (EXIT_PARSE, "", f"error: line 1: {message}\n")
 
+    # A binding whose name the schema does not declare is an error of its
+    # line, not a rewrite that ignores it.
+    @pytest.mark.parametrize("step, message", [
+        ("apply A1 at root dir L2R with zz=3", "A1: no variable zz"),
+        ("\napply A1 at root dir L2R with x={ copyR }", "A1: no variable x"),
+        ("apply SMC-swap-invol at root dir R2L with a=R, b=R, c=B",
+         "SMC-swap-invol: no variable c")])
+    def test_undeclared_binding_exits_1(self, tmp_path, capsys, step, message):
+        line = 2 if step.startswith("\n") else 1
+        got = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
+                           step + "\n")
+        assert got == (EXIT_PARSE, "", f"error: line {line}: {message}\n")
+
     # A parse error in a braced circuit names its file, line and column in
     # the script.
     @pytest.mark.parametrize("step, where, message", [

@@ -370,6 +370,76 @@ class TestCovFactor:
             assert lhs == rhs
 
 
+# An empty operand contributes nothing: each stacking operation beside an
+# operand with no entries, where the result has the other's shape, returns
+# the other operand itself when both are in one field, and promotes the
+# result to float as before when they are not.  Each entry: the operation,
+# the empty operand's shape beside m, and the general path's value.
+STACKS = {"hstack": (hstack, lambda m: (m.rows, 0), reference_hstack),
+          "vstack": (vstack, lambda m: (0, m.cols), reference_vstack),
+          "block_diag": (block_diag, lambda m: (0, 0), reference_block_diag)}
+OTHERS = {"rational": mat([[1, Fraction(1, 2)], [-3, 4]]),
+          "float": Matrix.from_rows([[1.5, 0.0], [2.0, -1.0]])}
+
+
+class TestEmptyOperands:
+    @pytest.mark.parametrize("empty_first", [True, False])
+    @pytest.mark.parametrize("kind", OTHERS)
+    @pytest.mark.parametrize("name", STACKS)
+    def test_stack_beside_an_empty_operand_is_the_other(self, name, kind,
+                                                        empty_first):
+        op, shape, reference = STACKS[name]
+        other = OTHERS[kind]
+        empty = Matrix.zeros(*shape(other), Fraction if other.exact else float)
+        a, b = (empty, other) if empty_first else (other, empty)
+        assert op(a, b) is other
+        assert op(a, b) == reference(a, b)
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    @pytest.mark.parametrize("kind", OTHERS)
+    @pytest.mark.parametrize("name", STACKS)
+    def test_empty_operand_of_the_other_field_promotes(self, name, kind,
+                                                       empty_first):
+        op, shape, reference = STACKS[name]
+        other = OTHERS[kind]
+        empty = Matrix.zeros(*shape(other), float if other.exact else Fraction)
+        a, b = (empty, other) if empty_first else (other, empty)
+        want = reference(a, b)
+        out = op(a, b)
+        assert out.den is None and out is not other
+        assert out == Matrix.over(want.rows, want.cols, want.floats(), None)
+
+    def test_sum_of_empty_matrices_is_the_second(self):
+        a, b = Matrix(2, 0, ()), Matrix(2, 0, ())    # two objects
+        assert a is not b
+        assert a + b is b and a + b == reference_add(a, b)
+        for out in (a + Matrix.zeros(2, 0, float), Matrix.zeros(2, 0, float) + a):
+            assert out.den is None and (out.rows, out.cols) == (2, 0)
+
+    def test_cov_block_beside_an_empty_factor_is_the_other(self):
+        theta = CovFactor(mat([[1, 0], [Fraction(1, 2), 2]]))
+        empty = CovFactor(Matrix(0, 0, ()))
+        assert cov_block(empty, theta) is theta
+        assert cov_block(theta, empty) is theta
+        assert theta.factor == reference_block_diag(empty.factor, theta.factor)
+        for out in (cov_block(CovFactor(Matrix.zeros(0, 0, float)), theta),
+                    cov_block(theta, CovFactor(Matrix.zeros(0, 0, float)))):
+            assert out.factor.den is None
+            assert out.factor == Matrix.over(2, 2, theta.factor.floats(), None)
+
+    @pytest.mark.parametrize("field", [Fraction, float])
+    def test_gram_of_no_columns_is_the_cached_zero(self, field, monkeypatch):
+        factor = Matrix.over(3, 0, (), 1 if field is Fraction else None)
+        want = factor @ factor.transpose()
+        calls = []
+        for name in ("transpose", "__matmul__"):
+            monkeypatch.setattr(Matrix, name,
+                                lambda *args, _name=name: calls.append(_name))
+        out = CovFactor(factor).gram()
+        assert out is Matrix.zeros(3, 3, field) and not calls
+        assert out == want and out.den == want.den
+
+
 class TestLdlt:
     def test_scalar(self):
         lower, diag = ldlt(mat([[4]]))

@@ -548,6 +548,71 @@ class TestWiringFastPaths:
             assert evaluate(chain, backend=backend).table == want.table
 
 
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Counts the calls of `_build`, the one builder that sorts and merges."""
+    calls = []
+
+    def counted(*args, _build=semantics._build):
+        calls.append(1)
+        return _build(*args)
+    monkeypatch.setattr(semantics, "_build", counted)
+    return calls
+
+
+class TestIdentityRealMap:
+    """A wiring whose real map is the identity, before a kernel g that is
+    exact or canonical at the caller's tolerance, only moves bits: each row
+    is g's row at the wired bits, the same component objects, and no
+    `_build` runs.  Any other real map or g goes through `_build`."""
+
+    # BBR -> BBR, two components per row.
+    G = "and * scal(1/2) ; id(B) * flip(1/4) * id(R)"
+
+    def evaluate_after(self, wiring: str, g: str, kernel_builds):
+        built, args = {}, (semantics.DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, "auto")
+        g_term = parse(g)
+        value = semantics._evaluate(g_term, *args, built)
+        del kernel_builds[:]
+        term = seq(parse(wiring), g_term)
+        mix = semantics._evaluate(term, *args, built)
+        count = len(kernel_builds)
+        assert mix.table == reference_evaluate(term).table
+        return value, mix, count
+
+    def test_bits_move_and_components_are_shared(self, kernel_builds):
+        value, mix, count = self.evaluate_after("swap(B, B) * id(R)", self.G,
+                                                kernel_builds)
+        assert count == 0
+        for bits, comps in mix.table:
+            want = value.row(bits[::-1])
+            assert len(comps) == len(want) == 2
+            assert all(c is d for c, d in zip(comps, want))
+
+    def test_a_real_map_that_moves_reals_builds(self, kernel_builds):
+        _, _, count = self.evaluate_after(
+            "swap(B, B) * swap(R, R)", "and * add ; id(B) * flip(1/4) * id(R)",
+            kernel_builds)
+        assert count == 1
+
+    @pytest.mark.parametrize("backend, tol, shared", [
+        ("auto", 1e-6, True),             # exact: canonical at any tolerance
+        ("float", DEFAULT_TOLERANCE, True),
+        ("float", 1e-6, False)])          # float, canonical at another one
+    def test_only_a_canonical_kernel_is_shared(self, backend, tol, shared,
+                                               kernel_builds):
+        g = evaluate(parse(self.G), backend=backend)
+        w = semantics.Wiring.swap(Colour.B, Colour.B).beside(
+            semantics.Wiring.identity(reals(1)))
+        del kernel_builds[:]
+        out = semantics._wiring_then_kernel(w, g, tol)
+        assert bool(kernel_builds) is not shared
+        assert all((c is d) is shared for bits, comps in out.table
+                   for c, d in zip(comps, g.row(bits[::-1])))
+        assert mixtures_equal(out, evaluate(seq(parse("swap(B, B) * id(R)"),
+                                                parse(self.G)), backend=backend))
+
+
 def random_mixed_terms() -> list:
     sampler = TermSampler(random.Random(404))
     return [sampler.closed_term() for _ in range(300)]
