@@ -24,6 +24,7 @@ the catalog and can be applied explicitly.
 
 from __future__ import annotations
 
+import numbers
 import random
 import re
 import zlib
@@ -35,7 +36,8 @@ from .diagram import (B, Colour, EMPTY, GenKind, Par, R, Seq, Term, TypeWord,
                       children, flip, fold, identity, map_params, mk_generator,
                       par, par_all, reals, seq, seq_all, swap)
 from .dsl import parse, print_term
-from .errors import InadmissibleBinding, InvalidDrawCount, InvalidPath, NoMatch
+from .errors import (CgmError, InadmissibleBinding, InvalidDrawCount,
+                     InvalidPath, NoMatch)
 from .gadgets import copy_bundle, ite_n, mix_gate, permute_term
 from .linalg import format_scalar
 from .randcircuit import TermSampler
@@ -170,7 +172,7 @@ def check_binding(schema: AxiomSchema, binding: dict):
                                       constraint=f"circuit:{name}")
     for name in schema.colour_vars:
         if not isinstance(binding.get(name), Colour):
-            raise InadmissibleBinding(f"{name} must be a colour",
+            raise InadmissibleBinding(f"{schema.name}: {name} must be a colour",
                                       constraint="colour")
     if schema.validate is not None:
         schema.validate(binding)
@@ -283,7 +285,8 @@ def _smc_schemas():
         build=lambda b: (seq(seq(b["c"], b["d"]), b["e"]),
                          seq(b["c"], seq(b["d"], b["e"]))),
         sample=lambda s: dict(zip("cde", sample_chain(s, 3))),
-        validate=_validate_chain("c", "d", "e"))
+        validate=_validate_composable("SMC-seq-assoc", "composable-chain",
+                                      "cd", "de"))
     yield AxiomSchema(
         "SMC-seq-unit-l", "identities are left units",
         circuit_vars=("c",),
@@ -316,7 +319,8 @@ def _smc_schemas():
         build=lambda b: (seq(par(b["c1"], b["c2"]), par(b["d1"], b["d2"])),
                          par(seq(b["c1"], b["d1"]), seq(b["c2"], b["d2"]))),
         sample=_sample_interchange,
-        validate=_validate_interchange)
+        validate=_validate_composable("SMC-interchange", "composable-columns",
+                                      ("c1", "d1"), ("c2", "d2")))
     yield AxiomSchema(
         "SMC-swap-nat", "wire crossings are natural in single-wire maps",
         circuit_vars=("c",), colour_vars=("k",),
@@ -328,13 +332,14 @@ def _smc_schemas():
         build=_build_swap_invol, sample=_sample_swap_invol)
 
 
-def _validate_chain(*names):
+def _validate_composable(axiom, constraint, *pairs):
+    """A check that `first ; second` is well typed for each pair of names."""
     def check(binding):
-        for first, second in zip(names, names[1:]):
+        for first, second in pairs:
             if binding[first].cod != binding[second].dom:
                 raise InadmissibleBinding(
-                    f"chain breaks between {first} and {second}",
-                    constraint="composable-chain")
+                    f"{axiom}: {first} ; {second} does not compose",
+                    constraint=constraint)
     return check
 
 
@@ -343,13 +348,6 @@ def _sample_interchange(sampler: TermSampler):
     u2, v2, w2 = (sampler.word(max_len=2) for _ in range(3))
     return {"c1": sampler.term(u1, v1), "d1": sampler.term(v1, w1),
             "c2": sampler.term(u2, v2), "d2": sampler.term(v2, w2)}
-
-
-def _validate_interchange(binding):
-    if binding["c1"].cod != binding["d1"].dom or \
-            binding["c2"].cod != binding["d2"].dom:
-        raise InadmissibleBinding("interchange needs composable columns",
-                                  constraint="composable-columns")
 
 
 def _build_swap_nat(binding):
@@ -365,7 +363,7 @@ def _validate_swap_nat(binding):
     c = binding["c"]
     if len(c.dom) != 1 or len(c.cod) != 1:
         raise InadmissibleBinding(
-            "swap naturality is stated for single-wire circuits",
+            "SMC-swap-nat: stated for single-wire circuits",
             constraint="single-wire")
 
 
@@ -474,6 +472,20 @@ def sample_binding(schema: AxiomSchema, rng: random.Random) -> dict:
                               constraint="sampling")
 
 
+def _check_instance(lhs: Term, rhs: Term, tol: float, cap: int, backend: str,
+                    built: dict) -> Optional[float]:
+    """None when both sides, evaluated through the memo `built`, are equal
+    at `tol`; else their `max_deviation`, or inf when their boundary words
+    differ."""
+    left = _evaluate(lhs, cap, tol, backend, built)
+    right = _evaluate(rhs, cap, tol, backend, built)
+    if (left.dom_word, left.cod_word) != (right.dom_word, right.cod_word):
+        return float("inf")
+    if mixtures_equal(left, right, tol):
+        return None
+    return max_deviation(left, right, tol)
+
+
 def check_soundness(schema: AxiomSchema, trials: int, seed: int,
                     tol: float = DEFAULT_TOLERANCE,
                     cap: int = DEFAULT_BOOL_CAP,
@@ -481,26 +493,24 @@ def check_soundness(schema: AxiomSchema, trials: int, seed: int,
     """Randomized semantic check: eval both sides of `trials` instances.
 
     The two sides of an instance share one evaluation memo, so a subterm
-    they both hold (a bound metavariable, say) is built once.  Failures
-    are data, not errors.
+    they both hold (a bound metavariable, say) is built once.  The memo is
+    kept while a trial draws the previous trial's binding (every trial of a
+    schema with no metavariable does), and started afresh otherwise, so it
+    holds one binding's kernels.  Failures are data, not errors.
     """
-    if trials < 0:
-        raise InvalidDrawCount(f"{schema.name}: {trials} trials")
+    if not isinstance(trials, numbers.Integral) or trials < 0:
+        raise InvalidDrawCount(f"{schema.name}: {trials!r} trials")
     report = SoundnessReport(schema.name, trials)
+    previous = None
     for index in range(trials):
         rng = random.Random(_trial_seed(seed, schema.name, index))
         binding = sample_binding(schema, rng)
-        lhs, rhs = schema.build(binding)
-        built = {}
-        left = _evaluate(lhs, cap, tol, backend, built)
-        right = _evaluate(rhs, cap, tol, backend, built)
-        same_words = (left.dom_word, left.cod_word) == \
-            (right.dom_word, right.cod_word)
-        if not same_words or not mixtures_equal(left, right, tol):
-            report.failures.append(
-                Failure(_dump_binding(binding),
-                        max_deviation(left, right, tol)
-                        if same_words else float("inf")))
+        if binding != previous:
+            previous, built = binding, {}
+        deviation = _check_instance(*schema.build(binding), tol, cap, backend,
+                                    built)
+        if deviation is not None:
+            report.failures.append(Failure(_dump_binding(binding), deviation))
     return report
 
 
@@ -530,8 +540,9 @@ def _mutant_scale_output(schema: AxiomSchema):
         if schema.validate is not None:
             schema.validate(binding)
         if not schema.build(binding)[1].cod:
-            raise InadmissibleBinding("mutant needs an output wire",
-                                      constraint="output-wire")
+            raise InadmissibleBinding(
+                f"{schema.name}-mutant: needs an output wire",
+                constraint="output-wire")
 
     return replace(schema, name=schema.name + "-mutant",
                    summary="rhs postcomposed with a non-identity on one output",
@@ -635,11 +646,11 @@ def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
 
     Matching is structural modulo associativity of Seq and Par only;
     `direction` is 'L2R' or 'R2L'.  The replaced subterm and its replacement
-    are evaluated through one memo, as in `check_soundness`, and compared
-    (skipped above the input cap).
+    are checked as an instance of `check_soundness` is (skipped above the
+    input cap).
     """
     if direction not in ("L2R", "R2L"):
-        raise ValueError("direction must be 'L2R' or 'R2L'")
+        raise CgmError("direction must be 'L2R' or 'R2L'")
     lhs, rhs = instantiate(schema, binding or {})
     src, dst = (lhs, rhs) if direction == "L2R" else (rhs, lhs)
     target = subterm_at(term, path)
@@ -649,10 +660,7 @@ def rewrite_at(term: Term, path, schema: AxiomSchema, direction: str,
             f"{schema.name} {direction}: subterm does not match at "
             f"position {mismatch}", position=mismatch)
     out = replace_at(term, tuple(path), dst)
-    if target.dom.n_bool <= cap:
-        built = {}
-        if not mixtures_equal(_evaluate(target, cap, tol, "auto", built),
-                              _evaluate(dst, cap, tol, "auto", built), tol):
-            raise AssertionError(
-                f"{schema.name}: rewrite changed the semantics")
+    if target.dom.n_bool <= cap and \
+            _check_instance(target, dst, tol, cap, "auto", {}) is not None:
+        raise AssertionError(f"{schema.name}: rewrite changed the semantics")
     return out

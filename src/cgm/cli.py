@@ -147,7 +147,9 @@ def cmd_axioms(args) -> int:
                               backend=args.backend)
     failed = [r for r in reports if not r.passed]
     if args.output_format == "json":
-        _json_out({"reports": [_report_json(r) for r in reports],
+        _json_out({"trials": args.trials, "seed": args.seed,
+                   "backend": args.backend,
+                   "reports": [_report_json(r) for r in reports],
                    "passed": not failed})
     else:
         for report in reports:

@@ -8,15 +8,16 @@ from cgm.axioms import (AXIOM_TABLE, CATALOG, CORE_NAMES, MUTANT_TABLE,
                         SMC_NAMES, AxiomSchema, assoc_normal, check_soundness,
                         e10_weights,
                         get_axiom, instantiate, mutant_of, replace_at,
-                        rewrite_at, sample_binding, subterm_at, _entries,
-                        _first_mismatch, _METAVAR, _trial_seed)
-from cgm.diagram import (B, Colour, Gen, GenKind, R, Seq, identity,
+                        rewrite_at, sample_binding, subterm_at, _check_instance,
+                        _entries, _first_mismatch, _METAVAR, _trial_seed)
+from cgm.diagram import (B, EMPTY, Colour, Gen, GenKind, R, Seq, identity,
                          mk_generator, par, reals, seq, seq_all)
 from cgm.dsl import parse, print_term
 from cgm.errors import (InadmissibleBinding, InvalidDrawCount, InvalidPath,
                         NoMatch)
 from cgm.randcircuit import TermSampler
-from cgm.semantics import evaluate, mixtures_equal
+from cgm.semantics import (DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE, evaluate,
+                           max_deviation, mixtures_equal)
 from oracles import subterms
 
 QUICK_TRIALS = 12
@@ -79,6 +80,11 @@ class TestCatalogText:
     def test_negative_trials_rejected(self):
         with pytest.raises(InvalidDrawCount):
             check_soundness(get_axiom("A1"), -1, seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, "3", None])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(InvalidDrawCount, match=f"A1: {trials!r} trials"):
+            check_soundness(get_axiom("A1"), trials, seed=0)
 
 
 def test_binding_corpora_are_pinned():
@@ -188,18 +194,24 @@ NEVER = AxiomSchema("never", "no draw binds c", circuit_vars=("c",),
                  id="e4-boundaries"),
     pytest.param(lambda: instantiate(get_axiom("SMC-seq-assoc"),
                                      {"c": SCAL, "d": NOT, "e": NOT}),
-                 "composable-chain", "chain breaks between c and d", id="chain"),
+                 "composable-chain", "SMC-seq-assoc: c ; d does not compose",
+                 id="chain"),
     pytest.param(lambda: instantiate(get_axiom("SMC-interchange"),
                                      {"c1": SCAL, "d1": NOT, "c2": NOT, "d2": NOT}),
-                 "composable-columns", "interchange needs composable columns",
+                 "composable-columns", "SMC-interchange: c1 ; d1 does not compose",
                  id="interchange"),
     pytest.param(lambda: instantiate(get_axiom("SMC-swap-nat"),
                                      {"c": ADD, "k": Colour.B}),
-                 "single-wire", "swap naturality is stated for single-wire "
-                 "circuits", id="swap-nat-wires"),
+                 "single-wire", "SMC-swap-nat: stated for single-wire circuits",
+                 id="swap-nat-wires"),
     pytest.param(lambda: instantiate(get_axiom("SMC-swap-nat"),
                                      {"c": SCAL, "k": Fraction(1)}),
-                 "colour", "k must be a colour", id="swap-nat-colour"),
+                 "colour", "SMC-swap-nat: k must be a colour",
+                 id="swap-nat-colour"),
+    pytest.param(lambda: instantiate(mutant_of("SMC-seq-unit-l"),
+                                     {"c": identity(EMPTY)}),
+                 "output-wire", "SMC-seq-unit-l-mutant: needs an output wire",
+                 id="mutant-output"),
     pytest.param(lambda: sample_binding(NEVER, random.Random(0)),
                  "sampling", "never: could not sample a binding",
                  id="sampling-gives-up")])
@@ -251,6 +263,28 @@ class TestSoundness:
         mutant = mutant_of(name)
         report = check_soundness(mutant, 20, seed=99)
         assert report.failures, f"mutant of {name} went unnoticed"
+
+
+def check_instance(lhs, rhs, backend="auto"):
+    return _check_instance(lhs, rhs, DEFAULT_TOLERANCE, DEFAULT_BOOL_CAP,
+                           backend, {})
+
+
+class TestCheckInstance:
+    def test_sound_instance_is_none(self):
+        sides = instantiate(get_axiom("C1-scal"), {"k": Fraction(-3, 2)})
+        assert check_instance(*sides) is None
+
+    @pytest.mark.parametrize("backend", ["auto", "rational", "float"])
+    def test_mutant_gives_its_max_deviation(self, backend):
+        lhs, rhs = mutant_of("E10").build({"p": Fraction(1, 2),
+                                           "q": Fraction(1, 3)})
+        want = max_deviation(evaluate(lhs, backend=backend),
+                             evaluate(rhs, backend=backend))
+        assert 0 < check_instance(lhs, rhs, backend) == want
+
+    def test_unequal_words_give_inf(self):
+        assert check_instance(parse("not"), parse("scal(2)")) == float("inf")
 
 
 class TestRewrite:

@@ -176,6 +176,17 @@ class TestAxioms:
         assert payload["passed"] is True
         assert payload["reports"][0]["name"] == "A1"
 
+    def test_json_sweep_of_the_catalog(self, capsys):
+        code, out, _ = run(capsys, "axioms", "--trials", "3", "--seed", "5",
+                           "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["trials"], payload["seed"], payload["backend"]) == \
+            (3, 5, "auto")
+        assert len(payload["reports"]) == 43
+        assert all(r["trials"] == 3 and not r["failures"]
+                   for r in payload["reports"])
+
     def test_backend_reaches_the_suite(self, capsys, monkeypatch):
         seen = []
 
@@ -583,9 +594,10 @@ class TestRewriteScriptSyntax:
         ("apply E4 at root dir L2R with c=B, d=R", "E4: c must be a circuit"),
         ("apply SMC-interchange at root dir L2R with c1=1, c2=2, d1=3, d2=4",
          "SMC-interchange: c1 must be a circuit"),
-        ("apply SMC-swap-invol at root dir R2L", "a must be a colour"),
+        ("apply SMC-swap-invol at root dir R2L",
+         "SMC-swap-invol: a must be a colour"),
         ("apply SMC-swap-invol at root dir R2L with a=3, b=B",
-         "a must be a colour")])
+         "SMC-swap-invol: a must be a colour")])
     def test_mistyped_binding_exits_1(self, tmp_path, capsys, step, message):
         got = self.rewrite(tmp_path, capsys, "copyR ; (id(R) * copyR)",
                            step + "\n")

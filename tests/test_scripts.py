@@ -50,17 +50,6 @@ def flip_not_circuit(tmp_path):
     return circuit
 
 
-def test_axiom_suite_script(tmp_path):
-    out = tmp_path / "axioms.json"
-    proc = run_script("run_axiom_suite.py", "--trials", "3", "--seed", "5",
-                      "--out", str(out))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(out.read_text())
-    assert payload["trials"] == 3
-    assert all(not r["failures"] for r in payload["reports"])
-    assert "43/43 schemas sound" in proc.stdout
-
-
 def test_roundtrip_script():
     proc = run_script("normal_form_roundtrip.py", "--count", "15", "--seed", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -438,6 +438,15 @@ class TestValueMemo:
         assert rewrite_at(lhs, (), schema, "L2R", binding) == rhs
         assert len(builds) == alone
 
+    def test_a_repeated_binding_is_built_once(self, builds):
+        # E7 has no metavariable: every trial draws the empty binding, so
+        # the memo of the first trial serves the rest.
+        assert check_soundness(get_axiom("E7"), 1, 0).passed
+        once = len(builds)
+        assert once > 0
+        assert check_soundness(get_axiom("E7"), 20, 0).passed
+        assert len(builds) == 2 * once
+
     def test_evicted_generator_kernels_change_nothing(self, monkeypatch):
         # A kernel evicted between the two sides of an instance may be freed;
         # the memo holds its operands, so no id in a key is reused.
