@@ -63,6 +63,14 @@ class InvalidSeed(CgmError):
     """A sampler was given a seed that is not a non-negative integer."""
 
 
+class InvalidBits(CgmError, ValueError):
+    """A bit string holds a character other than 0 and 1."""
+
+
+class UnknownBackend(CgmError, ValueError):
+    """An evaluation backend other than auto, rational and float."""
+
+
 class InvalidWeight(CgmError):
     """A mixture weight is negative, or a row's weights have no positive
     finite sum to draw from."""

@@ -301,13 +301,17 @@ class CovFactor:
     """Covariance ``Sigma = L L^T`` held as its factor L (n x k, k may be 0)."""
 
     factor: Matrix
+    _gram = None   # ``L L^T`` once `gram` has computed it
 
     def gram(self) -> Matrix:
-        """``L L^T``; the cached zero matrix if L has no columns."""
-        f = self.factor
-        if f.cols:
-            return f @ f.transpose()
-        return Matrix.zeros(f.rows, f.rows, Fraction if f.exact else float)
+        """``L L^T``, computed on the first call and kept on the factor, which
+        is frozen; the cached zero matrix if L has no columns."""
+        if self._gram is None:
+            f = self.factor
+            object.__setattr__(self, "_gram", f @ f.transpose() if f.cols else
+                               Matrix.zeros(f.rows, f.rows,
+                                            Fraction if f.exact else float))
+        return self._gram
 
 
 def drop_zero_columns(factor: Matrix) -> Matrix:

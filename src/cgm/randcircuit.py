@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagram import (Colour, GenKind, SIGNATURES, Term, TypeWord,
                       identity, mk_generator, par, par_all, seq, swap)
@@ -28,6 +29,13 @@ _BY_BOUNDARY = {sig: [k for k in sorted(GenKind, key=lambda k: k.value)
                       if SIGNATURES[k] == sig] for sig in SIGNATURES.values()}
 
 
+@lru_cache(maxsize=None)
+def _colours(kinds: frozenset) -> tuple:
+    """The colours on the boundaries of `kinds`, in name order."""
+    return tuple(sorted({c for k in kinds for w in SIGNATURES[k] for c in w},
+                        key=lambda c: c.value))
+
+
 class TermSampler:
     """Draws random well-typed terms between chosen boundary words."""
 
@@ -37,9 +45,7 @@ class TermSampler:
         self.kinds = frozenset(kinds)
         self.max_depth = max_depth
         self.max_word = max_word
-        self.colours = tuple(sorted(
-            {c for k in self.kinds for w in SIGNATURES[k] for c in w},
-            key=lambda c: c.value))
+        self.colours = _colours(self.kinds)
         if not self.colours:
             raise ValueError("kind set generates no colours")
 

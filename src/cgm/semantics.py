@@ -15,7 +15,9 @@ when every literal is rational.
 The kernels `canonicalize`, `compose`, `tensor` and `evaluate` return are
 canonical and record whether they are exact.  One builder sorts and merges
 the rows of each result, and a result is exact when its operands are, so
-only kernels a caller built are scanned for floats.
+only kernels a caller built are scanned for floats.  Sort keys are made
+where two components need ordering, and not kept: a row of one component
+needs none, and a product sorts only two rows of several components each.
 
 `evaluate` is a `diagram.fold` over one field, its scalar type `Fraction`
 or `float`: each parameter is cast to it and every leaf is built in it, and
@@ -29,7 +31,9 @@ multiplies each ``A`` by the wiring's 0/1 real map (cached per wiring and
 field), instead of composing with a 0/1 kernel.  The result is the same
 canonical kernel.  An identity real map moves only bits: before a kernel
 exact or canonical at the caller's tolerance, each row is its row at the
-wired bits, components and recorded keys as they are, nothing rebuilt.
+wired bits, its components as they are, nothing rebuilt; after a kernel,
+each component keeps its A, mu and factor, and the builder still merges
+the components a discarded bit made equal.
 Empty operands cost nothing: `linalg` returns the other operand of a
 stack, block or sum with an empty one when both are in one field.
 
@@ -61,8 +65,9 @@ from typing import NamedTuple
 
 from .diagram import (Colour, GenKind, Generator, Id, Seq, Swap, Term,
                       TypeWord, fold, has_float_literal)
-from .errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                     InvalidSeed, InvalidWeight, NonFiniteParam, TypeMismatch)
+from .errors import (DimensionMismatch, InputCapExceeded, InvalidBits,
+                     InvalidDrawCount, InvalidSeed, InvalidWeight, NonFiniteParam,
+                     TypeMismatch, UnknownBackend)
 from .linalg import (CovFactor, Matrix, Scalar, _finite, block_diag,
                      common_denominator, cov_block, cov_compose, drop_zero_columns,
                      matrix_to_json, quantize_key, scalar_to_json, vstack)
@@ -83,11 +88,11 @@ def bits_to_str(bits: BitVec) -> str:
 
 def str_to_bits(text: str) -> BitVec:
     if any(ch not in "01" for ch in text):
-        raise ValueError(f"not a bit string: {text!r}")
+        raise InvalidBits(f"not a bit string: {text!r}")
     return tuple(int(ch) for ch in text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussComponent:
     weight: Scalar
     bool_out: BitVec
@@ -132,21 +137,14 @@ class CGMixture:
 
 
 class _Canon(NamedTuple):
-    """`keys` order the components of their own row only.  A product's keys
-    join its operands' keys, each over its own row's denominator, so they
-    need not be the keys a rebuild of the same table gives, and the keys of
-    two kernels do not compare."""
     exact: bool     # every scalar is a Fraction
     tol: float      # the tolerance it is canonical at, if not exact
-    keys: tuple     # per row of the table, each component's sort key
 
 
 def _canonical(dom, cod, rows: list, field: type, tol) -> CGMixture:
-    """The kernel of sorted ``(bits, [(key, ..., component)])`` rows, recorded."""
-    mix = CGMixture(dom, cod, tuple((bits, tuple(item[-1] for item in row))
-                                    for bits, row in rows))
-    keys = tuple(tuple(item[0] for item in row) for _, row in rows)
-    object.__setattr__(mix, "_canon", _Canon(field is Fraction, tol, keys))
+    """The kernel of sorted ``(bits, components)`` rows, recorded."""
+    mix = CGMixture(dom, cod, tuple(rows))
+    object.__setattr__(mix, "_canon", _Canon(field is Fraction, tol))
     return mix
 
 
@@ -276,15 +274,12 @@ def _field(*mixes: CGMixture) -> type:
     return Fraction if all(mixture_is_exact(m) for m in mixes) else float
 
 
-def _sort_keys(comps: list, grams: list, exact: bool) -> list:
+def _sort_keys(comps, exact: bool) -> list:
     """Each component's sort key: outputs, A, mu and the Gram matrix.  Exact,
     every matrix of the row is numerators over one denominator, so keys
     order (and are equal) as the values do, compared as integers; otherwise
     each is its entries' `quantize_key`s."""
-    if exact and len(comps) == 1:   # nothing to order: its own numerators
-        (c,), (g,) = comps, grams
-        return [(c.bool_out, c.lin.nums, c.mean.nums, g.nums)]
-    mats = [m for c, g in zip(comps, grams) for m in (c.lin, c.mean, g)]
+    mats = [m for c in comps for m in (c.lin, c.mean, c.gram())]
     fields = common_denominator(mats)[1] if exact else \
         [tuple(map(quantize_key, m.entries)) for m in mats]
     return [(c.bool_out, *fields[3 * i:3 * i + 3]) for i, c in enumerate(comps)]
@@ -333,35 +328,36 @@ def _mixture_blocks(mix: CGMixture):
                                          c.mean, c.gram())
 
 
-def _params_close(a: GaussComponent, ga: Matrix, b: GaussComponent,
-                  gb: Matrix, tol) -> bool:
+def _params_close(a: GaussComponent, b: GaussComponent, tol) -> bool:
     # Everything but the weight, which merging adds up.
     return a.bool_out == b.bool_out and not any(_differences(
-        _component_blocks((), 0, a.lin, a.mean, ga),
-        _component_blocks((), 0, b.lin, b.mean, gb), tol))
+        _component_blocks((), 0, a.lin, a.mean, a.gram()),
+        _component_blocks((), 0, b.lin, b.mean, b.gram()), tol))
 
 
 def _build(dom, cod, rows, field: type, tol) -> CGMixture:
     """The canonical kernel of ``(bits, components)`` rows, recorded: zero
-    weights dropped, equal components merged, sorted by key.  Callers read
+    weights dropped, equal components merged, sorted by key; a row left
+    with one component or none is kept as it is, with no key.  Callers read
     `field` from their operands' records; the rows are not scanned."""
     exact = field is Fraction
     out = []
     for bits, comps in rows:
         comps = [c for c in comps if c.weight != 0]
-        grams = [c.gram() for c in comps]
-        keys = _sort_keys(comps, grams, exact)
-        keyed = sorted(zip(keys, grams, comps), key=lambda item: item[0])
+        if len(comps) < 2:
+            out.append((bits, tuple(comps)))
+            continue
+        keyed = sorted(zip(_sort_keys(comps, exact), comps), key=lambda item: item[0])
         merged = []
-        for key, g, c in keyed:
+        for key, c in keyed:
             # An exact key holds every parameter but the weight.
             if merged and (merged[-1][0] == key if exact else _params_close(
-                    merged[-1][2], merged[-1][1], c, g, tol)):
-                key, prev_g, prev = merged[-1]
-                merged[-1] = (key, prev_g, replace(prev, weight=prev.weight + c.weight))
+                    merged[-1][1], c, tol)):
+                prev = merged[-1][1]
+                merged[-1] = (key, replace(prev, weight=prev.weight + c.weight))
             else:
-                merged.append((key, g, c))
-        out.append((bits, merged))
+                merged.append((key, c))
+        out.append((bits, tuple(c for _, c in merged)))
     out.sort(key=lambda row: row[0])
     return _canonical(dom, cod, out, field, tol)
 
@@ -410,26 +406,31 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
 
     The product of canonical kernels is block diagonal: its components stay
     distinct, and each key field (outputs, A, mu, Gram matrix) orders like
-    the factors' fields concatenated.  So no Gram matrix, no merge pass."""
+    the factors' fields concatenated, so no merge pass.  Beside a row of one
+    component the loop order is that order; a pair of rows of two or more
+    components each is sorted by their `_sort_keys` joined field by field."""
     f, g = canonicalize(f, tol), canonicalize(g, tol)
     field = _field(f, g)
     rows = []
-    for (bits_f, comps_f), keys_f in zip(f.table, f._canon.keys):
-        for (bits_g, comps_g), keys_g in zip(g.table, g._canon.keys):
-            out = [(tuple(map(add, ki, kj)), GaussComponent(
-                       w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin),
-                       vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov)))
-                   for ci, ki in zip(comps_f, keys_f)
-                   for cj, kj in zip(comps_g, keys_g)
-                   if (w := ci.weight * cj.weight) != 0]   # 0: a float underflow
-            out.sort(key=lambda item: item[0])
-            rows.append((bits_f + bits_g, out))
+    for bits_f, comps_f in f.table:
+        for bits_g, comps_g in g.table:
+            pairs = itertools.product(comps_f, comps_g)
+            if len(comps_f) > 1 and len(comps_g) > 1:
+                joined = [tuple(map(add, ki, kj)) for ki, kj in itertools.product(
+                    _sort_keys(comps_f, f._canon.exact),
+                    _sort_keys(comps_g, g._canon.exact))]
+                pairs = [pair for _, pair in sorted(zip(joined, pairs),
+                                                    key=lambda item: item[0])]
+            rows.append((bits_f + bits_g, tuple(GaussComponent(
+                w, ci.bool_out + cj.bool_out, block_diag(ci.lin, cj.lin),
+                vstack(ci.mean, cj.mean), cov_block(ci.cov, cj.cov))
+                for ci, cj in pairs
+                if (w := ci.weight * cj.weight) != 0)))   # 0: a float underflow
     dom, cod = f.dom_word + g.dom_word, f.cod_word + g.cod_word
     # Exact components closer than tol merge in a float product.
     if field is float and any(k._canon.exact and any(
             len(cs) > 1 for _, cs in k.table) for k in (f, g)):
-        return _build(dom, cod, [(bits, [c for _, c in out])
-                                 for bits, out in rows], field, tol)
+        return _build(dom, cod, rows, field, tol)
     return _canonical(dom, cod, rows, field, tol)
 
 
@@ -440,11 +441,14 @@ def _rows_of(mat: Matrix, picks: tuple) -> Matrix:
 
 
 def _kernel_then_wiring(f: CGMixture, w: Wiring, tol) -> CGMixture:
-    """``f ; w``: each component's outputs gathered through the wiring."""
+    """``f ; w``: each component's outputs gathered through the wiring; an
+    identity real map gathers the bits only and keeps A, mu and the factor."""
+    keep = w.reals == tuple(range(w.dom.n_real))
     rows = [(bits, [GaussComponent(
                 c.weight, tuple(c.bool_out[i] for i in w.bits),
-                _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
-                CovFactor(drop_zero_columns(_rows_of(c.cov.factor, w.reals))))
+                *((c.lin, c.mean, c.cov) if keep else (
+                    _rows_of(c.lin, w.reals), _rows_of(c.mean, w.reals),
+                    CovFactor(drop_zero_columns(_rows_of(c.cov.factor, w.reals))))))
                 for c in comps])
             for bits, comps in f.table]
     # A discard can make two components equal, so merge again.
@@ -457,9 +461,7 @@ def _wiring_then_kernel(w: Wiring, g: CGMixture, tol) -> CGMixture:
     picks = [(bits, tuple(bits[i] for i in w.bits))
              for bits in all_bitvecs(w.dom.n_bool)]
     if w.reals == tuple(range(w.dom.n_real)) and _is_canonical(g, tol):
-        keyed = {bits: tuple(zip(keys, comps))
-                 for (bits, comps), keys in zip(g.table, g._canon.keys)}
-        return _canonical(w.dom, g.cod_word, [(bits, keyed[src])
+        return _canonical(w.dom, g.cod_word, [(bits, g.row(src))
                                               for bits, src in picks], field, tol)
     real_map = _real_map(w, field)
     rows = [(bits, [GaussComponent(c.weight, c.bool_out, c.lin @ real_map,
@@ -538,7 +540,7 @@ def _evaluate(term: Term, cap: int, tol: float, backend: str,
     kernel a miss would build: `_seq` and `_par` read only their operands.
     Calls that share `built` pass the same `tol`."""
     if backend not in _FIELDS:
-        raise ValueError(f"unknown backend {backend!r}")
+        raise UnknownBackend(f"unknown backend {backend!r}")
     field = _FIELDS[backend]
     if backend == "auto" and has_float_literal(term):
         field = float

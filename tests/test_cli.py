@@ -538,6 +538,16 @@ class TestSingleInput:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: not a bit string: '2'\n"
 
+    @pytest.mark.parametrize("argv, shown", [
+        (("eval", "--input", "0x1"), "0x1"), (("sample", "--bits", "2"), "2")])
+    def test_non_bit_strings_are_one_error_line(self, tmp_path, capsys, argv, shown):
+        # `str_to_bits` raises `InvalidBits`, a `CgmError`.
+        path = tmp_path / "gate.cgm"
+        path.write_text("not")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: not a bit string: {shown!r}\n"
+
 
 class TestRewriteScriptSyntax:
     CIRCUIT = "(flip(1/2) * id(RR) ; ite) * id(R) ; (flip(1/2) * id(RR) ; ite)"

@@ -14,12 +14,12 @@ seeded `random.Random`:
 * plugged: at a random path of a random host, by `replace_at`, between
   random adapters that fit the subterm it replaces;
 * bare: beside the side term and nothing else, so that a product at the
-  top keeps the order its operands' recorded keys give it.
+  top keeps the order its operands' joined sort keys give it.
 
 Rational sides are compared by `mixture_to_json` (Gram matrices, which
 are canonical; factors are not), after each is checked to be canonical:
 rebuilt from its bare table it comes back the same, which a product that
-takes its order from its operands' recorded keys must also do.  Float
+takes its order from its operands' joined sort keys must also do.  Float
 sides are compared by `mixtures_equal` at 1e-9, and every fourth schema's
 contexts by `decide_equiv` as well.  Each mutant schema must be told apart
 in at least one of its contexts.

@@ -2,7 +2,7 @@
 
 `evaluate` keeps identities, swaps, copies and discards as a `Wiring` and
 joins them to a kernel by index maps, takes a product's order from its
-operands' recorded sort keys, and follows whatever tree of `;` and `*` a
+operands' joined sort keys, and follows whatever tree of `;` and `*` a
 term has.  None of that may change a kernel.  So each term t is evaluated
 beside six terms that denote the same kernel: ``id ; t``, ``t ; id``,
 ``id() * t``, ``t * id()``, and t with every Seq and Par chain associated
@@ -10,9 +10,7 @@ to the right (`assoc_normal`) and to the left.
 
 The terms are seeded `TermSampler` circuits and one side (left and right
 by turns) of one instance of every axiom schema.  Rational kernels must have equal tables and equal
-`mixture_to_json`.  Their recorded sort keys are not compared: a product's
-keys join its operands' keys, so they need not be the keys a rebuild of
-the same table gives.  Float kernels must be `mixtures_equal` at 1e-9; a
+`mixture_to_json`.  Float kernels must be `mixtures_equal` at 1e-9; a
 float sum depends on the order of its terms, so tables may differ in the
 last bits.
 """

@@ -143,3 +143,51 @@ def test_numpy_is_loaded_only_by_sampling(tmp_path):
         "assert 'numpy' in sys.modules, 'cgm sample'"))
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    """scripts/bench_pairs.py as a module; the import path, the bytecode
+    flag and the bench modules it imports are restored after loading it."""
+    import importlib.util
+    path, modules = list(sys.path), set(sys.modules)
+    bytecode = sys.dont_write_bytecode
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+        sys.dont_write_bytecode = bytecode
+        for name in {"record", "run"} - modules:
+            sys.modules.pop(name, None)
+    return module
+
+
+def test_bench_pairs_verdict_arithmetic(bench_pairs):
+    # Ten pairs; the parent's quartiles (statistics.quantiles, n=4) are
+    # 97.5 and 102.25 around a median of 100.
+    parent = [95, 96, 98, 99, 100, 100, 101, 102, 103, 104]
+    change = [x + 10 for x in parent[:9]] + [parent[9] - 1]
+    got = bench_pairs.compare(parent, change, "higher")
+    assert got["change_wins"] == 9 and got["gain_holds"]
+    assert got["medians"]["parent"] == 100 and got["medians"]["change"] == 109.5
+    assert got["parent_quartile_spread"] == pytest.approx(4.75 / 100)
+    assert got["medians"]["parent_quartiles"] == [97.5, 102.25]
+    assert got["change_vs_parent"] == pytest.approx(0.095)
+    # Lower is better: the same runs read the other way round.
+    flipped = bench_pairs.compare(parent, change, "lower")
+    assert flipped["change_wins"] == 1 and not flipped["gain_holds"]
+    # Eight wins of ten, or a gap inside the parent's quartiles, is no gain.
+    eight = [x + 10 for x in parent[:8]] + [x - 1 for x in parent[8:]]
+    assert bench_pairs.compare(parent, eight, "higher")["change_wins"] == 8
+    assert not bench_pairs.compare(parent, eight, "higher")["gain_holds"]
+    small = [x + 2 for x in parent]
+    assert bench_pairs.compare(parent, small, "higher")["change_wins"] == 10
+    assert not bench_pairs.compare(parent, small, "higher")["gain_holds"]
+
+
+def test_bench_pairs_reads_seed_ranges(bench_pairs):
+    assert bench_pairs.plan("axiom-suite:1-3,7") == ("axiom-suite", [1, 2, 3, 7])
+    assert bench_pairs.plan("monte-carlo:11") == ("monte-carlo", [11])

@@ -20,9 +20,10 @@ from cgm.diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap,
                          par_all, reals, seq, seq_all, to_exact_params,
                          to_float_params)
 from cgm.dsl import parse, print_term
-from cgm.errors import (DimensionMismatch, InputCapExceeded, InvalidDrawCount,
-                        InvalidSeed, InvalidWeight, NonFiniteParam,
-                        NonFiniteResult, TypeMismatch)
+from cgm.errors import (CgmError, DimensionMismatch, InputCapExceeded,
+                        InvalidBits, InvalidDrawCount, InvalidSeed,
+                        InvalidWeight, NonFiniteParam, NonFiniteResult,
+                        TypeMismatch, UnknownBackend)
 from cgm.gadgets import (convex_mix, discard_all, gauss_map_circuit,
                          gaussian_circuit, matrix_circuit, mix_gate, nary_copy,
                          sort_boundary, thick_ite)
@@ -33,8 +34,8 @@ from cgm.semantics import (DEFAULT_TOLERANCE, CGMixture, GaussComponent,
                            _guide_table, _pick_components, all_bitvecs, canonicalize,
                            compose, evaluate, identity_kernel, interp_generator,
                            max_deviation, mixture_is_exact, mixture_to_json,
-                           mixtures_equal, moments, sample,
-                           sample_many, swap_kernel, tensor, with_sorted_words)
+                           mixtures_equal, moments, sample, sample_many,
+                           str_to_bits, swap_kernel, tensor, with_sorted_words)
 from oracles import (is_trivial_kernel, reference_build, reference_evaluate,
                      reference_moments, reference_sample_many)
 import test_normalform
@@ -283,6 +284,18 @@ class TestEvaluate:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend 'bogus'"):
             evaluate(parse("not"), backend="bogus")
+
+    def test_unknown_backend_is_typed(self):
+        with pytest.raises(UnknownBackend, match="unknown backend 'exact'") as err:
+            evaluate(parse("not"), backend="exact")
+        assert isinstance(err.value, CgmError)
+
+    @pytest.mark.parametrize("text", ["0x1", "2", "1 0"])
+    def test_bad_bit_string_is_typed(self, text):
+        with pytest.raises(InvalidBits, match=re.escape(f"not a bit string: {text!r}")) \
+                as err:
+            str_to_bits(text)
+        assert isinstance(err.value, CgmError)
 
     def test_worked_mixture(self):
         g1 = gaussian_circuit([3], Matrix.from_rows([[1]]))
@@ -622,6 +635,109 @@ class TestIdentityRealMap:
                                                 parse(self.G)), backend=backend))
 
 
+class TestKeysOnDemand:
+    """Only a row of two or more components needs a sort key: `_build` keeps
+    a row of one as it is, and `tensor` sorts only the product of two rows
+    of several components, in the order `_build` gives the same components."""
+
+    def test_rows_of_one_component_make_no_gram_or_key(self, monkeypatch):
+        grams, keyed = [], []
+
+        def counted_gram(cov, _gram=CovFactor.gram):
+            grams.append(cov)
+            return _gram(cov)
+
+        def checked_keys(comps, exact, _sort_keys=semantics._sort_keys):
+            keyed.append(len(comps))
+            return _sort_keys(comps, exact)
+        monkeypatch.setattr(CovFactor, "gram", counted_gram)
+        monkeypatch.setattr(semantics, "_sort_keys", checked_keys)
+        sampler = TermSampler(random.Random(31), GAUSSIAN_KINDS, max_word=3)
+        single = [sampler.closed_term() for _ in range(40)] + [
+            parse(text) for text in ("copyB ; and ; not", "and * not ; swap(B, B)",
+                                     "stdnormal * one ; add ; scal(1/3)")]
+        for t in single:
+            for backend in ("auto", "float"):
+                mix = evaluate(t, backend=backend)
+                assert all(len(comps) == 1 for _, comps in mix.table)
+        assert grams == [] and keyed == []
+        for backend in ("auto", "float"):
+            evaluate(parse("flip(1/3) * flip(1/5) * stdnormal ; and * scal(2)"),
+                     backend=backend)
+        assert keyed and min(keyed) >= 2
+
+    @staticmethod
+    def assert_build_order(mix: CGMixture, field: type):
+        for bits, comps in mix.table:
+            again = semantics._build(mix.dom_word, mix.cod_word,
+                                     [(bits, comps[::-1])], field, DEFAULT_TOLERANCE)
+            assert len(again.row(bits)) == len(comps)
+            assert all(c is d for c, d in zip(again.row(bits), comps))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_products_are_in_build_order(self, exact):
+        both = 0
+        for f, g in product_operands(65, exact):
+            f, g = canonicalize(f), canonicalize(g)
+            both += any(len(a) > 1 and len(b) > 1 for _, a in f.table for _, b in g.table)
+            out = tensor(f, g)
+            self.assert_build_order(out, semantics._field(f, g))
+        assert both >= 10
+
+    def test_an_underflowing_product_keeps_each_key_with_its_component(self):
+        # f's components differ only in covariance and g's in mean, so the
+        # product sorts by g's component first; the tiny-tiny product
+        # underflows to 0 and is dropped.
+        def comp(weight, mean, factor):
+            return GaussComponent(weight, (), Matrix.zeros(1, 0, float),
+                                  Matrix.column([mean]), CovFactor(factor))
+        f = canonicalize(CGMixture(TypeWord(), reals(1), (((), (
+            comp(1e-200, 0.0, Matrix.from_rows([[1.0]])),
+            comp(1.0, 0.0, Matrix.from_rows([[2.0]])))),)))
+        g = canonicalize(CGMixture(TypeWord(), reals(1), (((), (
+            comp(1e-200, 0.0, Matrix.zeros(1, 0, float)),
+            comp(1.0, 1.0, Matrix.zeros(1, 0, float)))),)))
+        out = tensor(f, g)
+        assert [(c.weight, c.mean.nums, c.gram().nums) for c in out.row(())] == [
+            (1e-200, (0.0, 0.0), (4.0, 0.0, 0.0, 0.0)),
+            (1e-200, (0.0, 1.0), (1.0, 0.0, 0.0, 0.0)),
+            (1.0, (0.0, 1.0), (4.0, 0.0, 0.0, 0.0))]
+        self.assert_build_order(out, float)
+
+    def test_bits_after_a_kernel_keep_its_matrices(self, kernel_builds):
+        f = evaluate(parse("flip(1/3) * stdnormal"))
+        assert len(f.row(())) == 2
+        copy = semantics.Wiring(TypeWord.of("BR"), TypeWord.of("BBR"), (0, 0), (0,))
+        drop = semantics.Wiring(TypeWord.of("BR"), TypeWord.of("R"), (), (0,))
+        copied = semantics._kernel_then_wiring(f, copy, DEFAULT_TOLERANCE)
+        for c, d in zip(copied.row(()), f.row(())):
+            assert c.bool_out == d.bool_out * 2 and c.weight == d.weight
+            assert (c.lin, c.mean, c.cov) == (d.lin, d.mean, d.cov)
+            assert c.lin is d.lin and c.mean is d.mean and c.cov is d.cov
+        # Discarding the bit makes the two components equal: they merge.
+        del kernel_builds[:]
+        (c,) = semantics._kernel_then_wiring(f, drop, DEFAULT_TOLERANCE).row(())
+        assert kernel_builds == [1] and c.weight == 1
+        assert all(c.lin is d.lin and c.mean is d.mean and c.cov is d.cov
+                   for d in f.row(()))
+        term = parse("flip(1/3) * stdnormal ; delB * id(R)")
+        assert evaluate(term).table == reference_evaluate(term).table
+
+    @pytest.mark.parametrize("factor", [
+        Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]]),
+        Matrix.from_rows([[1.5], [-2.0]]),
+        Matrix.zeros(2, 0), Matrix.zeros(1, 0, float)],
+        ids=["exact", "float", "exact-empty", "float-empty"])
+    def test_gram_is_computed_once_per_factor(self, factor):
+        cov = CovFactor(factor)
+        first = cov.gram()
+        assert first == (factor @ factor.transpose() if factor.cols else
+                         Matrix.zeros(factor.rows, factor.rows,
+                                      Fraction if factor.exact else float))
+        assert cov.gram() is first
+        assert CovFactor(factor) == cov and hash(CovFactor(factor)) == hash(cov)
+
+
 def random_mixed_terms() -> list:
     sampler = TermSampler(random.Random(404))
     return [sampler.closed_term() for _ in range(300)]
@@ -870,7 +986,8 @@ class TestCanonicalize:
         assert [(bits, [(c.weight, c.bool_out, c.lin.entries, c.mean.entries,
                          c.gram().entries) for c in comps])
                 for bits, comps in got.table] == reference_build(rows)
-        for keys in got._canon.keys:
+        for _, comps in got.table:
+            keys = semantics._sort_keys(comps, True)
             assert all(x < y for x, y in zip(keys, keys[1:]))
 
     def _mix(self, comps):

@@ -223,9 +223,7 @@ UNTYPED_RAISES = (
     ("linalg", "sum_square_scales", "ValueError"),
     ("randcircuit", "TermSampler.__init__", "ValueError"),
     ("randcircuit", "TermSampler._source", "ValueError"),
-    ("semantics", "str_to_bits", "ValueError"),
     ("semantics", "interp_generator", "AssertionError"),
-    ("semantics", "_evaluate", "ValueError"),
 )
 
 
