@@ -70,13 +70,11 @@ def plan(spec: str) -> tuple:
     return workload, seeds_of(seeds)
 
 
-def run_one(tree: str, workload: str, seed: int, seconds) -> tuple:
-    """(exit code, the last JSON line of ``bench/run.py``); stops when the
-    run printed none."""
+def run_one(tree: str, workload: str, seed: int) -> tuple:
+    """(exit code, the last JSON line of ``bench/run.py``) at the benchmark's
+    own run length; stops when the run printed none."""
     cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload",
            workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree, timeout=900)
     try:
         return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
@@ -85,12 +83,12 @@ def run_one(tree: str, workload: str, seed: int, seconds) -> tuple:
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}") from None
 
 
-def run_pair(trees: dict, workload: str, seed: int, index: int, seconds, runs) -> dict:
+def run_pair(trees: dict, workload: str, seed: int, index: int, runs) -> dict:
     """{side: (exit, result, ran first)} of one pair, appended to `runs`."""
     order = SIDES if index % 2 == 0 else SIDES[::-1]
     out = {}
     for side in order:
-        code, result = run_one(trees[side], workload, seed, seconds)
+        code, result = run_one(trees[side], workload, seed)
         runs.append({"workload": workload, "seed": seed, "side": side,
                      "first": order[0], "exit": code, "result": result})
         out[side] = (code, result, side == order[0])
@@ -153,8 +151,6 @@ def main(argv=None) -> int:
                         metavar="WORKLOAD:SEEDS", help="e.g. axiom-suite:1-10")
     parser.add_argument("--extra", metavar="WORKLOAD:SEED",
                         help="one more pair, on a seed not run while changing")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--describe", default="")
     parser.add_argument("--claim", default="")
     parser.add_argument("--out", required=True)
@@ -166,7 +162,7 @@ def main(argv=None) -> int:
     for workload, seeds in map(plan, args.pairs):
         pairs = []
         for seed in seeds:
-            pairs.append(run_pair(trees, workload, seed, index, args.seconds, runs))
+            pairs.append(run_pair(trees, workload, seed, index, runs))
             index += 1
         workloads[workload], stats = workload_record(seeds, pairs, better)
         report(workload, stats, len(seeds))
@@ -184,11 +180,11 @@ def main(argv=None) -> int:
                         "bench/record.py) over its median; 'medians' holds each "
                         "side's median and quartiles; 'extra_pair' is one pair on "
                         "a seed not run while the change was written",
-              "parent": args.parent_rev, "seconds": args.seconds or run_seconds(),
+              "parent": args.parent_rev, "seconds": run_seconds(),
               "workloads": workloads, "extra_pair": None, "runs": runs}
     if args.extra:
         workload, (seed,) = plan(args.extra)
-        pair = run_pair(trees, workload, seed, index, args.seconds, runs)
+        pair = run_pair(trees, workload, seed, index, runs)
         record["extra_pair"] = {"workload": workload, "seed": seed, **{
             side: {**{name: m["value"] for name, m in result["metrics"].items()},
                    "first": first, "exit": code, "failed": result["failed"]}

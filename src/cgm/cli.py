@@ -61,16 +61,16 @@ def _fmt_matrix(m) -> str:
         for i in range(m.rows)) + "]"
 
 
-def _print_mixture(mix):
-    print(f"kernel: {mix.dom_word or 'e'} -> {mix.cod_word or 'e'}")
+def _mixture_lines(mix):
+    yield f"kernel: {mix.dom_word or 'e'} -> {mix.cod_word or 'e'}"
     for bits, comps in mix.table:
-        print(f"input {bits_to_str(bits) or '-'}:")
+        yield f"input {bits_to_str(bits) or '-'}:"
         for c in comps:
-            print(f"  weight={format_scalar(c.weight)}"
-                  f" boolOut={bits_to_str(c.bool_out) or '-'}"
-                  f" A={_fmt_matrix(c.lin)}"
-                  f" mu={_fmt_matrix(c.mean)}"
-                  f" cov={_fmt_matrix(c.gram())}")
+            yield (f"  weight={format_scalar(c.weight)}"
+                   f" boolOut={bits_to_str(c.bool_out) or '-'}"
+                   f" A={_fmt_matrix(c.lin)}"
+                   f" mu={_fmt_matrix(c.mean)}"
+                   f" cov={_fmt_matrix(c.gram())}")
 
 
 def _json_out(payload) -> None:
@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
     if args.output_format == "json":
         _json_out(mixture_to_json(mix))
     else:
-        _print_mixture(mix)
+        print("\n".join(_mixture_lines(mix)))   # all of it, or an error only
     return EXIT_OK
 
 

@@ -304,13 +304,12 @@ class CovFactor:
     _gram = None   # ``L L^T`` once `gram` has computed it
 
     def gram(self) -> Matrix:
-        """``L L^T``, computed on the first call and kept on the factor, which
-        is frozen; the cached zero matrix if L has no columns."""
+        """``L L^T``, kept from the first call; cached zeros if L has no columns."""
         if self._gram is None:
             f = self.factor
-            object.__setattr__(self, "_gram", f @ f.transpose() if f.cols else
-                               Matrix.zeros(f.rows, f.rows,
-                                            Fraction if f.exact else float))
+            gram = f @ f.transpose() if f.cols else Matrix.zeros(
+                f.rows, f.rows, Fraction if f.exact else float)
+            object.__setattr__(self, "_gram", gram)
         return self._gram
 
 

@@ -407,18 +407,20 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
     The product of canonical kernels is block diagonal: its components stay
     distinct, and each key field (outputs, A, mu, Gram matrix) orders like
     the factors' fields concatenated, so no merge pass.  Beside a row of one
-    component the loop order is that order; a pair of rows of two or more
-    components each is sorted by their `_sort_keys` joined field by field."""
+    component the loop order is that order; two rows of several components
+    are sorted by their `_sort_keys`, made once per row, joined by field."""
     f, g = canonicalize(f, tol), canonicalize(g, tol)
-    field = _field(f, g)
-    rows = []
+    field, rows = _field(f, g), []
+    multi_f, multi_g = (any(len(cs) > 1 for _, cs in k.table) for k in (f, g))
+    keys_g = [multi_f and len(cs) > 1 and _sort_keys(cs, g._canon.exact)
+              for _, cs in g.table]
     for bits_f, comps_f in f.table:
-        for bits_g, comps_g in g.table:
+        keys_f = multi_g and len(comps_f) > 1 and _sort_keys(comps_f, f._canon.exact)
+        for (bits_g, comps_g), kg in zip(g.table, keys_g):
             pairs = itertools.product(comps_f, comps_g)
-            if len(comps_f) > 1 and len(comps_g) > 1:
-                joined = [tuple(map(add, ki, kj)) for ki, kj in itertools.product(
-                    _sort_keys(comps_f, f._canon.exact),
-                    _sort_keys(comps_g, g._canon.exact))]
+            if keys_f and kg:
+                joined = (tuple(map(add, ki, kj))
+                          for ki, kj in itertools.product(keys_f, kg))
                 pairs = [pair for _, pair in sorted(zip(joined, pairs),
                                                     key=lambda item: item[0])]
             rows.append((bits_f + bits_g, tuple(GaussComponent(
@@ -428,8 +430,7 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
                 if (w := ci.weight * cj.weight) != 0)))   # 0: a float underflow
     dom, cod = f.dom_word + g.dom_word, f.cod_word + g.cod_word
     # Exact components closer than tol merge in a float product.
-    if field is float and any(k._canon.exact and any(
-            len(cs) > 1 for _, cs in k.table) for k in (f, g)):
+    if field is float and (multi_f and f._canon.exact or multi_g and g._canon.exact):
         return _build(dom, cod, rows, field, tol)
     return _canonical(dom, cod, rows, field, tol)
 

@@ -82,6 +82,18 @@ class TestEval:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: float arithmetic gave inf: a value left the float range\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_gram_overflow_exit(self, tmp_path, capsys, fmt):
+        # The factor 1e200 is finite, its covariance 1e400 is not: printing
+        # the kernel fails, with nothing on stdout, and drawing does not.
+        path = tmp_path / "wide.cgm"
+        path.write_text("stdnormal ; scal(1e200)")
+        code, out, err = run(capsys, "eval", str(path), "--format", fmt)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: float arithmetic gave inf: a value left the float range\n"
+        code, out, _ = run(capsys, "sample", str(path), "-n", "2", "--seed", "1")
+        assert code == EXIT_OK and len(out.splitlines()) == 2
+
     def test_cap_exit(self, tmp_path, capsys):
         wide = tmp_path / "wide.cgm"
         wide.write_text("id(" + "B" * 13 + ")")

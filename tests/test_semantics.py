@@ -666,6 +666,23 @@ class TestKeysOnDemand:
                      backend=backend)
         assert keyed and min(keyed) >= 2
 
+    def test_product_keys_are_made_once_per_row(self, monkeypatch):
+        # Two rows of two components on each side: four row pairs to sort,
+        # but each row's keys are made once.
+        f = evaluate(parse("delB * flip(1/3) * stdnormal"))
+        g = evaluate(parse("delB * flip(1/5) * (stdnormal ; scal(2))"))
+        assert [len(comps) for _, comps in f.table + g.table] == [2, 2, 2, 2]
+        keyed = []
+
+        def counted_keys(comps, exact, _sort_keys=semantics._sort_keys):
+            keyed.append(comps)
+            return _sort_keys(comps, exact)
+        monkeypatch.setattr(semantics, "_sort_keys", counted_keys)
+        out = tensor(f, g)
+        assert sorted(map(id, keyed)) == sorted(id(comps)
+                                                for _, comps in f.table + g.table)
+        self.assert_build_order(out, Fraction)
+
     @staticmethod
     def assert_build_order(mix: CGMixture, field: type):
         for bits, comps in mix.table:
@@ -1088,6 +1105,22 @@ class TestEquality:
             evaluate(parse(text), backend=backend)
         exact = moments(evaluate(parse(text), backend="rational"))
         assert exact.cov == Matrix.zeros(1, 1)
+
+    def test_gram_overflow_raises_where_the_gram_is_formed(self):
+        # The factor 1e200 is finite and its Gram matrix 1e400 is not.  A
+        # component alone in its row needs no Gram matrix, so evaluation
+        # returns the kernel; what forms the Gram matrix raises, and draws,
+        # which read the factor, are finite.
+        mix = evaluate(parse("stdnormal ; scal(1e200)"), backend="float")
+        assert mix.row(())[0].cov.factor.nums == (1e200,)
+        for use in (mixture_to_json, moments, lambda m: mixtures_equal(m, m)):
+            with pytest.raises(NonFiniteResult, match="gave inf"):
+                use(mix)
+        _, draws = sample_many(mix, (), (), 3, 0)
+        assert np.isfinite(draws).all() and abs(draws).max() > 1e198
+        back = evaluate(parse("stdnormal ; scal(1e200) ; scal(1e-200)"),
+                        backend="float")
+        assert mixtures_equal(back, evaluate(parse("stdnormal"), backend="float"))
 
     def test_max_deviation_checks_words(self):
         # id(R) and id(RR) ; add have one row and one Dirac each; walking
