@@ -410,17 +410,16 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
     component the loop order is that order; two rows of several components
     are sorted by their `_sort_keys`, made once per row, joined by field."""
     f, g = canonicalize(f, tol), canonicalize(g, tol)
-    field, rows = _field(f, g), []
-    multi_f, multi_g = (any(len(cs) > 1 for _, cs in k.table) for k in (f, g))
-    keys_g = [multi_f and len(cs) > 1 and _sort_keys(cs, g._canon.exact)
-              for _, cs in g.table]
+    field, rows, keys_g = _field(f, g), [], [None] * len(g.table)
     for bits_f, comps_f in f.table:
-        keys_f = multi_g and len(comps_f) > 1 and _sort_keys(comps_f, f._canon.exact)
-        for (bits_g, comps_g), kg in zip(g.table, keys_g):
+        keys_f = None
+        for j, (bits_g, comps_g) in enumerate(g.table):
             pairs = itertools.product(comps_f, comps_g)
-            if keys_f and kg:
+            if len(comps_f) > 1 and len(comps_g) > 1:
+                keys_f = keys_f or _sort_keys(comps_f, f._canon.exact)
+                keys_g[j] = keys_g[j] or _sort_keys(comps_g, g._canon.exact)
                 joined = (tuple(map(add, ki, kj))
-                          for ki, kj in itertools.product(keys_f, kg))
+                          for ki, kj in itertools.product(keys_f, keys_g[j]))
                 pairs = [pair for _, pair in sorted(zip(joined, pairs),
                                                     key=lambda item: item[0])]
             rows.append((bits_f + bits_g, tuple(GaussComponent(
@@ -430,7 +429,8 @@ def tensor(f: CGMixture, g: CGMixture, tol: float = DEFAULT_TOLERANCE) -> CGMixt
                 if (w := ci.weight * cj.weight) != 0)))   # 0: a float underflow
     dom, cod = f.dom_word + g.dom_word, f.cod_word + g.cod_word
     # Exact components closer than tol merge in a float product.
-    if field is float and (multi_f and f._canon.exact or multi_g and g._canon.exact):
+    if field is float and any(k._canon.exact and any(
+            len(cs) > 1 for _, cs in k.table) for k in (f, g)):
         return _build(dom, cod, rows, field, tol)
     return _canonical(dom, cod, rows, field, tol)
 
