@@ -67,6 +67,11 @@ class InvalidBits(CgmError, ValueError):
     """A bit string holds a character other than 0 and 1."""
 
 
+class InvalidGadget(CgmError, ValueError):
+    """A gadget builder was given a negative width, no guard, or a
+    destination list that is not a permutation."""
+
+
 class UnknownBackend(CgmError, ValueError):
     """An evaluation backend other than auto, rational and float."""
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from .diagram import (B, EMPTY, Colour, GenKind, Id, Term, TypeWord, bools,
                       identity, mk_generator, par, par_all, reals, seq,
                       seq_all, swap)
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidGadget
 from .linalg import Matrix, hstack
 
 
@@ -53,7 +53,7 @@ def permute_term(word: TypeWord, dest: tuple) -> Term:
     """
     n = len(word)
     if sorted(dest) != list(range(n)):
-        raise ValueError(f"not a permutation of {n} wires: {dest}")
+        raise InvalidGadget(f"not a permutation of {n} wires: {dest}")
     cur = list(range(n))
     layers = []
     while True:
@@ -88,7 +88,7 @@ _ITES = {0: mk_generator(GenKind.BOOL_DISCARD), 1: mk_generator(GenKind.ITE)}
 def nary_copy(colour: Colour, n: int) -> Term:
     """Fanout-n copy of one wire, as a right-associated comb; n = 0 discards."""
     if n < 0:
-        raise ValueError("negative fanout")
+        raise InvalidGadget("negative fanout")
     built = _FANOUTS[colour]
     copy_kind = GenKind.BOOL_COPY if colour is Colour.B else GenKind.REAL_COPY
     for k in range(len(built), n + 1):
@@ -119,7 +119,7 @@ def copy_bundle(word: TypeWord) -> Term:
 def add_n(n: int) -> Term:
     """Sum of n real wires, right-associated; n = 0 is the constant 0."""
     if n < 0:
-        raise ValueError("negative arity")
+        raise InvalidGadget("negative arity")
     for k in range(len(_SUMS), n + 1):
         _SUMS.setdefault(k, seq_trim(par_trim(_SUMS[1], _SUMS[k - 1]),
                                      mk_generator(GenKind.ADD)))
@@ -129,7 +129,7 @@ def add_n(n: int) -> Term:
 def ite_n(n: int) -> Term:
     """n if-then-else gates sharing one copied guard: B.R^n.R^n -> R^n."""
     if n < 0:
-        raise ValueError("negative width")
+        raise InvalidGadget("negative width")
     for k in range(len(_ITES), n + 1):
         spread = seq(par(mk_generator(GenKind.BOOL_COPY), identity(reals(2 * k))),
                      permute_term(B + B + reals(2 * k), _ite_split_dest(k)))
@@ -147,12 +147,20 @@ def _guard_tree(leaves: list, shared: TypeWord, join: Term) -> Term:
 
     Built level by level from the leaves: a node passes its guard to `join`
     and copies the guards below it and the `shared` wires into both branches.
+    A level builds one node per distinct pair of branch objects, and a node
+    whose branches are one object discards its guard (axiom E8), so equal
+    subtrees are one term and no guard is tested between equal branches.
     """
     below = 0
     while len(leaves) > 1:
         spread = par(identity(bools(1)), copy_bundle(bools(below) + shared))
-        leaves = [seq_all(spread, par_all(identity(bools(1)), yes, no), join)
-                  for yes, no in zip(leaves[::2], leaves[1::2])]
+        pairs, nodes = list(zip(leaves[::2], leaves[1::2])), {}
+        for yes, no in pairs:
+            if (id(yes), id(no)) not in nodes:
+                nodes[id(yes), id(no)] = (
+                    par(discard_all(bools(1)), yes) if yes is no else
+                    seq_all(spread, par_all(identity(bools(1)), yes, no), join))
+        leaves = [nodes[id(yes), id(no)] for yes, no in pairs]
         below += 1
     return leaves[0]
 
@@ -166,7 +174,7 @@ def thick_ite(guards: int, payload_width: int) -> Term:
     """
     p, n = guards, payload_width
     if p < 1:
-        raise ValueError("need at least one guard")
+        raise InvalidGadget("need at least one guard")
     blocks = 2 ** p
     leaves = [par_trim(discard_all(reals(k * n)), identity(reals(n)),
                        discard_all(reals((blocks - 1 - k) * n)))

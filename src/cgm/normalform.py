@@ -10,7 +10,8 @@ canonical builder, so its rows are sorted and hold no zero weight.
 The certificate (`NFTree`) stores covariances as Gram matrices, which are
 canonical; the emitted circuit is a deterministic function of the
 certificate, so certificate equality and emitted-circuit equality
-coincide.
+coincide.  It is reduced: equal cells, and equal flips of the marginal, are
+one term, and a guard whose two branches are one term is discarded (E8).
 
 Emission is exact under the rational backend: each positive LDL^T pivot d
 is split into at most four rational squares (Lagrange), one scaled Gaussian
@@ -163,14 +164,15 @@ def synth_bool(kernel: CGMixture) -> Term:
         return sum(c.weight for c in kernel.row(bits_in)
                    if c.bool_out[:len(prefix)] == prefix)
 
-    stage_terms = []
+    stage_terms, shared = [], {}
     for j in range(q):
         flips = []
         for v in itertools.product((1, 0), repeat=p + j):
             bits_in, prefix = v[:p], v[p:]
             denom = prefix_mass(bits_in, prefix)
             bias = prefix_mass(bits_in, prefix + (1,)) / denom if denom else 0
-            flips.append(mk_generator(GenKind.FLIP, bias))
+            flip = mk_generator(GenKind.FLIP, bias)
+            flips.append(shared.setdefault(flip, flip))
         stage_terms.append(seq(copy_bundle(bools(p + j)), par(
             identity(bools(p + j)), _guard_tree(flips, EMPTY, _MUX3))))
     finish = par(discard_all(bools(p)), identity(bools(q)))
@@ -183,10 +185,15 @@ def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
     Shape: copy the Boolean inputs, run the marginal circuit, copy its
     outputs, then a guard tree testing the q copied outputs followed by the
     p inputs (leftmost first, true branch first) whose leaves are the cell
-    cascades applied to the shared real inputs.
+    cascades applied to the shared real inputs.  Each distinct cell's
+    cascade is built once, so equal cells are one term, and `_guard_tree`
+    discards a guard whose branches are equal (E8); the circuit is still a
+    deterministic function of the certificate.
     """
     p, m, q, n = tree.p, tree.m, tree.q, tree.n
-    cells = {key: synth_cnf(cell, tol) for key, cell in tree.leaves}
+    cascades = {cell: synth_cnf(cell, tol)
+                for cell in dict.fromkeys(cell for _, cell in tree.leaves)}
+    cells = {key: cascades[cell] for key, cell in tree.leaves}
     guard_tree = _guard_tree(
         [cells[(v[:q], v[q:])] for v in itertools.product((1, 0), repeat=q + p)],
         reals(m), ite_n(n))

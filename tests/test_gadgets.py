@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cgm.diagram import B, Colour, GenKind, mk_generator, reals
-from cgm.errors import DimensionMismatch
+from cgm.diagram import B, Colour, GenKind, TypeWord, mk_generator, reals
+from cgm.errors import CgmError, DimensionMismatch, InvalidGadget
 from cgm.gadgets import (add_n, convex_mix, gauss_map_circuit,
                          gaussian_circuit, ite_n, matrix_circuit, nary_copy,
-                         thick_ite)
+                         permute_term, thick_ite)
 from cgm.linalg import Matrix
 from cgm.semantics import evaluate
 
@@ -32,6 +32,21 @@ ONE_BY_ONE = Matrix.from_rows([[1]])
 def test_mismatched_dimensions_are_typed(build, message):
     with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: permute_term(TypeWord.of("RB"), (1, 1)),
+                 r"not a permutation of 2 wires: \(1, 1\)", id="permute"),
+    pytest.param(lambda: nary_copy(Colour.R, -1), "negative fanout", id="copy"),
+    pytest.param(lambda: add_n(-1), "negative arity", id="add"),
+    pytest.param(lambda: ite_n(-1), "negative width", id="ite"),
+    pytest.param(lambda: thick_ite(0, 1), "need at least one guard",
+                 id="thick-ite")])
+def test_bad_gadget_sizes_are_typed(build, message):
+    # Typed, and still the ValueError they were before.
+    with pytest.raises(InvalidGadget, match=f"^{message}$") as caught:
+        build()
+    assert isinstance(caught.value, CgmError) and isinstance(caught.value, ValueError)
 
 
 class TestNaryCopy:

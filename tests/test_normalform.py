@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from cgm.diagram import (Gen, GenKind, bools, identity, mk_generator, par,
-                         par_all, reals, seq)
-from cgm.dsl import print_term
+from cgm.diagram import (Gen, GenKind, bools, generator_count, identity,
+                         mk_generator, par, par_all, reals, seq)
+from cgm.dsl import parse, print_term
 from cgm.errors import TypeMismatch
-from cgm.gadgets import add_n, convex_mix, discard_all, gaussian_circuit
+from cgm.gadgets import (add_n, convex_mix, discard_all, gaussian_circuit,
+                         thick_ite)
 from cgm.linalg import Matrix
 from cgm.normalform import (CellComponent, NFTree, decide_equiv,
                             disintegrate, emit_nf, first_certificate_difference, make_bool_kernel,
@@ -299,3 +300,83 @@ class TestDecideEquiv:
                            tree.bool_marginal, tuple(poked))
         verdict, _ = decide_equiv(term, emit_nf(perturbed))
         assert verdict
+
+
+STD_NORMAL_CELL = (CellComponent(Fraction(1), Matrix.zeros(1, 0),
+                                 Matrix.zeros(1, 1), Matrix.from_rows([[1]])),)
+
+
+def _kinds(term):
+    return [s.generator.kind for s in subterms(term) if isinstance(s, Gen)]
+
+
+class TestReducedEmission:
+    """`emit_nf` builds each distinct cell once, and a guard whose branches
+    are one term is discarded (axiom E8)."""
+
+    def test_all_cells_equal_emit_no_ite(self):
+        tree = disintegrate(evaluate(parse("id(B) * stdnormal ; delB * id(R)")))
+        assert [cell for _, cell in tree.leaves] == [STD_NORMAL_CELL] * 2
+        assert GenKind.ITE not in _kinds(emit_nf(tree))
+
+    def test_guard_between_equal_subtrees_is_dropped(self):
+        # Cells in guard order (a1, a2) = 11, 10, 01, 00 read N, 0, N, 0:
+        # both a1-branches are one node, so only a2 is tested.
+        term = parse("delB * id(B) * stdnormal * zero ; ite")
+        emitted = emit_nf(disintegrate(evaluate(term)))
+        assert _kinds(emitted).count(GenKind.ITE) == 1
+        verdict, (nf1, nf2) = decide_equiv(term, emitted)
+        assert verdict and nf1 == nf2
+
+    def test_independent_bits_share_their_flip(self):
+        # Both second-stage flips are flip(1/3): one flip, no multiplexer.
+        tree = disintegrate(evaluate(parse("flip(1/2) * flip(1/3)")))
+        kinds = _kinds(synth_bool(tree.bool_marginal))
+        assert kinds.count(GenKind.FLIP) == 2 and GenKind.AND not in kinds
+
+    def test_emission_is_a_function_of_the_certificate(self):
+        # Cells N, 0, 0, N over (a1, a2): no guard is dropped, and the two
+        # N cascades are one term object.
+        keys = [((), bits) for bits in itertools.product((1, 0), repeat=2)]
+        cells = [STD_NORMAL_CELL, zero_cell(1, 0), zero_cell(1, 0),
+                 STD_NORMAL_CELL]
+        marginal = make_bool_kernel(2, 0, {bits: {(): Fraction(1)}
+                                           for _, bits in keys})
+        tree = NFTree(2, 0, 0, 1, marginal, tuple(sorted(zip(keys, cells))))
+        emitted = emit_nf(tree)
+        cascade = synth_cnf(STD_NORMAL_CELL)
+        found = [s for s in subterms(emitted) if s == cascade]
+        assert len(found) == 2 and found[0] is found[1]
+        assert disintegrate(evaluate(emitted)) == tree
+        # Separately evaluated, equal certificates emit the same text.
+        text = ("id(B) * flip(1/4) ; id(B) * copyB ; "
+                "and * (id(B) * stdnormal * zero ; ite)")
+        one, two = (disintegrate(evaluate(parse(text))) for _ in range(2))
+        assert one == two and one is not two
+        assert print_term(emit_nf(one)) == print_term(emit_nf(two))
+
+    def test_thick_ite_is_unchanged(self):
+        # Its leaves are distinct objects (the zero-width ones are equal but
+        # distinct `id()` terms), so no node is shared and no guard dropped.
+        digest = hashlib.sha256()
+        for p in (1, 2, 3):
+            for n in (0, 1, 2):
+                digest.update(print_term(thick_ite(p, n)).encode() + b"\n")
+        assert digest.hexdigest() == \
+            "28f308cb253c3f831e448aaebcedeab799d7ce64cd08ec6de1f7700ad9e352ca"
+
+    def test_criterion_6_emitted_gate_total(self):
+        # Criterion 6's 200 circuits (seed 2026 + 6): 2,975 gates in and,
+        # counted with multiplicity, 11,928 out when every guard was built.
+        sampler = TermSampler(random.Random(2032), max_word=4, max_depth=4)
+        gates = []
+        while len(gates) < 200:
+            t = sampler.closed_term()
+            if max(t.dom.n_bool, t.dom.n_real, t.cod.n_bool, t.cod.n_real) > 3:
+                continue
+            mix = evaluate(t)
+            if max(len(comps) for _, comps in mix.table) > 4:
+                continue
+            gates.append((generator_count(t),
+                          generator_count(emit_nf(disintegrate(mix)))))
+        assert [sum(column) for column in zip(*gates)] == [2975, 2971]

@@ -210,11 +210,6 @@ UNTYPED_RAISES = (
     ("cli", "main", "ValueError"),
     ("diagram", "mk_generator", "ValueError"),
     ("diagram", "seq_all", "ValueError"),
-    ("gadgets", "permute_term", "ValueError"),
-    ("gadgets", "nary_copy", "ValueError"),
-    ("gadgets", "add_n", "ValueError"),
-    ("gadgets", "ite_n", "ValueError"),
-    ("gadgets", "thick_ite", "ValueError"),
     ("linalg", "as_scalar", "TypeError"),
     ("linalg", "as_scalar", "TypeError"),
     ("linalg", "four_squares", "ValueError"),
