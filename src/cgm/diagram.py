@@ -18,11 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (BiasOutOfRange, MissingParam, NonFiniteParam, TypeMismatch,
-                     UnexpectedParam)
+from .errors import (BiasOutOfRange, InvalidTerm, MissingParam, NonFiniteParam,
+                     TypeMismatch, UnexpectedParam)
 from .linalg import Scalar, as_scalar
 
 
@@ -34,7 +35,7 @@ class Colour(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeWord:
     """A word over the colours {B, R}; the empty word is the monoidal unit."""
 
@@ -45,7 +46,7 @@ class TypeWord:
         return TypeWord(tuple(Colour(ch) for ch in text))
 
     def __add__(self, other: "TypeWord") -> "TypeWord":
-        return TypeWord(self.colours + other.colours)
+        return _word(self.colours + other.colours)
 
     def __len__(self):
         return len(self.colours)
@@ -68,13 +69,8 @@ class TypeWord:
     def n_real(self) -> int:
         return sum(1 for c in self.colours if c is Colour.R)
 
-    def bool_positions(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.colours) if c is Colour.B)
 
-    def real_positions(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.colours) if c is Colour.R)
-
-
+_word = lru_cache(maxsize=4096)(TypeWord)   # one object per word `+` makes
 EMPTY = TypeWord()
 B = TypeWord((Colour.B,))
 R = TypeWord((Colour.R,))
@@ -123,7 +119,7 @@ SIGNATURES = {
 PARAMETRIC = {GenKind.FLIP, GenKind.SCALAR}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     kind: GenKind
     param: Optional[Scalar] = None
@@ -160,23 +156,37 @@ class Generator:
         return SIGNATURES[self.kind][1]
 
 
-def _cache_boundaries(term, dom, cod, float_literal=False):
-    object.__setattr__(term, "dom", dom)
-    object.__setattr__(term, "cod", cod)
-    object.__setattr__(term, "float_literal", float_literal)
+_CACHED = ("dom", "cod", "float_literal", "discards")   # discards: holds a delB or delR
+
+
+def _cache_boundaries(term, dom, cod, float_literal=False, discards=False):
+    for name, value in zip(_CACHED, (dom, cod, float_literal, discards)):
+        object.__setattr__(term, name, value)
+
+
+class _Node:
+    """A term node: fields and `_CACHED` in slots, pickled by constructor."""
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
-class Gen:
+class Gen(_Node):
+    __slots__ = ("generator", *_CACHED)
     generator: Generator
 
     def __post_init__(self):
         _cache_boundaries(self, self.generator.dom, self.generator.cod,
-                          isinstance(self.generator.param, float))
+                          isinstance(self.generator.param, float),
+                          self.generator.kind in (GenKind.BOOL_DISCARD,
+                                                  GenKind.REAL_DISCARD))
 
 
 @dataclass(frozen=True)
-class Id:
+class Id(_Node):
+    __slots__ = ("word", *_CACHED)
     word: TypeWord
 
     def __post_init__(self):
@@ -184,7 +194,8 @@ class Id:
 
 
 @dataclass(frozen=True)
-class Swap:
+class Swap(_Node):
+    __slots__ = ("first", "second", *_CACHED)
     first: Colour
     second: Colour
 
@@ -194,12 +205,13 @@ class Swap:
         _cache_boundaries(self, dom, cod)
 
 
-class _Composite:
+class _Composite(_Node):
     """Structural equality, hash and repr for Seq and Par over explicit
     stacks, so terms of any depth can be compared, hashed and printed.  A
     pair of nodes is compared once and a shared node printed once, so
     shared subterms cost once; a node's hash is computed when first asked
     for and cached on the node."""
+    __slots__ = ()
 
     def __eq__(self, other):
         todo, seen = [(self, other)], set()     # seen: node pairs entered
@@ -218,10 +230,10 @@ class _Composite:
 
     def __hash__(self):
         todo = [self]
-        while "_hash" not in self.__dict__:
+        while not hasattr(self, "_hash"):
             parts = children(todo[-1])
             pending = [c for c in parts if isinstance(c, _Composite)
-                       and "_hash" not in c.__dict__]
+                       and not hasattr(c, "_hash")]
             if pending:
                 todo += pending
             else:
@@ -263,6 +275,7 @@ class _Composite:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Composite):
+    __slots__ = ("early", "late", "_hash", *_CACHED)
     early: "Term"
     late: "Term"
 
@@ -272,18 +285,21 @@ class Seq(_Composite):
                 f"cannot compose: codomain {self.early.cod} != domain {self.late.dom}",
                 expected=self.early.cod, actual=self.late.dom)
         _cache_boundaries(self, self.early.dom, self.late.cod,
-                          self.early.float_literal or self.late.float_literal)
+                          self.early.float_literal or self.late.float_literal,
+                          self.early.discards or self.late.discards)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Par(_Composite):
+    __slots__ = ("top", "bottom", "_hash", *_CACHED)
     top: "Term"
     bottom: "Term"
 
     def __post_init__(self):
         _cache_boundaries(self, self.top.dom + self.bottom.dom,
                           self.top.cod + self.bottom.cod,
-                          self.top.float_literal or self.bottom.float_literal)
+                          self.top.float_literal or self.bottom.float_literal,
+                          self.top.discards or self.bottom.discards)
 
 
 Term = Union[Gen, Id, Swap, Seq, Par]
@@ -300,7 +316,7 @@ def mk_generator(kind, param=None) -> Term:
         try:
             kind = GenKind(kind)
         except ValueError:
-            raise ValueError(f"unknown generator {kind!r}") from None
+            raise InvalidTerm(f"unknown generator {kind!r}") from None
     return Gen(Generator(kind, param))
 
 
@@ -324,7 +340,7 @@ def par(s: Term, t: Term) -> Term:
 
 def seq_all(*terms: Term) -> Term:
     if not terms:
-        raise ValueError("seq_all needs at least one term")
+        raise InvalidTerm("seq_all needs at least one term")
     out = terms[0]
     for t in terms[1:]:
         out = Seq(out, t)
@@ -350,7 +366,11 @@ def fold(term: Term, leaf, seq, par):
 
     Post-order over an explicit stack; each distinct node (by identity) is
     computed once."""
-    memo = {}
+    return _fold(term, leaf, seq, par, {})
+
+
+def _fold(term: Term, leaf, seq, par, memo: dict):
+    """`fold` from `memo` (node id -> value): a node found there is not entered."""
     todo = [term]
     while todo:
         t = todo.pop()

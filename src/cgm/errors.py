@@ -67,6 +67,10 @@ class InvalidBits(CgmError, ValueError):
     """A bit string holds a character other than 0 and 1."""
 
 
+class InvalidTerm(CgmError, ValueError):
+    """An unknown generator name, or a sequential composite of no terms."""
+
+
 class InvalidGadget(CgmError, ValueError):
     """A gadget builder was given a negative width, no guard, or a
     destination list that is not a permutation."""

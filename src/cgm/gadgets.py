@@ -241,7 +241,7 @@ def gauss_map_circuit(a: Matrix, mu, factor: Matrix) -> Term:
 
 
 def _sorted_positions(word: TypeWord) -> tuple:
-    return word.bool_positions() + word.real_positions()
+    return tuple(sorted(range(len(word)), key=lambda i: word[i].value))   # B < R, stable
 
 
 def sort_boundary(t: Term) -> Term:

@@ -45,6 +45,12 @@ subterms are too.  `axioms.check_soundness` and `axioms.rewrite_at` share
 that memo between the two sides of an instance.  The memo is not kept
 from one call to the next.
 
+A subterm none of whose outputs is read (`_unread`, walked only in a term
+that holds a discard) is not built: every row has mass 1, so it gets a
+stand-in (`_stand_in`).  Rational tables stay bit-identical; a float weight
+may differ in its last bit (an unread row adds exactly 1), and a float
+overflow that no output reads does not raise.
+
 Sampling is the one exception: the first `sample_many` call on a row of a
 kernel builds the row's float arrays, guide table and Boolean outputs and
 keeps them on the kernel, which is frozen, so later calls only draw and
@@ -63,8 +69,8 @@ from functools import lru_cache, partial
 from operator import add, mul, truediv
 from typing import NamedTuple
 
-from .diagram import (Colour, GenKind, Generator, Id, Seq, Swap, Term,
-                      TypeWord, fold, has_float_literal)
+from .diagram import (Colour, GenKind, Generator, Id, Par, Seq, Swap, Term,
+                      TypeWord, _fold, has_float_literal)
 from .errors import (DimensionMismatch, InputCapExceeded, InvalidBits,
                      InvalidDrawCount, InvalidSeed, InvalidWeight, NonFiniteParam,
                      TypeMismatch, UnknownBackend)
@@ -495,6 +501,54 @@ def _leaf(field, tol, t: Term):
     return _build(mix.dom_word, mix.cod_word, mix.table, field, tol)
 
 
+@lru_cache(maxsize=4096)
+def _stand_in(field, tol, dom: TypeWord, cod: TypeWord):
+    """A value for a subterm whose outputs nothing reads: a wiring (each output
+    the first input of its colour) where the words allow, else a Dirac at 0."""
+    if (dom.n_bool or not cod.n_bool) and (dom.n_real or not cod.n_real):
+        return Wiring(dom, cod, (0,) * cod.n_bool, (0,) * cod.n_real)
+    one = _dirac((0,) * cod.n_bool, Matrix.zeros(cod.n_real, dom.n_real, field), field)
+    return _canonical(dom, cod, [(b, (one,)) for b in all_bitvecs(dom.n_bool)], field, tol)
+
+
+def _unread(term: Term) -> list:
+    """The outermost subterms no occurrence of which has an output read.
+    Demand (a bit mask of wires) walks from the root once per ``(node,
+    demand)``: identities and swaps pass it on, a copy reads its input if
+    either output is read, any other generator all inputs if any output is."""
+    ins, read, unread = {}, set(), {}   # ins: (id, outputs read) -> inputs read
+    todo = [(term, (1 << len(term.cod)) - 1, 0)]
+    while todo:
+        t, out, step = todo.pop()
+        key = (id(t), out)
+        if step == 0:
+            if key in ins:
+                continue
+            if not out:
+                ins[key], unread[id(t)] = 0, t
+                continue
+            read.add(id(t))
+            if type(t) is Seq:
+                todo += ((t, out, 1), (t.late, out, 0))
+            elif type(t) is Par:
+                k = len(t.top.cod)
+                todo += ((t, out, 1), (t.bottom, out >> k, 0),
+                         (t.top, out & ((1 << k) - 1), 0))
+            else:   # a leaf; a wiring generator read here is a copy
+                ins[key] = out if type(t) is Id else \
+                    out >> 1 | (out & 1) << 1 if type(t) is Swap else \
+                    1 if t.generator.kind in GENERATOR_WIRINGS else (1 << len(t.dom)) - 1
+        elif type(t) is Par:
+            k = len(t.top.cod)
+            ins[key] = ins[id(t.top), out & ((1 << k) - 1)] | \
+                ins[id(t.bottom), out >> k] << len(t.top.dom)
+        elif step == 1:   # the late half is done: its inputs read, the early's outputs
+            todo += ((t, out, 2), (t.early, ins[id(t.late), out], 0))
+        else:
+            ins[key] = ins[id(t.early), ins[id(t.late), out]]
+    return [t for i, t in unread.items() if i not in read]
+
+
 def _seq(tol, f, g):
     if isinstance(f, Wiring):
         return f.then(g) if isinstance(g, Wiring) else _wiring_then_kernel(f, g, tol)
@@ -557,7 +611,9 @@ def _evaluate(term: Term, cap: int, tol: float, backend: str,
             hit = built[key] = (f, g, out)
         return hit[2]
 
-    return _as_kernel(fold(term, partial(_leaf, field, tol), node, node), field)
+    memo = {id(t): _stand_in(field, tol, t.dom, t.cod)
+            for t in _unread(term)} if term.discards else {}
+    return _as_kernel(_fold(term, partial(_leaf, field, tol), node, node, memo), field)
 
 
 def _mixture_differences(m1: CGMixture, m2: CGMixture, tol, eps=None):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -10,8 +12,8 @@ from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
                          mk_generator, par, reals, seq, seq_all, swap,
                          to_exact_params, to_float_params)
 from cgm.dsl import parse, print_term
-from cgm.errors import (BiasOutOfRange, MissingParam, NonFiniteParam,
-                        TypeMismatch, UnexpectedParam)
+from cgm.errors import (BiasOutOfRange, CgmError, InvalidTerm, MissingParam,
+                        NonFiniteParam, TypeMismatch, UnexpectedParam)
 from cgm.gadgets import (matrix_circuit, nary_copy, permute_term, thick_ite)
 from cgm.linalg import Matrix
 from cgm.randcircuit import TermSampler
@@ -51,6 +53,16 @@ class TestGenerators:
     def test_add_arity(self):
         add = mk_generator("add")
         assert (add.dom, add.cod) == (R + R, R)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: mk_generator("bogus"), "unknown generator 'bogus'"),
+        (lambda: seq_all(), "seq_all needs at least one term")],
+        ids=["generator", "seq-all"])
+    def test_bad_terms_are_typed(self, build, message):
+        # Typed, and still the ValueError they were before.
+        with pytest.raises(InvalidTerm, match=f"^{message}$") as caught:
+            build()
+        assert isinstance(caught.value, CgmError) and isinstance(caught.value, ValueError)
 
 
 class TestComposition:
@@ -193,6 +205,34 @@ class TestFloatLiteralFlag:
         flags = [(has_float_literal(t), folded_float_literal(t)) for t in terms]
         assert flags == [(False, False), (True, True), (False, False),
                          (True, True)]
+
+
+def test_discard_flag_agrees_with_a_fold():
+    # `evaluate` walks demand only where this record says a discard is held.
+    def either(_t, a, b):
+        return a or b
+
+    def discards(s):
+        return fold(s, lambda g: isinstance(g, Gen) and g.generator.kind in
+                    (GenKind.BOOL_DISCARD, GenKind.REAL_DISCARD), either, either)
+
+    sampler = TermSampler(random.Random(72))
+    outcomes = set()
+    for _ in range(150):
+        t = sampler.closed_term()
+        for s in subterms(t):
+            assert s.discards is discards(s)
+        outcomes.add(t.discards)
+    assert outcomes == {False, True}
+
+
+def test_terms_pickle_and_copy():
+    # Nodes keep their fields in slots; pickling goes through the constructors.
+    t = parse("flip(1/2) * stdnormal ; not * id(R) ; delB * scal(0.5)")
+    for back in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+        assert (back.dom, back.cod, back.float_literal, back.discards) == \
+            (t.dom, t.cod, True, True)
 
 
 class TestDeepTermValues:

@@ -208,8 +208,6 @@ UNTYPED_RAISES = (
     ("axioms", "rewrite_at", "AssertionError"),
     ("cli", "main", "ValueError"),
     ("cli", "main", "ValueError"),
-    ("diagram", "mk_generator", "ValueError"),
-    ("diagram", "seq_all", "ValueError"),
     ("linalg", "as_scalar", "TypeError"),
     ("linalg", "as_scalar", "TypeError"),
     ("linalg", "four_squares", "ValueError"),
