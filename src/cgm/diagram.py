@@ -4,8 +4,10 @@ A term is a syntax tree over the thirteen generators, identities on words,
 single-wire crossings, and the two composition operations.  Boundary words,
 and whether the term holds a float literal, are computed once at
 construction and cached on the node; ill-typed sequential composites cannot
-be built.  Terms are immutable values and may be shared freely (the gadget
-builders below lean on that).
+be built.  A word carries its colour counts, and is one object per word
+where made here, so boundary checks mostly compare by `is`.  Terms are
+immutable values and may be shared freely (the gadget builders below, and
+the parser's one node per parameterless atom, lean on that).
 
 Structural walks (evaluation, parameter casts, gate counts, JSON export,
 associativity normalisation) are one `fold`, so terms of any depth need no
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Union
@@ -31,6 +33,8 @@ class Colour(enum.Enum):
     B = "B"
     R = "R"
 
+    __hash__ = object.__hash__      # members are singletons; `==` is `is`
+
     def __str__(self):
         return self.value
 
@@ -40,10 +44,16 @@ class TypeWord:
     """A word over the colours {B, R}; the empty word is the monoidal unit."""
 
     colours: tuple = ()
+    n_bool: int = field(init=False, repr=False, compare=False)
+    n_real: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set_n_bool(self, self.colours.count(Colour.B))
+        _set_n_real(self, self.colours.count(Colour.R))
 
     @staticmethod
     def of(text: str) -> "TypeWord":
-        return TypeWord(tuple(Colour(ch) for ch in text))
+        return _word(tuple(Colour(ch) for ch in text))
 
     def __add__(self, other: "TypeWord") -> "TypeWord":
         return _word(self.colours + other.colours)
@@ -61,27 +71,20 @@ class TypeWord:
     def __str__(self):
         return "".join(c.value for c in self.colours)
 
-    @property
-    def n_bool(self) -> int:
-        return sum(1 for c in self.colours if c is Colour.B)
 
-    @property
-    def n_real(self) -> int:
-        return sum(1 for c in self.colours if c is Colour.R)
-
-
-_word = lru_cache(maxsize=4096)(TypeWord)   # one object per word `+` makes
-EMPTY = TypeWord()
-B = TypeWord((Colour.B,))
-R = TypeWord((Colour.R,))
+_set_n_bool, _set_n_real = TypeWord.n_bool.__set__, TypeWord.n_real.__set__
+_word = lru_cache(maxsize=4096)(TypeWord)   # one object per word made here
+EMPTY = _word(())
+B = _word((Colour.B,))
+R = _word((Colour.R,))
 
 
 def bools(n: int) -> TypeWord:
-    return TypeWord((Colour.B,) * n)
+    return _word((Colour.B,) * n)
 
 
 def reals(n: int) -> TypeWord:
-    return TypeWord((Colour.R,) * n)
+    return _word((Colour.R,) * n)
 
 
 class GenKind(enum.Enum):
@@ -98,6 +101,8 @@ class GenKind(enum.Enum):
     ONE = "one"
     STD_NORMAL = "stdnormal"
     ITE = "ite"
+
+    __hash__ = object.__hash__
 
 
 SIGNATURES = {
@@ -138,11 +143,14 @@ class Generator:
 
     def __eq__(self, other):
         # A literal's field is part of the value: Fraction(1, 2) == 0.5, but
-        # flip(1/2) and flip(0.5) print, and may evaluate, differently.
+        # flip(1/2) and flip(0.5) print, and may evaluate, differently.  So
+        # is a float's sign: scal(-0.0) has A = [-0.0].
         if other.__class__ is not Generator:
             return NotImplemented
         return (self.kind, type(self.param), self.param) == \
-            (other.kind, type(other.param), other.param)
+            (other.kind, type(other.param), other.param) and \
+            (type(self.param) is not float or
+             math.copysign(1, self.param) == math.copysign(1, other.param))
 
     def __hash__(self):
         return hash((self.kind, type(self.param), self.param))
@@ -159,22 +167,28 @@ class Generator:
 _CACHED = ("dom", "cod", "float_literal", "discards")   # discards: holds a delB or delR
 
 
-def _cache_boundaries(term, dom, cod, float_literal=False, discards=False):
-    for name, value in zip(_CACHED, (dom, cod, float_literal, discards)):
-        object.__setattr__(term, name, value)
-
-
 class _Node:
     """A term node: fields and `_CACHED` in slots, pickled by constructor."""
-    __slots__ = ()
+    __slots__ = _CACHED
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
 
+_set_dom, _set_cod, _set_float_literal, _set_discards = (
+    getattr(_Node, name).__set__ for name in _CACHED)
+
+
+def _cache_boundaries(term, dom, cod, float_literal=False, discards=False):
+    _set_dom(term, dom)
+    _set_cod(term, cod)
+    _set_float_literal(term, float_literal)
+    _set_discards(term, discards)
+
+
 @dataclass(frozen=True)
 class Gen(_Node):
-    __slots__ = ("generator", *_CACHED)
+    __slots__ = ("generator",)
     generator: Generator
 
     def __post_init__(self):
@@ -186,7 +200,7 @@ class Gen(_Node):
 
 @dataclass(frozen=True)
 class Id(_Node):
-    __slots__ = ("word", *_CACHED)
+    __slots__ = ("word",)
     word: TypeWord
 
     def __post_init__(self):
@@ -195,13 +209,13 @@ class Id(_Node):
 
 @dataclass(frozen=True)
 class Swap(_Node):
-    __slots__ = ("first", "second", *_CACHED)
+    __slots__ = ("first", "second")
     first: Colour
     second: Colour
 
     def __post_init__(self):
-        dom = TypeWord((self.first, self.second))
-        cod = TypeWord((self.second, self.first))
+        dom = _word((self.first, self.second))
+        cod = _word((self.second, self.first))
         _cache_boundaries(self, dom, cod)
 
 
@@ -211,7 +225,7 @@ class _Composite(_Node):
     pair of nodes is compared once and a shared node printed once, so
     shared subterms cost once; a node's hash is computed when first asked
     for and cached on the node."""
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __eq__(self, other):
         todo, seen = [(self, other)], set()     # seen: node pairs entered
@@ -275,12 +289,12 @@ class _Composite(_Node):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Composite):
-    __slots__ = ("early", "late", "_hash", *_CACHED)
+    __slots__ = ("early", "late")
     early: "Term"
     late: "Term"
 
     def __post_init__(self):
-        if self.early.cod != self.late.dom:
+        if self.early.cod is not self.late.dom and self.early.cod != self.late.dom:
             raise TypeMismatch(
                 f"cannot compose: codomain {self.early.cod} != domain {self.late.dom}",
                 expected=self.early.cod, actual=self.late.dom)
@@ -291,7 +305,7 @@ class Seq(_Composite):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Par(_Composite):
-    __slots__ = ("top", "bottom", "_hash", *_CACHED)
+    __slots__ = ("top", "bottom")
     top: "Term"
     bottom: "Term"
 

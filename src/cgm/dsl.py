@@ -53,8 +53,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 _KEYWORDS = {"let", "in"}
-_NULLARY = {kind.value: kind for kind in GenKind
-            if kind not in (GenKind.FLIP, GenKind.SCALAR)}
+_NULLARY = {kind.value: mk_generator(kind) for kind in GenKind   # one node each:
+            if kind not in (GenKind.FLIP, GenKind.SCALAR)}         # terms are values
 _RESERVED = set(_NULLARY) | {"flip", "scal", "id", "swap"} | _KEYWORDS
 
 
@@ -203,7 +203,7 @@ class _Parser:
                 err.span = self.span(tok)
                 raise
         if name in _NULLARY:
-            return mk_generator(_NULLARY[name])
+            return _NULLARY[name]
         if name in env:
             return env[name]
         raise ParseError(f"unknown name {name!r}", self.span(tok),

@@ -20,6 +20,11 @@ class NonFiniteResult(CgmError):
     """Float arithmetic gave an infinite or NaN matrix entry."""
 
 
+class InvalidParam(CgmError, TypeError):
+    """A generator parameter or matrix entry that is not a number (a bool,
+    a string, ...)."""
+
+
 class MissingParam(CgmError):
     """A generator that requires a parameter was built without one."""
 

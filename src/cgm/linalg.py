@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Sequence, Union
 
-from .errors import DimensionMismatch, NonFiniteResult, NotPSD
+from .errors import DimensionMismatch, InvalidParam, NonFiniteResult, NotPSD
 
 Scalar = Union[Fraction, float]
 
@@ -42,14 +42,14 @@ Scalar = Union[Fraction, float]
 def as_scalar(x) -> Scalar:
     """Normalize a number: ints become exact rationals, floats stay floats."""
     if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
+        raise InvalidParam("bool is not a scalar")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         return x
-    raise TypeError(f"not a scalar: {x!r}")
+    raise InvalidParam(f"not a scalar: {x!r}")
 
 
 def format_scalar(x: Scalar) -> str:

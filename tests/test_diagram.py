@@ -12,8 +12,9 @@ from cgm.diagram import (B, Colour, EMPTY, Gen, GenKind, Id, R, Seq, Swap,
                          mk_generator, par, reals, seq, seq_all, swap,
                          to_exact_params, to_float_params)
 from cgm.dsl import parse, print_term
-from cgm.errors import (BiasOutOfRange, CgmError, InvalidTerm, MissingParam,
-                        NonFiniteParam, TypeMismatch, UnexpectedParam)
+from cgm.errors import (BiasOutOfRange, CgmError, InvalidParam, InvalidTerm,
+                        MissingParam, NonFiniteParam, TypeMismatch,
+                        UnexpectedParam)
 from cgm.gadgets import (matrix_circuit, nary_copy, permute_term, thick_ite)
 from cgm.linalg import Matrix
 from cgm.randcircuit import TermSampler
@@ -63,6 +64,15 @@ class TestGenerators:
         with pytest.raises(InvalidTerm, match=f"^{message}$") as caught:
             build()
         assert isinstance(caught.value, CgmError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("kind, param, message", [
+        ("scal", True, "bool is not a scalar"),
+        ("flip", "1/2", "not a scalar: '1/2'")], ids=["bool", "text"])
+    def test_non_numeric_params_are_typed(self, kind, param, message):
+        # Typed, and still the TypeError they were before.
+        with pytest.raises(InvalidParam, match=f"^{message}$") as caught:
+            mk_generator(kind, param)
+        assert isinstance(caught.value, CgmError) and isinstance(caught.value, TypeError)
 
 
 class TestComposition:
