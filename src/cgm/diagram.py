@@ -73,7 +73,7 @@ class TypeWord:
 
 
 _set_n_bool, _set_n_real = TypeWord.n_bool.__set__, TypeWord.n_real.__set__
-_word = lru_cache(maxsize=4096)(TypeWord)   # one object per word made here
+_word = lru_cache(maxsize=None)(TypeWord)   # one object per word made here, kept
 EMPTY = _word(())
 B = _word((Colour.B,))
 R = _word((Colour.R,))

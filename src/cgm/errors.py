@@ -52,7 +52,8 @@ class DimensionMismatch(CgmError):
 
 
 class NotPSD(CgmError):
-    """A matrix handed to the LDL^T factorizer is not positive semi-definite."""
+    """A matrix handed to `ldlt`, or a variance to split into squares, is not
+    positive semi-definite."""
 
 
 class InputCapExceeded(CgmError):

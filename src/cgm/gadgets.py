@@ -5,7 +5,9 @@ Bracketing conventions are fixed once and for all: combs associate to the
 right, guard order follows wire order (leftmost guard is tested first), and
 the true branch always comes first.  Builders are cached, so repeated
 gadgets are shared subterms and evaluation memoization kicks in.  Every
-guard dispatch, `thick_ite`'s and `normalform`'s, is one `_guard_tree`.
+guard dispatch, `thick_ite`'s and `normalform`'s, is one `_guard_tree`, and
+every Gaussian map one `gauss_map_circuit`.  A part that can be an identity
+is composed through `seq_trim`/`par_trim`, so no stage is an identity wire.
 """
 
 from __future__ import annotations
@@ -106,14 +108,12 @@ def discard_all(word: TypeWord) -> Term:
 def copy_bundle(word: TypeWord) -> Term:
     """Copy every wire of `word`, then separate: word -> word . word."""
     n = len(word)
-    if n == 0:
-        return identity(EMPTY)
-    copies = par_all(*(nary_copy(c, 2) for c in word))
+    copies = par_trim(*(nary_copy(c, 2) for c in word))
     doubled = TypeWord(tuple(c for c in word for _ in range(2)))
     dest = []
     for i in range(n):
         dest.extend((i, n + i))
-    return seq(copies, permute_term(doubled, tuple(dest)))
+    return seq_trim(copies, permute_term(doubled, tuple(dest)))
 
 
 def add_n(n: int) -> Term:
@@ -153,13 +153,13 @@ def _guard_tree(leaves: list, shared: TypeWord, join: Term) -> Term:
     """
     below = 0
     while len(leaves) > 1:
-        spread = par(identity(bools(1)), copy_bundle(bools(below) + shared))
+        spread = par_trim(identity(bools(1)), copy_bundle(bools(below) + shared))
         pairs, nodes = list(zip(leaves[::2], leaves[1::2])), {}
         for yes, no in pairs:
             if (id(yes), id(no)) not in nodes:
                 nodes[id(yes), id(no)] = (
-                    par(discard_all(bools(1)), yes) if yes is no else
-                    seq_all(spread, par_all(identity(bools(1)), yes, no), join))
+                    par_trim(discard_all(bools(1)), yes) if yes is no else
+                    seq_trim(spread, par_trim(identity(bools(1)), yes, no), join))
         leaves = [nodes[id(yes), id(no)] for yes, no in pairs]
         below += 1
     return leaves[0]
@@ -208,36 +208,28 @@ def matrix_circuit(a: Matrix) -> Term:
 
 
 def gaussian_circuit(mu, factor: Matrix) -> Term:
-    """Closed circuit with semantics N(mu, factor . factor^T)."""
+    """N(mu, factor . factor^T) as a closed circuit: `gauss_map_circuit`, m = 0."""
     mu_col = mu if isinstance(mu, Matrix) else Matrix.column(mu)
     if mu_col.cols != 1 or mu_col.rows != factor.rows:
         raise DimensionMismatch(
             f"mean is {mu_col.rows}x{mu_col.cols}, factor has {factor.rows} rows")
-    k = factor.cols
-    sources = [mk_generator(GenKind.STD_NORMAL)] * k
-    coeffs = factor
-    if not mu_col.is_zero():
-        sources.append(mk_generator(GenKind.ONE))
-        coeffs = hstack(factor, mu_col)
-    return seq(par_all(*sources), matrix_circuit(coeffs))
+    return gauss_map_circuit(Matrix.zeros(factor.rows, 0), mu_col, factor)
 
 
 def gauss_map_circuit(a: Matrix, mu, factor: Matrix) -> Term:
-    """Open Gaussian map x |-> N(Ax + mu, factor . factor^T) : R^m -> R^n."""
+    """Open Gaussian map x |-> N(Ax + mu, factor . factor^T) : R^m -> R^n,
+    as one `matrix_circuit` of [A | factor | mu] applied to x, a standard
+    normal per factor column and the constant 1 (no 1 when mu = 0)."""
     mu_col = mu if isinstance(mu, Matrix) else Matrix.column(mu)
-    if factor.rows != a.rows or mu_col.rows != a.rows:
+    if factor.rows != a.rows or mu_col.rows != a.rows or mu_col.cols != 1:
         raise DimensionMismatch("inconsistent Gaussian map dimensions")
-    if factor.cols == 0 and mu_col.is_zero():
-        return matrix_circuit(a)
-    n, m = a.rows, a.cols
-    noise = gaussian_circuit(mu_col, factor)
-    if m == 0:
-        return noise
-    pair = par(matrix_circuit(a), noise)
-    dest = tuple(2 * i for i in range(n)) + tuple(2 * i + 1 for i in range(n))
-    riffle = permute_term(reals(2 * n), dest)
-    adds = par_all(*(mk_generator(GenKind.ADD) for _ in range(n)))
-    return seq_trim(pair, riffle, adds)
+    sources = [mk_generator(GenKind.STD_NORMAL)] * factor.cols
+    coeffs = hstack(a, factor)
+    if not mu_col.is_zero():
+        sources.append(mk_generator(GenKind.ONE))
+        coeffs = hstack(coeffs, mu_col)
+    return seq_trim(par_trim(identity(reals(a.cols)), *sources),
+                    matrix_circuit(coeffs))
 
 
 def _sorted_positions(word: TypeWord) -> tuple:
@@ -248,16 +240,10 @@ def sort_boundary(t: Term) -> Term:
     """Pre/post-compose with crossings so both boundaries read B's first."""
     dom_sorted = _sorted_positions(t.dom)
     cod_sorted = _sorted_positions(t.cod)
-    out = t
-    if dom_sorted != tuple(range(len(t.dom))):
-        sorted_dom = TypeWord(tuple(t.dom[i] for i in dom_sorted))
-        pre = permute_term(sorted_dom, dom_sorted)
-        out = seq(pre, out)
-    if cod_sorted != tuple(range(len(t.cod))):
-        dest = tuple(cod_sorted.index(i) for i in range(len(t.cod)))
-        post = permute_term(t.cod, dest)
-        out = seq(out, post)
-    return out
+    sorted_dom = TypeWord(tuple(t.dom[i] for i in dom_sorted))
+    dest = tuple(cod_sorted.index(i) for i in range(len(t.cod)))
+    return seq_trim(permute_term(sorted_dom, dom_sorted), t,
+                    permute_term(t.cod, dest))
 
 
 def mix_gate(bias) -> Term:

@@ -392,7 +392,7 @@ def _is_three_square(n: int) -> bool:
 def four_squares(n: int):
     """Deterministic ``n = a^2 + b^2 + c^2 + d^2`` with a >= b >= c >= d >= 0."""
     if n < 0:
-        raise ValueError("negative input")
+        raise NotPSD(f"{n} is negative, not a sum of squares")
     if n == 0:
         return (0, 0, 0, 0)
     a0 = math.isqrt(n)
@@ -418,14 +418,14 @@ def sum_square_scales(d: Scalar) -> tuple:
     """
     if isinstance(d, Fraction):
         if d < 0:
-            raise ValueError("negative variance")
+            raise NotPSD(f"negative variance {d}")
         if d == 0:
             return ()
         num, den = d.numerator, d.denominator
         parts = four_squares(num * den)
         return tuple(Fraction(a, den) for a in parts if a != 0)
     if d < 0:
-        raise ValueError("negative variance")
+        raise NotPSD(f"negative variance {d}")
     return (math.sqrt(d),) if d > 0 else ()
 
 

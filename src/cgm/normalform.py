@@ -11,13 +11,15 @@ The certificate (`NFTree`) stores covariances as Gram matrices, which are
 canonical; the emitted circuit is a deterministic function of the
 certificate, so certificate equality and emitted-circuit equality
 coincide.  It is reduced: equal cells, and equal flips of the marginal, are
-one term, and a guard whose two branches are one term is discarded (E8).
+one term, a guard whose two branches are one term is discarded (E8), and no
+stage of a composite is an identity wire (`seq_trim`/`par_trim` drop them).
 
 Emission is exact under the rational backend: each positive LDL^T pivot d
-is split into at most four rational squares (Lagrange), one scaled Gaussian
-source per square, so the synthesized covariance reproduces the Gram
-matrix with no floating square roots.  Under the float backend a single
-sqrt(d)-scaled source per pivot is used instead.
+is split into at most four rational squares (Lagrange), one standard normal
+per square, so the synthesized covariance reproduces the Gram matrix with
+no floating square roots; under the float backend a single sqrt(d)-scaled
+normal per pivot is used instead.  A component is one matrix circuit of
+[A | F | mu] applied to its inputs, those normals and the constant 1.
 
 The marginal's selector trees and the guard tree over the cells have one
 shape (test the leftmost guard, copy the rest and the shared real wires into
@@ -32,12 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .diagram import (EMPTY, GenKind, Term, bools, identity, mk_generator,
-                      par, par_all, reals, seq, seq_all)
+from .diagram import EMPTY, GenKind, Term, bools, identity, mk_generator, reals
 from .dsl import parse
 from .errors import TypeMismatch
 from .gadgets import (_guard_tree, convex_mix, copy_bundle, discard_all,
-                      gauss_map_circuit, ite_n)
+                      gauss_map_circuit, ite_n, par_trim, seq_trim)
 from .linalg import (CovFactor, Matrix, Scalar, ldlt, matrix_to_json,
                      scalar_to_json, sum_square_scales)
 from .semantics import (CGMixture, DEFAULT_BOOL_CAP, DEFAULT_TOLERANCE,
@@ -124,7 +125,7 @@ def _noise_factor(cov: Matrix, tol: float) -> Matrix:
 def synth_cnf(cell: tuple, tol: float = DEFAULT_TOLERANCE) -> Term:
     """Emit the convex cascade for one cell: R^m -> R^n, deterministic.
 
-    Singletons become one Gaussian-map circuit; larger cells become a
+    Singletons become one `gauss_map_circuit`; larger cells become a
     right-nested cascade of flip-guarded conditionals whose biases are the
     renormalized weights (first-sorted component in the true branch).
     """
@@ -157,8 +158,6 @@ def synth_bool(kernel: CGMixture) -> Term:
     if p == q and all(len(comps) == 1 and comps[0].bool_out == bits and
                       comps[0].weight == 1 for bits, comps in kernel.table):
         return identity(bools(p))
-    if q == 0:
-        return discard_all(bools(p))
 
     def prefix_mass(bits_in, prefix):
         return sum(c.weight for c in kernel.row(bits_in)
@@ -173,10 +172,10 @@ def synth_bool(kernel: CGMixture) -> Term:
             bias = prefix_mass(bits_in, prefix + (1,)) / denom if denom else 0
             flip = mk_generator(GenKind.FLIP, bias)
             flips.append(shared.setdefault(flip, flip))
-        stage_terms.append(seq(copy_bundle(bools(p + j)), par(
+        stage_terms.append(seq_trim(copy_bundle(bools(p + j)), par_trim(
             identity(bools(p + j)), _guard_tree(flips, EMPTY, _MUX3))))
-    finish = par(discard_all(bools(p)), identity(bools(q)))
-    return seq_all(*stage_terms, finish)
+    finish = par_trim(discard_all(bools(p)), identity(bools(q)))
+    return seq_trim(*stage_terms, finish)
 
 
 def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
@@ -185,10 +184,11 @@ def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
     Shape: copy the Boolean inputs, run the marginal circuit, copy its
     outputs, then a guard tree testing the q copied outputs followed by the
     p inputs (leftmost first, true branch first) whose leaves are the cell
-    cascades applied to the shared real inputs.  Each distinct cell's
-    cascade is built once, so equal cells are one term, and `_guard_tree`
-    discards a guard whose branches are equal (E8); the circuit is still a
-    deterministic function of the certificate.
+    cascades applied to the shared real inputs; a step that is an identity
+    (p or q = 0, say) is left out.  Each distinct cell's cascade is built
+    once, so equal cells are one term, and `_guard_tree` discards a guard
+    whose branches are equal (E8); the circuit is still a deterministic
+    function of the certificate.
     """
     p, m, q, n = tree.p, tree.m, tree.q, tree.n
     cascades = {cell: synth_cnf(cell, tol)
@@ -197,15 +197,11 @@ def emit_nf(tree: NFTree, tol: float = DEFAULT_TOLERANCE) -> Term:
     guard_tree = _guard_tree(
         [cells[(v[:q], v[q:])] for v in itertools.product((1, 0), repeat=q + p)],
         reals(m), ite_n(n))
-    if p + q == 0:
-        return guard_tree
-    step1 = par(copy_bundle(bools(p)), identity(reals(m)))
-    step2 = par_all(synth_bool(tree.bool_marginal), identity(bools(p)),
-                    identity(reals(m)))
-    step3 = par_all(copy_bundle(bools(q)), identity(bools(p)),
-                    identity(reals(m)))
-    step4 = par(identity(bools(q)), guard_tree)
-    return seq_all(step1, step2, step3, step4)
+    inputs = identity(bools(p) + reals(m))
+    return seq_trim(par_trim(copy_bundle(bools(p)), identity(reals(m))),
+                    par_trim(synth_bool(tree.bool_marginal), inputs),
+                    par_trim(copy_bundle(bools(q)), inputs),
+                    par_trim(identity(bools(q)), guard_tree))
 
 
 def _tree_blocks(tree: NFTree):

@@ -295,12 +295,13 @@ def dot_corpus() -> list:
 def test_dot_corpus_digest(dot_corpus):
     # Pinned from the exporter that joined wire segments by union-find, and
     # re-pinned when emitted normal forms began to share equal cells and drop
-    # guards between equal branches.
+    # guards between equal branches, and again when they lost their identity
+    # stages and each Gaussian leaf became one matrix circuit.
     digest = hashlib.sha256()
     for t in dot_corpus:
         digest.update(export_dot(t).encode())
     assert digest.hexdigest() == \
-        "b38a6b1c158c20ba81df72913ca23f90f532f5e705f35aee4748bec8c0dbc9d6"
+        "4dd3d712cf861e4827aa8e725f02c8777c65e1bf6477c80d755f3f3faec5ba28"
 
 
 def test_dot_corpus_structure(dot_corpus):

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgm.diagram import B, Colour, GenKind, TypeWord, mk_generator, reals
 from cgm.errors import CgmError, DimensionMismatch, InvalidGadget
@@ -158,3 +160,28 @@ class TestGaussianCircuit:
             assert c.weight == 1
             assert c.mean == Matrix.column(mu)
             assert c.gram() == factor @ factor.transpose()
+
+    @pytest.mark.parametrize("field", (Fraction, float))
+    @pytest.mark.parametrize("zero_mean", (False, True))
+    @pytest.mark.parametrize("n, m, k", ((2, 0, 2), (2, 3, 0), (1, 0, 0),
+                                         (3, 2, 2), (0, 2, 1)))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_open_map_is_its_three_blocks(self, n, m, k, field, zero_mean, data):
+        # x |-> N(Ax + mu, F F^T): R^m -> R^n, with k noise columns.
+        def block(rows, cols):
+            cells = st.fractions(-4, 4, max_denominator=4).map(field)
+            return Matrix.from_rows(
+                data.draw(st.lists(st.lists(cells, min_size=cols, max_size=cols),
+                                   min_size=rows, max_size=rows)), cols=cols)
+        a, factor = block(n, m), block(n, k)
+        mu = Matrix.zeros(n, 1, field) if zero_mean else block(n, 1)
+        term = gauss_map_circuit(a, mu, factor)
+        assert (term.dom, term.cod) == (reals(m), reals(n))
+        backend = "rational" if field is Fraction else "float"
+        (c,) = evaluate(term, backend=backend).row(())
+        assert c.weight == 1
+        for got, want in ((c.lin, a), (c.mean, mu),
+                          (c.gram(), factor @ factor.transpose())):
+            assert (got.rows, got.cols, got.entries) == \
+                (want.rows, want.cols, want.entries)

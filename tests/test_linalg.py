@@ -551,3 +551,11 @@ class TestSquares:
     def test_float_scale(self):
         (r,) = sum_square_scales(2.0)
         assert abs(r * r - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("split, value, message", [
+        (four_squares, -7, "-7 is negative, not a sum of squares"),
+        (sum_square_scales, Fraction(-1, 3), "negative variance -1/3"),
+        (sum_square_scales, -0.5, "negative variance -0.5")])
+    def test_negative_inputs_are_typed(self, split, value, message):
+        with pytest.raises(NotPSD, match=f"^{message}$"):
+            split(value)

@@ -47,6 +47,17 @@ def test_words_made_here_are_one_object():
     assert (t.dom, t.cod) == (loose, B + R)
 
 
+def test_word_identity_does_not_depend_on_history():
+    # After 5,000 other distinct words, more than a 4,096-entry cache holds,
+    # making EMPTY, B and R again still returns the module's objects.
+    made = [TypeWord.of("".join(w)) for w in itertools.islice(
+        itertools.product("BR", repeat=13), 5000)]
+    assert len(set(made)) == 5000
+    assert bools(0) is EMPTY is TypeWord.of("") and B + EMPTY is B
+    assert TypeWord.of("R") is R is reals(1) and bools(1) is B
+    assert all(TypeWord.of(str(w)) is w for w in made)
+
+
 def test_mistyped_seq_keeps_its_message():
     with pytest.raises(TypeMismatch) as err:
         seq(mk_generator(GenKind.AND), mk_generator(GenKind.REAL_COPY))

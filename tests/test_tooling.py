@@ -211,10 +211,7 @@ UNTYPED_RAISES = (
     ("axioms", "rewrite_at", "AssertionError"),
     ("cli", "main", "ValueError"),
     ("cli", "main", "ValueError"),
-    ("linalg", "four_squares", "ValueError"),
     ("linalg", "four_squares", "AssertionError"),
-    ("linalg", "sum_square_scales", "ValueError"),
-    ("linalg", "sum_square_scales", "ValueError"),
     ("randcircuit", "TermSampler.__init__", "ValueError"),
     ("randcircuit", "TermSampler._source", "ValueError"),
     ("semantics", "interp_generator", "AssertionError"),
